@@ -24,7 +24,7 @@ object BuildProfileJob {
       val space = new CountingSpace(spec.space(spark, scale))
       val runner =
         if (useLocal) new LocalRunner(16)
-        else new SparkRunner(spark, spark.sparkContext.defaultParallelism)
+        else new SparkRunner(spark)
       println(s"dataset=$name n=${space.n} K=${spec.graphK} runner=${if (useLocal) "local" else "spark"}")
 
       def prof(label: String)(body: => Any): Unit = {

@@ -1,7 +1,6 @@
 package repro.baseline
 
-import org.apache.spark.sql.{Encoders, SparkSession}
-import repro.core.{BruteForce, MetricSpace, VPTree}
+import repro.core.{BruteForce, MetricSpace, ParRunner, VPTree}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -9,27 +8,15 @@ import scala.util.Random
 final case class BaselineResult(outliers: Array[Int], totalMs: Long, indexBytes: Long)
 
 /** Nested-loop DOD [Knorr & Ng, VLDB'98]: for each object scan P, stopping
-  * when the neighbor count reaches `k`. Parallelized across Spark partitions
-  * (the paper runs all algorithms multi-threaded).
+  * when the neighbor count reaches `k`. Objects fan out through the
+  * [[ParRunner]] (the paper runs all algorithms multi-threaded).
   */
 object NestedLoop {
-  def run(spark: SparkSession, space: MetricSpace, r: Double, k: Int, partitions: Int = 0): BaselineResult = {
+  def run(runner: ParRunner, space: MetricSpace, r: Double, k: Int): BaselineResult = {
     val t0 = System.nanoTime()
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bSpace = spark.sparkContext.broadcast(space)
-    val out = spark
-      .range(space.n)
-      .repartition(parts)
-      .mapPartitions { it =>
-        val sp = bSpace.value
-        it.flatMap { id =>
-          val p = id.toInt
-          if (BruteForce.countNeighbors(sp, p, r, k) < k) Iterator.single(p) else Iterator.empty
-        }
-      }(Encoders.scalaInt)
-      .collect()
-      .sorted
-    bSpace.destroy()
+    val out = runner.select(Array.range(0, space.n), space) { (sp, p) =>
+      BruteForce.countNeighbors(sp, p, r, k) < k
+    }
     BaselineResult(out, (System.nanoTime() - t0) / 1000000L, 0L)
   }
 }
@@ -40,17 +27,16 @@ object NestedLoop {
   * Objects in the same cluster are mutual neighbors by the triangle
   * inequality, so clusters with more than `k` members are all inliers; the
   * rest count neighbors only against clusters whose center lies within
-  * `3r/2` (no neighbor can live farther). The counting pass is parallelized
-  * across partitions.
+  * `3r/2` (no neighbor can live farther). The counting pass fans out
+  * through the [[ParRunner]].
   */
 object SNIF {
   def run(
-      spark: SparkSession,
+      runner: ParRunner,
       space: MetricSpace,
       r: Double,
       k: Int,
       seed: Long = 11L,
-      partitions: Int = 0,
   ): BaselineResult = {
     val t0 = System.nanoTime()
     val n = space.n
@@ -81,36 +67,24 @@ object SNIF {
 
     // parallel counting for objects in small clusters
     val pending = (0 until n).filter(p => memberArr(clusterOf(p)).length <= k).toArray
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bData = spark.sparkContext.broadcast((space, centerArr, memberArr, clusterOf))
-    val out: Array[Int] =
-      if (pending.isEmpty) Array.empty[Int]
-      else
-        spark
-          .createDataset(pending.toSeq)(Encoders.scalaInt)
-          .repartition(parts)
-          .mapPartitions { it =>
-            val (sp, cts, mem, cOf) = bData.value
-            it.flatMap { p =>
-              var count = mem(cOf(p)).length - 1 // co-members are neighbors
-              var c = 0
-              while (count < k && c < cts.length) {
-                if (c != cOf(p) && sp.dist(p, cts(c)) <= 1.5 * r) {
-                  val ms = mem(c)
-                  var i = 0
-                  while (count < k && i < ms.length) {
-                    if (sp.dist(p, ms(i)) <= r) count += 1
-                    i += 1
-                  }
-                }
-                c += 1
-              }
-              if (count < k) Iterator.single(p) else Iterator.empty
+    val out = runner.select(pending, (space, centerArr, memberArr, clusterOf)) {
+      case ((sp, cts, mem, cOf), p) =>
+        var count = mem(cOf(p)).length - 1 // co-members are neighbors
+        var c = 0
+        while (count < k && c < cts.length) {
+          if (c != cOf(p) && sp.dist(p, cts(c)) <= 1.5 * r) {
+            val ms = mem(c)
+            var i = 0
+            while (count < k && i < ms.length) {
+              if (sp.dist(p, ms(i)) <= r) count += 1
+              i += 1
             }
-          }(Encoders.scalaInt)
-          .collect()
-    bData.destroy()
-    BaselineResult(out.sorted, (System.nanoTime() - t0) / 1000000L, indexBytes)
+          }
+          c += 1
+        }
+        count < k
+    }
+    BaselineResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
   }
 }
 
@@ -123,13 +97,12 @@ object SNIF {
   */
 object Dolphin {
   def run(
-      spark: SparkSession,
+      runner: ParRunner,
       space: MetricSpace,
       r: Double,
       k: Int,
       pInlier: Double = 0.05,
       seed: Long = 13L,
-      partitions: Int = 0,
   ): BaselineResult = {
     val t0 = System.nanoTime()
     val n = space.n
@@ -159,24 +132,10 @@ object Dolphin {
     val indexBytes = indexIds.length * 8L
 
     val candidates = indexIds.filter(q => counts(q) < k).toArray
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bSpace = spark.sparkContext.broadcast(space)
-    val out: Array[Int] =
-      if (candidates.isEmpty) Array.empty[Int]
-      else
-        spark
-          .createDataset(candidates.toSeq)(Encoders.scalaInt)
-          .repartition(parts)
-          .mapPartitions { it =>
-            val sp = bSpace.value
-            it.flatMap { q =>
-              if (BruteForce.countNeighbors(sp, q, r, k) < k) Iterator.single(q)
-              else Iterator.empty
-            }
-          }(Encoders.scalaInt)
-          .collect()
-    bSpace.destroy()
-    BaselineResult(out.sorted, (System.nanoTime() - t0) / 1000000L, indexBytes)
+    val out = runner.select(candidates, space) { (sp, q) =>
+      BruteForce.countNeighbors(sp, q, r, k) < k
+    }
+    BaselineResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
   }
 }
 
@@ -185,29 +144,16 @@ object Dolphin {
   */
 object VPTreeDOD {
   def run(
-      spark: SparkSession,
+      runner: ParRunner,
       space: MetricSpace,
       r: Double,
       k: Int,
       tree: VPTree,
-      partitions: Int = 0,
   ): BaselineResult = {
     val t0 = System.nanoTime()
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bData = spark.sparkContext.broadcast((space, tree))
-    val out = spark
-      .range(space.n)
-      .repartition(parts)
-      .mapPartitions { it =>
-        val (sp, tr) = bData.value
-        it.flatMap { id =>
-          val p = id.toInt
-          if (tr.rangeCount(sp, p, r, k) < k) Iterator.single(p) else Iterator.empty
-        }
-      }(Encoders.scalaInt)
-      .collect()
-      .sorted
-    bData.destroy()
+    val out = runner.select(Array.range(0, space.n), (space, tree)) { case ((sp, tr), p) =>
+      tr.rangeCount(sp, p, r, k) < k
+    }
     BaselineResult(out, (System.nanoTime() - t0) / 1000000L, tree.sizeBytes)
   }
 }

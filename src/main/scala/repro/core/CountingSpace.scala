@@ -7,9 +7,11 @@ import java.util.concurrent.atomic.LongAdder
   * way to compare algorithms at reduced scale (Spark job overhead would
   * otherwise floor the sub-second runs).
   *
-  * In `local[*]` mode a broadcast value is shared by reference inside the
-  * one JVM, so executor-side evaluations land in the same adder; callers
-  * read [[evaluations]] before/after a run.
+  * Every fan-out passes the space to its chunks through [[ParRunner]]'s
+  * shared data. [[LocalRunner]] hands it over as is; [[SparkRunner]]
+  * broadcasts it, and in `local[*]` mode a broadcast value is shared by
+  * reference inside the one JVM, so task-side evaluations land in the same
+  * adder. Callers read [[evaluations]] before/after a run.
   */
 final class CountingSpace(val base: MetricSpace) extends MetricSpace {
   private val adder = new LongAdder

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.ProximityGraph
 
 /** Exact neighbor counting for the verification phase (`Exact-Counting` in
@@ -79,6 +79,43 @@ object GraphDOD {
     }
   }
 
+  /** Algorithm 1 over a [[ParRunner]]: the filtering phase fans every object
+    * out (in random chunks, as the paper assigns objects to threads), the
+    * verification phase fans out the candidates. Space, graph and counter
+    * reach the chunks through the runner's shared data.
+    */
+  def run(
+      runner: ParRunner,
+      space: MetricSpace,
+      g: ProximityGraph,
+      r: Double,
+      k: Int,
+      usePivotHop: Boolean = true,
+      useExactShortcut: Boolean = true,
+      counter: ExactCounter = LinearScanCounter(),
+  ): DODResult = {
+    val ids = Array.range(0, space.n)
+    val t0 = System.nanoTime()
+    val verdicts = runner.mapIds(ids, (space, g)) { case ((sp, gg), p) =>
+      filterVerdict(sp, gg, p, r, k, usePivotHop, useExactShortcut)
+    }
+    val t1 = System.nanoTime()
+    val candidates = ids.filter(verdicts(_) == Candidate)
+    val directOut = ids.filter(verdicts(_) == DirectOutlier)
+    val verified = runner.select(candidates, (space, counter)) { case ((sp, ec), p) =>
+      ec.count(sp, p, r, k) < k
+    }
+    val t2 = System.nanoTime()
+    DODResult(
+      (directOut ++ verified).sorted,
+      candidates = candidates.length,
+      falsePositives = candidates.length - verified.length,
+      directOutliers = directOut.length,
+      filterMs = (t1 - t0) / 1000000L,
+      verifyMs = (t2 - t1) / 1000000L,
+    )
+  }
+
   /** Driver-local run (no Spark) — used by property tests and as the
     * reference the Spark run must match.
     */
@@ -90,40 +127,11 @@ object GraphDOD {
       usePivotHop: Boolean = true,
       useExactShortcut: Boolean = true,
       counter: ExactCounter = LinearScanCounter(),
-  ): DODResult = {
-    val n = space.n
-    val t0 = System.nanoTime()
-    val verdicts = new Array[Byte](n)
-    var p = 0
-    while (p < n) {
-      verdicts(p) = filterVerdict(space, g, p, r, k, usePivotHop, useExactShortcut)
-      p += 1
-    }
-    val t1 = System.nanoTime()
-    val out = Array.newBuilder[Int]
-    var candidates = 0
-    var direct = 0
-    var fp = 0
-    p = 0
-    while (p < n) {
-      verdicts(p) match {
-        case Candidate =>
-          candidates += 1
-          if (counter.count(space, p, r, k) < k) out += p else fp += 1
-        case DirectOutlier => direct += 1; out += p
-        case _ => ()
-      }
-      p += 1
-    }
-    val t2 = System.nanoTime()
-    DODResult(out.result().sorted, candidates, fp, direct,
-      (t1 - t0) / 1000000L, (t2 - t1) / 1000000L)
-  }
+  ): DODResult =
+    run(new LocalRunner(), space, g, r, k, usePivotHop, useExactShortcut, counter)
 
-  /** Spark run: the paper's multi-threading (§4) with partitions as threads.
-    * Space, graph and counter are broadcast; both phases fan the object ids
-    * out via `Dataset.mapPartitions` with random partitioning for load
-    * balance, exactly as the paper assigns objects to threads.
+  /** Spark run: the paper's multi-threading (§4) with `partitions` chunks
+    * (default: the session's parallelism) as threads.
     */
   def detect(
       spark: SparkSession,
@@ -135,56 +143,8 @@ object GraphDOD {
       useExactShortcut: Boolean = true,
       counter: ExactCounter = LinearScanCounter(),
       partitions: Int = 0,
-  ): DODResult = {
-    val n = space.n
-    val parts = if (partitions > 0) partitions else spark.sparkContext.defaultParallelism
-    val bSpace = spark.sparkContext.broadcast(space)
-    val bGraph = spark.sparkContext.broadcast(g)
-    val bCounter = spark.sparkContext.broadcast(counter)
-    import spark.implicits._
-
-    val t0 = System.nanoTime()
-    val verdictDs = spark
-      .range(n)
-      .repartition(parts) // random assignment of objects to "threads"
-      .mapPartitions { it =>
-        val sp = bSpace.value
-        val gg = bGraph.value
-        it.map { id =>
-          val p = id.toInt
-          (p, filterVerdict(sp, gg, p, r, k, usePivotHop, useExactShortcut))
-        }
-      }(Encoders.product[(Int, Byte)])
-    val verdicts = verdictDs.collect()
-    val t1 = System.nanoTime()
-
-    val candidateIds = verdicts.collect { case (p, Candidate) => p }
-    val directOut = verdicts.collect { case (p, DirectOutlier) => p }
-    val verified =
-      if (candidateIds.isEmpty) Array.empty[(Int, Boolean)]
-      else
-        spark
-          .createDataset(candidateIds.toSeq)
-          .repartition(parts)
-          .mapPartitions { it =>
-            val sp = bSpace.value
-            val ec = bCounter.value
-            it.map(p => (p, ec.count(sp, p, r, k) < k))
-          }(Encoders.product[(Int, Boolean)])
-          .collect()
-    val t2 = System.nanoTime()
-    bSpace.destroy(); bGraph.destroy(); bCounter.destroy()
-
-    val outliers = (directOut ++ verified.collect { case (p, true) => p }).sorted
-    DODResult(
-      outliers,
-      candidates = candidateIds.length,
-      falsePositives = verified.count(!_._2),
-      directOutliers = directOut.length,
-      filterMs = (t1 - t0) / 1000000L,
-      verifyMs = (t2 - t1) / 1000000L,
-    )
-  }
+  ): DODResult =
+    run(new SparkRunner(spark, partitions), space, g, r, k, usePivotHop, useExactShortcut, counter)
 
   /** DataFrame wrapper: detected outlier ids as a single-column DataFrame
     * (`id: bigint`) for oracle diffs and spark-submit jobs.

@@ -4,7 +4,7 @@ package repro.core
   *
   * All algorithms in this reproduction (graph builders, baselines, the DOD
   * detector) work on indices, so a space can be broadcast once and shared by
-  * every Spark partition. Implementations must be cheap to serialize.
+  * every Spark task. Implementations must be cheap to serialize.
   */
 trait MetricSpace extends Serializable {
   /** Number of objects. */
@@ -57,10 +57,19 @@ object VectorMetric {
   /** `acos(cos(a, b)) / pi` in [0, 1]. Callers should pass non-zero vectors. */
   case object Angular extends VectorMetric {
     def name = "Angular"
-    def dist(a: Array[Double], b: Array[Double]): Double = {
-      var dot = 0.0; var na = 0.0; var nb = 0.0; var i = 0
-      while (i < a.length) { dot += a(i) * b(i); na += a(i) * a(i); nb += b(i) * b(i); i += 1 }
-      val denom = math.sqrt(na) * math.sqrt(nb)
+    def dist(a: Array[Double], b: Array[Double]): Double = angle(dot(a, b), norm(a), norm(b))
+
+    def dot(a: Array[Double], b: Array[Double]): Double = {
+      var s = 0.0; var i = 0
+      while (i < a.length) { s += a(i) * b(i); i += 1 }
+      s
+    }
+
+    def norm(a: Array[Double]): Double = math.sqrt(dot(a, a))
+
+    /** The angular distance from a dot product and the two norms. */
+    def angle(dot: Double, na: Double, nb: Double): Double = {
+      val denom = na * nb
       if (denom == 0.0) { if (na == nb) 0.0 else 1.0 }
       else math.acos(math.max(-1.0, math.min(1.0, dot / denom))) / math.Pi
     }
@@ -85,23 +94,12 @@ final class VectorSpace(val points: Array[Array[Double]], val metric: VectorMetr
   val dim: Int = points(0).length
 
   private val norms: Array[Double] =
-    if (metric == VectorMetric.Angular) points.map { p =>
-      var s = 0.0; var i = 0
-      while (i < p.length) { s += p(i) * p(i); i += 1 }
-      math.sqrt(s)
-    }
-    else null
+    if (metric == VectorMetric.Angular) points.map(VectorMetric.Angular.norm) else null
 
-  def dist(i: Int, j: Int): Double = {
-    if (metric == VectorMetric.Angular) {
-      val a = points(i); val b = points(j)
-      var dot = 0.0; var t = 0
-      while (t < a.length) { dot += a(t) * b(t); t += 1 }
-      val denom = norms(i) * norms(j)
-      if (denom == 0.0) { if (norms(i) == norms(j)) 0.0 else 1.0 }
-      else math.acos(math.max(-1.0, math.min(1.0, dot / denom))) / math.Pi
-    } else metric.dist(points(i), points(j))
-  }
+  def dist(i: Int, j: Int): Double =
+    if (metric == VectorMetric.Angular)
+      VectorMetric.Angular.angle(VectorMetric.Angular.dot(points(i), points(j)), norms(i), norms(j))
+    else metric.dist(points(i), points(j))
 
   def dataBytes: Long = n.toLong * dim * 8L
 }

@@ -1,20 +1,25 @@
 package repro.core
 
-import org.apache.spark.sql.{Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.SparkSession
 import scala.reflect.ClassTag
 
-/** Fan-out of a pure, read-only computation over id ranges `[start, end)`.
+/** Fan-out of a pure, read-only computation over id ranges `[start, end)` —
+  * the one place the algorithms touch Spark.
   *
   * The paper parallelizes NNDescent's local joins, Remove-Detours' BFS and
   * both DOD phases across OpenMP threads ("each thread independently
-  * evaluates assigned objects"). Here a "thread" is a Spark partition:
-  * [[SparkRunner]] broadcasts the shared read-only state once per call and
-  * runs the chunks via `Dataset.mapPartitions`; [[LocalRunner]] runs them
-  * inline, which keeps unit tests fast and lets a test assert both runners
-  * build identical graphs.
+  * evaluates assigned objects"). Here a "thread" is a chunk: [[SparkRunner]]
+  * broadcasts the shared read-only state once per call and runs one Spark
+  * task per chunk; [[LocalRunner]] runs the chunks inline, which keeps unit
+  * tests fast and serves as the reference the Spark runner must match.
+  * Both return the chunk results in chunk order, so driver-side merges see
+  * the same sequence — and build the same graph — under either runner.
   *
-  * `f` must not mutate `data` — per-chunk results are merged by the caller
-  * on the driver (the paper's iteration-synchronous model).
+  * `f` must not mutate `data`, and must reach shared state only through
+  * `data`: under Spark, whatever else `f` captures is a serialized copy (a
+  * copied [[CountingSpace]] would count nothing). Per-chunk results are
+  * merged by the caller on the driver (the paper's iteration-synchronous
+  * model).
   */
 trait ParRunner extends Serializable {
   def runWithData[D: ClassTag, T: ClassTag](n: Int, data: D)(f: (D, Int, Int) => T): Seq[T]
@@ -26,6 +31,50 @@ trait ParRunner extends Serializable {
     val step = (n + p - 1) / p
     (0 until n by step).map(s => (s, math.min(n, s + step)))
   }
+
+  /** `f(data, id)` for every id of `ids`, returned aligned with `ids`. The
+    * ids are dealt to chunks in a seeded random order — the paper's random
+    * assignment of objects to threads (§4), which balances load when the
+    * per-object cost clusters by id.
+    */
+  final def mapIds[D: ClassTag, T: ClassTag](ids: Array[Int], data: D)(f: (D, Int) => T): Array[T] = {
+    val perm = ParRunner.permutation(ids.length)
+    val dealt = perm.map(i => ids(i))
+    val chunkResults = runWithData(dealt.length, (data, dealt)) { case ((d, order), s, e) =>
+      Array.tabulate(e - s)(i => f(d, order(s + i)))
+    }
+    val out = new Array[T](ids.length)
+    var pos = 0
+    chunkResults.foreach(_.foreach { t => out(perm(pos)) = t; pos += 1 })
+    out
+  }
+
+  /** The ids of `ids` (in their order) for which `pred(data, id)` holds. */
+  final def select[D: ClassTag](ids: Array[Int], data: D)(pred: (D, Int) => Boolean): Array[Int] = {
+    val keep = mapIds(ids, data)(pred)
+    ids.indices.collect { case i if keep(i) => ids(i) }.toArray
+  }
+}
+
+object ParRunner {
+
+  /** Seed of the id-to-chunk assignment; it only moves work between chunks,
+    * never a result.
+    */
+  val ShuffleSeed = 0x5EED1DL
+
+  /** A Fisher–Yates permutation of `[0, n)`, seeded with [[ShuffleSeed]]. */
+  def permutation(n: Int): Array[Int] = {
+    val perm = Array.range(0, n)
+    val rng = new java.util.Random(ShuffleSeed)
+    var i = n - 1
+    while (i > 0) {
+      val j = rng.nextInt(i + 1)
+      val t = perm(i); perm(i) = perm(j); perm(j) = t
+      i -= 1
+    }
+    perm
+  }
 }
 
 /** Sequential in-process runner (deterministic; used by unit tests). */
@@ -34,22 +83,18 @@ final class LocalRunner(parts: Int = 8) extends ParRunner {
     chunks(n, parts).map { case (s, e) => f(data, s, e) }
 }
 
-/** Spark-backed runner: broadcast shared state, `mapPartitions` the ranges.
-  * Results travel Kryo-encoded wrapped in `Tuple1` (Kryo encoders reject
-  * primitive result types like `Long`).
+/** Spark-backed runner: broadcast the shared state, run one task per chunk,
+  * collect the results in chunk order. A single chunk runs on the driver.
+  * `parts <= 0` means the session's default parallelism.
   */
-final class SparkRunner(@transient spark: SparkSession, parts: Int) extends ParRunner {
+final class SparkRunner(@transient spark: SparkSession, parts: Int = 0) extends ParRunner {
   def runWithData[D: ClassTag, T: ClassTag](n: Int, data: D)(f: (D, Int, Int) => T): Seq[T] = {
-    val ranges = chunks(n, parts)
+    val sc = spark.sparkContext
+    val ranges = chunks(n, if (parts > 0) parts else sc.defaultParallelism)
     if (ranges.size <= 1) return ranges.map { case (s, e) => f(data, s, e) }
-    val bc = spark.sparkContext.broadcast(data)
-    implicit val outEnc: Encoder[Tuple1[T]] =
-      Encoders.kryo(ClassTag(classOf[Tuple1[_]]).asInstanceOf[ClassTag[Tuple1[T]]])
-    val ds = spark.createDataset(ranges)(Encoders.product[(Int, Int)])
-      .repartition(ranges.size)
-    val res = ds.mapPartitions(it => it.map { case (s, e) => Tuple1(f(bc.value, s, e)) })
-      .collect().map(_._1).toSeq
+    val bc = sc.broadcast(data)
+    val res = sc.parallelize(ranges, ranges.size).map { case (s, e) => f(bc.value, s, e) }.collect()
     bc.destroy()
-    res
+    res.toSeq
   }
 }

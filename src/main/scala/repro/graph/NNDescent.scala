@@ -23,7 +23,6 @@ final case class NNDescentConfig(
     rho: Double = 0.5,
     maxIters: Int = 10,
     delta: Double = 0.002,
-    parts: Int = 16,
     seed: Long = 42L,
 )
 
@@ -44,10 +43,14 @@ final case class AKnnResult(
     iterations: Int,
 )
 
-/** Bounded nearest-neighbor candidate list, ascending by distance. */
-final class NNList(val cap: Int) extends Serializable {
+/** Bounded nearest-neighbor candidate list, ascending by distance. With
+  * `flagged`, it also keeps NNDescent's per-entry "new" flags aligned with
+  * the sorted entries (the driver-side master lists).
+  */
+final class NNList(val cap: Int, flagged: Boolean = false) extends Serializable {
   val ids = new Array[Int](cap)
   val ds = new Array[Double](cap)
+  val isNew: Array[Boolean] = if (flagged) new Array[Boolean](cap) else null
   var size = 0
 
   def worst: Double = if (size < cap) Double.MaxValue else ds(size - 1)
@@ -58,42 +61,26 @@ final class NNList(val cap: Int) extends Serializable {
     false
   }
 
-  /** Sorted insert; rejects duplicates and non-improving distances. */
+  /** Sorted insert (flagged new); rejects duplicates and non-improving
+    * distances.
+    */
   def insert(id: Int, d: Double): Boolean = {
     if (size == cap && d >= ds(size - 1)) return false
     if (contains(id)) return false
     var pos = size
     if (size == cap) pos = size - 1 else size += 1
     while (pos > 0 && ds(pos - 1) > d) {
-      ids(pos) = ids(pos - 1); ds(pos) = ds(pos - 1); pos -= 1
+      ids(pos) = ids(pos - 1); ds(pos) = ds(pos - 1)
+      if (isNew != null) isNew(pos) = isNew(pos - 1)
+      pos -= 1
     }
     ids(pos) = id; ds(pos) = d
+    if (isNew != null) isNew(pos) = true
     true
   }
 }
 
 object NNDescent {
-
-  /** Per-vertex master list with NNDescent's "new" flags. Driver-side only. */
-  private final class Bucket(cap: Int) {
-    val list = new NNList(cap)
-    val isNew = new Array[Boolean](cap)
-
-    /** Insert keeping the flag array aligned with the sorted list. */
-    def insert(id: Int, d: Double): Boolean = {
-      if (list.size == list.cap && d >= list.ds(list.size - 1)) return false
-      if (list.contains(id)) return false
-      var pos = list.size
-      if (list.size == list.cap) pos = list.size - 1 else list.size += 1
-      while (pos > 0 && list.ds(pos - 1) > d) {
-        list.ids(pos) = list.ids(pos - 1); list.ds(pos) = list.ds(pos - 1)
-        isNew(pos) = isNew(pos - 1)
-        pos -= 1
-      }
-      list.ids(pos) = id; list.ds(pos) = d; isNew(pos) = true
-      true
-    }
-  }
 
   /** Builds the AKNN graph. Deterministic in `cfg.seed` for a fixed runner
     * chunking (sampling happens on the driver; executors only evaluate
@@ -103,7 +90,7 @@ object NNDescent {
     val n = space.n
     val k = math.min(cfg.K, n - 1)
     val rng = new Random(cfg.seed)
-    val buckets = Array.fill(n)(new Bucket(k))
+    val buckets = Array.fill(n)(new NNList(k, flagged = true))
     val isPivot = new Array[Boolean](n)
 
     // ---- initialization -------------------------------------------------
@@ -124,7 +111,7 @@ object NNDescent {
     val exactLists: Array[Array[Int]] =
       if (cfg.exactListSize > 0 && cfg.exactCount > 0) {
         val m = math.min(cfg.exactCount, n)
-        val bySpread = (0 until n).sortBy(v => -buckets(v).list.ds.take(buckets(v).list.size).sum)
+        val bySpread = (0 until n).sortBy(v => -buckets(v).ds.take(buckets(v).size).sum)
         val targets = bySpread.take(m).toArray
         val kk = math.min(cfg.exactListSize, n - 1)
         val res =
@@ -141,8 +128,8 @@ object NNDescent {
     val ds = new Array[Array[Double]](n)
     var v = 0
     while (v < n) {
-      ids(v) = buckets(v).list.ids.take(buckets(v).list.size)
-      ds(v) = buckets(v).list.ds.take(buckets(v).list.size)
+      ids(v) = buckets(v).ids.take(buckets(v).size)
+      ds(v) = buckets(v).ds.take(buckets(v).size)
       v += 1
     }
     AKnnResult(ids, ds, isPivot, exactLists, iter)
@@ -153,7 +140,7 @@ object NNDescent {
     */
   private def initByVpTree(
       space: MetricSpace,
-      buckets: Array[Bucket],
+      buckets: Array[NNList],
       isPivot: Array[Boolean],
       k: Int,
       rng: Random,
@@ -179,12 +166,12 @@ object NNDescent {
   }
 
   /** Random AKNNs for any object whose list is still under-filled. */
-  private def fillRandom(space: MetricSpace, buckets: Array[Bucket], k: Int, rng: Random): Unit = {
+  private def fillRandom(space: MetricSpace, buckets: Array[NNList], k: Int, rng: Random): Unit = {
     val n = space.n
     var v = 0
     while (v < n) {
       var guard = 0
-      while (buckets(v).list.size < k && guard < 8 * k) {
+      while (buckets(v).size < k && guard < 8 * k) {
         val u = rng.nextInt(n)
         if (u != v) buckets(v).insert(u, space.dist(v, u))
         guard += 1
@@ -200,7 +187,7 @@ object NNDescent {
     */
   private def runIteration(
       space: MetricSpace,
-      buckets: Array[Bucket],
+      buckets: Array[NNList],
       updatedPrev: Array[Boolean],
       k: Int,
       cfg: NNDescentConfig,
@@ -218,8 +205,8 @@ object NNDescent {
     while (v < n) {
       val b = buckets(v)
       var i = 0
-      while (i < b.list.size) {
-        val u = b.list.ids(i)
+      while (i < b.size) {
+        val u = b.ids(i)
         if (b.isNew(i)) fwdNew(v) += u
         else if (!cfg.skipUnchanged || updatedPrev(u)) fwdOld(v) += u
         i += 1
@@ -250,7 +237,7 @@ object NNDescent {
       val sOld = fwdOld(v).toSeq ++ sample(revOld(v), sampleK)
       joinNew(v) = sNew.distinct.toArray
       joinOld(v) = sOld.distinct.toArray
-      worst(v) = buckets(v).list.worst
+      worst(v) = buckets(v).worst
       v += 1
     }
 
@@ -260,8 +247,8 @@ object NNDescent {
       val b = buckets(v)
       val used = joinNew(v)
       var i = 0
-      while (i < b.list.size) {
-        if (b.isNew(i) && used.contains(b.list.ids(i))) b.isNew(i) = false
+      while (i < b.size) {
+        if (b.isNew(i) && used.contains(b.ids(i))) b.isNew(i) = false
         i += 1
       }
       v += 1
@@ -293,7 +280,8 @@ object NNDescent {
 
   /** Pure per-chunk local join: evaluates new×new and new×old pairs of each
     * vertex's join lists, accumulating improving candidates into bounded
-    * per-target lists. Runs inside `mapPartitions` under the SparkRunner.
+    * per-target lists. Runs as one [[ParRunner]] chunk (a Spark task under
+    * the SparkRunner), reading the shared state only through `data`.
     */
   private def localJoinChunk(
       data: (MetricSpace, Array[Array[Int]], Array[Array[Int]], Array[Double], Int),

@@ -20,7 +20,7 @@ import scala.collection.mutable
   * while distance counts expose the algorithmic cost the paper analyzes.
   */
 final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Double) {
-  val runner = new SparkRunner(spark, parts = spark.sparkContext.defaultParallelism)
+  val runner = new SparkRunner(spark)
 
   private def timed[T](body: => T): (T, Long) = {
     val t0 = System.nanoTime()
@@ -103,7 +103,7 @@ final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Doub
     val ec = counter
     val pivotHop = name.startsWith("MRPG")
     val shortcut = name == "MRPG"
-    counted(GraphDOD.detect(spark, space, b.graph, spec.r, spec.k,
+    counted(GraphDOD.run(runner, space, b.graph, spec.r, spec.k,
       usePivotHop = pivotHop, useExactShortcut = shortcut, counter = ec))
   })
 
@@ -114,19 +114,19 @@ final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Doub
 
   private lazy val nestedLoopC: Counted[BaselineResult] = {
     val _ = space
-    counted(NestedLoop.run(spark, space, spec.r, spec.k))
+    counted(NestedLoop.run(runner, space, spec.r, spec.k))
   }
   private lazy val snifC: Counted[BaselineResult] = {
     val _ = space
-    counted(SNIF.run(spark, space, spec.r, spec.k, seed = spec.seed))
+    counted(SNIF.run(runner, space, spec.r, spec.k, seed = spec.seed))
   }
   private lazy val dolphinC: Counted[BaselineResult] = {
     val _ = space
-    counted(Dolphin.run(spark, space, spec.r, spec.k, seed = spec.seed))
+    counted(Dolphin.run(runner, space, spec.r, spec.k, seed = spec.seed))
   }
   private lazy val vptreeDodC: Counted[BaselineResult] = {
     val _ = vpTree // offline build, not part of the detection measurement
-    counted(VPTreeDOD.run(spark, space, spec.r, spec.k, vpTree))
+    counted(VPTreeDOD.run(runner, space, spec.r, spec.k, vpTree))
   }
 
   def nestedLoop: BaselineResult = nestedLoopC.value
@@ -166,13 +166,13 @@ object BenchContext {
   private def warmup(spark: SparkSession): Unit =
     if (!warmed) {
       warmed = true
-      val runner = new SparkRunner(spark, spark.sparkContext.defaultParallelism)
+      val runner = new SparkRunner(spark)
       for (spec <- Seq(Datasets.sift, Datasets.words)) {
         val space = spec.space(spark, 0.08)
         NSW.build(space, 6, seed = 1)
         KGraphBuilder.build(space, 10, runner, seed = 1, maxIters = 4)
         val (g, _) = MRPG.build(space, 10, runner, seed = 1, maxIters = 4)
-        GraphDOD.detect(spark, space, g, spec.r, spec.k)
+        GraphDOD.run(runner, space, g, spec.r, spec.k)
       }
     }
 

@@ -1,51 +1,7 @@
 package repro
 
-import org.apache.spark.sql.functions._
-
-/** The provided TPC-H-lite generators plus the metric-dataset extensions. */
+/** The metric-dataset generators. */
 class SynthDataSpec extends SparkSpec {
-
-  test("lineitem: schema, cardinality, value ranges") {
-    val df = SynthData.lineitem(spark, sf = 0.001)
-    assert(df.columns.toSeq == Seq("l_orderkey", "l_partkey", "l_linenumber", "l_quantity",
-      "l_extendedprice", "l_discount", "l_tax", "l_returnflag", "l_linestatus", "l_shipdate"))
-    assert(df.count() == 6000)
-    val row = df.agg(min("l_quantity"), max("l_quantity"), min("l_discount"), max("l_discount")).head
-    assert(row.getDouble(0) >= 1.0 && row.getDouble(1) <= 51.0)
-    assert(row.getDouble(2) >= 0.0 && row.getDouble(3) <= 0.10)
-  }
-
-  test("orders/customer/part: cardinalities scale with sf") {
-    assert(SynthData.orders(spark, 0.001).count() == 1500)
-    assert(SynthData.customer(spark, 0.001).count() == 150)
-    assert(SynthData.part(spark, 0.001).count() == 200)
-  }
-
-  test("lineitem joins to orders on the key domain") {
-    val li = SynthData.lineitem(spark, 0.001)
-    val o = SynthData.orders(spark, 0.001)
-    val joined = li.join(o, li("l_orderkey") === o("o_orderkey")).count()
-    assert(joined == li.count()) // every l_orderkey has a matching order
-  }
-
-  test("TPC-H generators are deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, 0.001).orderBy("l_orderkey", "l_partkey", "l_linenumber", "l_quantity").limit(50).collect().map(_.toString).toSeq
-    val b = SynthData.lineitem(spark, 0.001).orderBy("l_orderkey", "l_partkey", "l_linenumber", "l_quantity").limit(50).collect().map(_.toString).toSeq
-    assert(a == b)
-  }
-
-  test("zipfKeys is skewed: top key far exceeds the median key frequency") {
-    val counts = SynthData.zipfKeys(spark, 20000, 1000).groupBy("k").count()
-      .orderBy(desc("count")).collect().map(_.getLong(1))
-    assert(counts.head > 5 * counts(counts.length / 2))
-  }
-
-  test("uniformKeys covers the key domain roughly evenly") {
-    val counts = SynthData.uniformKeys(spark, 20000, 100).groupBy("k").count()
-      .collect().map(_.getLong(1))
-    assert(counts.length >= 95)
-    assert(counts.max < 5 * counts.min)
-  }
 
   test("clusteredVectors: mini-cluster population is present and sparser") {
     val df = SynthData.clusteredVectors(spark, 2000, 8, 5, 2.0, 100.0, 0.0,

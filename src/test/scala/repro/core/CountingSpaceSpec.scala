@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestSpaces}
 
-/** Distance-evaluation accounting, including through Spark broadcasts. */
+/** Distance-evaluation accounting, including through the Spark runner. */
 class CountingSpaceSpec extends SparkSpec {
 
   test("counts driver-side evaluations exactly") {
@@ -23,8 +23,10 @@ class CountingSpaceSpec extends SparkSpec {
   test("executor-side evaluations in local mode land in the same adder") {
     val cs = new CountingSpace(TestSpaces.clustered(200, 4, VectorMetric.L2, seed = 9))
     val before = cs.evaluations
-    NestedLoopProbe.run(spark, cs)
-    // nested loop with cap=1: at least one distance per object
+    new SparkRunner(spark, 4).runWithData(cs.n, cs) { (sp, s, e) =>
+      (s until e).map(p => BruteForce.countNeighbors(sp, p, 1e18, 1)).sum
+    }
+    // nested loop with cap=1 as Spark tasks: at least one distance per object
     assert(cs.evaluations - before >= cs.n.toLong)
   }
 
@@ -44,17 +46,3 @@ class CountingSpaceSpec extends SparkSpec {
   }
 }
 
-/** Minimal Spark fan-out used to verify shared-adder behavior in local mode. */
-private object NestedLoopProbe {
-  def run(spark: org.apache.spark.sql.SparkSession, cs: CountingSpace): Unit = {
-    val bc = spark.sparkContext.broadcast(cs)
-    spark.range(cs.n)
-      .repartition(4)
-      .mapPartitions { it =>
-        val sp = bc.value
-        it.map(id => BruteForce.countNeighbors(sp, id.toInt, 1e18, 1))
-      }(org.apache.spark.sql.Encoders.scalaInt)
-      .collect()
-    bc.destroy()
-  }
-}

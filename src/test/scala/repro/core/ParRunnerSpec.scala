@@ -2,8 +2,9 @@ package repro.core
 
 import repro.SparkSpec
 
-/** Range fan-out correctness: local and Spark runners agree, chunking covers
-  * [0, n) exactly once.
+/** Range fan-out correctness: local and Spark runners agree (chunk results
+  * in the same order), chunking covers [0, n) exactly once, and the id
+  * fan-out returns results aligned with its ids.
   */
 class ParRunnerSpec extends SparkSpec {
 
@@ -36,6 +37,34 @@ class ParRunnerSpec extends SparkSpec {
     val a = runner.runWithData(97, ())((_, s, e) => (s, e))
     val b = runner.runWithData(97, ())((_, s, e) => (s, e))
     assert(a == b)
+  }
+
+  test("SparkRunner returns chunk results in LocalRunner's order") {
+    for (n <- Seq(2, 97, 1000); parts <- Seq(2, 4, 8)) {
+      val viaSpark = new SparkRunner(spark, parts).runWithData(n, ())((_, s, e) => (s, e))
+      val local = new LocalRunner(parts).runWithData(n, ())((_, s, e) => (s, e))
+      assert(viaSpark == local, s"n=$n parts=$parts")
+    }
+  }
+
+  test("mapIds returns results aligned with the ids under both runners") {
+    val ids = Array.tabulate(301)(i => (i * 7) % 301)
+    for (runner <- Seq(new LocalRunner(5), new SparkRunner(spark, 5))) {
+      assert(runner.mapIds(ids, 3)((m, id) => id * m).toSeq == ids.map(_ * 3).toSeq)
+      assert(runner.select(ids, ())((_, id) => id % 2 == 0).toSeq == ids.filter(_ % 2 == 0).toSeq)
+    }
+  }
+
+  test("mapIds deals the ids to chunks in a fixed random order") {
+    def dealtOrder(): Seq[Int] = {
+      val seen = scala.collection.mutable.ArrayBuffer.empty[Int]
+      new LocalRunner(4).mapIds(Array.range(0, 1000), ())((_, id) => { seen += id; () })
+      seen.toSeq
+    }
+    val order = dealtOrder()
+    assert(order.sorted == (0 until 1000))
+    assert(order != (0 until 1000))
+    assert(dealtOrder() == order)
   }
 
   test("zero-length range returns no chunks") {

@@ -72,17 +72,4 @@ class SqlDODSpec extends SparkSpec {
       assert(EditDistance(a, b) == row.getInt(0), s"($a, $b)")
     }
   }
-
-  test("TPC-H-lite sanity: SynthData lineitem aggregation matches DuckDB") {
-    import org.apache.spark.sql.functions._
-    val li = repro.SynthData.lineitem(spark, sf = 0.001).limit(2000).cache()
-    val got = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), round(sum("l_quantity"), 2).as("qty"))
-      .orderBy("l_returnflag")
-    val sql =
-      """SELECT l_returnflag, count(*) AS cnt,
-        |       round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag""".stripMargin
-    Oracle.assertEquivalent(got, sql, "lineitem" -> li)
-  }
 }

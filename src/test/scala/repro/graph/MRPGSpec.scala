@@ -1,11 +1,10 @@
 package repro.graph
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestSpaces
-import repro.core.{BruteForce, LocalRunner, VectorMetric}
+import repro.{SparkSpec, TestSpaces}
+import repro.core.{BruteForce, LocalRunner, SparkRunner, VectorMetric}
 
 /** The full MRPG pipeline: the three §5 properties, connectivity, stats. */
-class MRPGSpec extends AnyFunSuite {
+class MRPGSpec extends SparkSpec {
 
   private val runner = new LocalRunner(4)
   private lazy val space = TestSpaces.clustered(600, 6, VectorMetric.L2, seed = 51, outlierFrac = 0.03)
@@ -86,6 +85,18 @@ class MRPGSpec extends AnyFunSuite {
     val (a, _) = MRPG.build(space, 6, runner, seed = 9, maxIters = 3)
     val (b, _) = MRPG.build(space, 6, runner, seed = 9, maxIters = 3)
     assert((0 until space.n).forall(v => a.adj(v).sameElements(b.adj(v))))
+  }
+
+  test("SparkRunner and LocalRunner build identical graphs under tied distances") {
+    // edit distances tie constantly, so the driver-side merges only agree if
+    // both runners hand back chunk results in the same order
+    val ss = TestSpaces.strings(600, seed = 55)
+    val (a, _) = MRPG.build(ss, 8, new SparkRunner(spark, 4), seed = 12, maxIters = 4)
+    val (b, _) = MRPG.build(ss, 8, new LocalRunner(4), seed = 12, maxIters = 4)
+    def same(x: Array[Int], y: Array[Int]) = java.util.Arrays.equals(x, y)
+    assert(a.isPivot.sameElements(b.isPivot))
+    assert((0 until ss.n).forall(v => same(a.exactLists(v), b.exactLists(v))))
+    assert((0 until ss.n).forall(v => same(a.adj(v), b.adj(v))))
   }
 
   test("exact-list vertices' adjacency equals their exact list") {

@@ -88,8 +88,8 @@ class NNDescentSpec extends SparkSpec {
 
   test("LocalRunner and SparkRunner build identical graphs") {
     val space = TestSpaces.clustered(300, 5, VectorMetric.L2, seed = 68)
-    val local = NNDescent.build(space, cfgPlus(6).copy(parts = 4), new LocalRunner(4))
-    val viaSpark = NNDescent.build(space, cfgPlus(6).copy(parts = 4), new SparkRunner(spark, 4))
+    val local = NNDescent.build(space, cfgPlus(6), new LocalRunner(4))
+    val viaSpark = NNDescent.build(space, cfgPlus(6), new SparkRunner(spark, 4))
     assert((0 until space.n).forall(v => local.nbrId(v).sameElements(viaSpark.nbrId(v))))
     assert(local.exactLists == null && viaSpark.exactLists == null)
   }
