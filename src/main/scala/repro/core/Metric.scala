@@ -107,17 +107,129 @@ final class VectorSpace(val points: Array[Array[Double]], val metric: VectorMetr
 /** Strings under unit-cost Levenshtein (edit) distance — the paper's Words
   * dataset. Matches DuckDB's and Spark's `levenshtein`, which the oracle
   * tests rely on.
+  *
+  * `dist` runs the bit-parallel [[BitParallelEdit]] kernel; its tables are
+  * built once per JVM copy of the space on first use and are not part of the
+  * serialized form, so a broadcast ships only `words`.
   */
 final class StringSpace(val words: Array[String]) extends MetricSpace {
   require(words.nonEmpty, "empty space")
   val n: Int = words.length
 
-  def dist(i: Int, j: Int): Double = EditDistance(words(i), words(j)).toDouble
+  @transient private lazy val kernel = new BitParallelEdit(words)
+
+  def dist(i: Int, j: Int): Double = kernel.dist(i, j).toDouble
 
   def dataBytes: Long = words.map(_.length.toLong * 2L + 16L).sum
 }
 
-/** Standard two-row dynamic-programming Levenshtein distance. */
+/** Exact Levenshtein distances between the words of one space, computed with
+  * Myers' bit-vector algorithm [Myers, J. ACM 1999] in Hyyrö's edit-distance
+  * form [Hyyrö 2001]: the shorter word of a pair is the pattern, held in one
+  * 64-bit word, and each unit of the other word (the text, any length) costs
+  * a constant number of word operations instead of a DP column.
+  *
+  * Every word is encoded once into dense symbol codes over the UTF-16 units
+  * present in the data (the units [[EditDistance]] compares with `charAt`),
+  * and every word of at most 64 units gets its match-mask row `peq`: bit `i`
+  * of `peq(row(w) + c)` is set iff unit `i` of `w` has code `c`. Pairs whose
+  * shorter word is longer than 64 units go to [[EditDistance]], and so does
+  * every pair when the rows would exceed [[BitParallelEdit.MaxTableWords]].
+  *
+  * Immutable after construction: `dist` allocates nothing and may be called
+  * from any number of threads at once.
+  */
+final class BitParallelEdit(words: Array[String]) {
+  import BitParallelEdit._
+
+  /** `codes(start(w) until start(w + 1))` are the symbol codes of word `w`. */
+  private val start: Array[Int] = words.scanLeft(0)(_ + _.length)
+  private val codes = new Array[Char](start(words.length))
+
+  /** Alphabet size; fills `codes`, numbering units by first appearance. */
+  private val sigma: Int = {
+    val codeOf = new Array[Int](Char.MaxValue + 1) // code + 1, 0 = unseen
+    var next = 0
+    var w = 0
+    while (w < words.length) {
+      val s = words(w); var x = 0
+      while (x < s.length) {
+        val c = s.charAt(x)
+        if (codeOf(c) == 0) { next += 1; codeOf(c) = next }
+        codes(start(w) + x) = (codeOf(c) - 1).toChar
+        x += 1
+      }
+      w += 1
+    }
+    next
+  }
+
+  /** Offset of each word's `peq` row, or -1 for a word longer than 64 units. */
+  private val row = new Array[Int](words.length)
+  private val peq: Array[Long] = {
+    val rows = words.count(_.length <= MaxPattern)
+    if (rows.toLong * sigma > MaxTableWords) null
+    else {
+      val table = new Array[Long](rows * sigma)
+      var next = 0
+      var w = 0
+      while (w < words.length) {
+        val m = start(w + 1) - start(w)
+        if (m <= MaxPattern) {
+          row(w) = next * sigma
+          var x = 0
+          while (x < m) { table(row(w) + codes(start(w) + x)) |= 1L << x; x += 1 }
+          next += 1
+        } else row(w) = -1
+        w += 1
+      }
+      table
+    }
+  }
+
+  def dist(i: Int, j: Int): Int = {
+    var p = i; var t = j
+    if (start(j + 1) - start(j) < start(i + 1) - start(i)) { p = j; t = i }
+    val m = start(p + 1) - start(p)
+    if (peq == null || m > MaxPattern) return EditDistance(words(i), words(j))
+    val ts = start(t); val te = start(t + 1)
+    if (m == 0) return te - ts
+    val base = row(p)
+    val last = 1L << (m - 1)
+    // the current DP column as vertical deltas: pv / mv mark +1 / -1 steps
+    var pv = -1L; var mv = 0L; var score = m
+    var x = ts
+    while (x < te) {
+      val eq = peq(base + codes(x))
+      val xv = eq | mv
+      val xh = (((eq & pv) + pv) ^ pv) | eq
+      val ph = mv | ~(xh | pv)
+      val mh = pv & xh
+      if ((ph & last) != 0) score += 1
+      else if ((mh & last) != 0) score -= 1
+      // the DP's top row is 0, 1, 2, ...: a +1 horizontal delta enters at bit 0
+      val ph1 = (ph << 1) | 1L
+      pv = (mh << 1) | ~(xv | ph1)
+      mv = ph1 & xv
+      x += 1
+    }
+    score
+  }
+}
+
+object BitParallelEdit {
+  /** Longest pattern: one machine word. */
+  val MaxPattern = 64
+
+  /** Largest match table (in 64-bit words, 32 MiB) built before every pair
+    * falls back to the DP.
+    */
+  val MaxTableWords: Long = 1L << 22
+}
+
+/** Standard two-row dynamic-programming Levenshtein distance: the reference
+  * for [[BitParallelEdit]] and its fallback for long pairs.
+  */
 object EditDistance {
   def apply(a: String, b: String): Int = {
     if (a == b) return 0

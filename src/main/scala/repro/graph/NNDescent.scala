@@ -53,7 +53,11 @@ final class NNList(val cap: Int, flagged: Boolean = false) extends Serializable 
   val isNew: Array[Boolean] = if (flagged) new Array[Boolean](cap) else null
   var size = 0
 
-  def worst: Double = if (size < cap) Double.MaxValue else ds(size - 1)
+  /** The distance a new entry must beat; a zero-capacity list (a space of
+    * one object) admits nothing.
+    */
+  def worst: Double =
+    if (size < cap) Double.MaxValue else if (cap == 0) Double.NegativeInfinity else ds(size - 1)
 
   def contains(id: Int): Boolean = {
     var i = 0
@@ -65,7 +69,7 @@ final class NNList(val cap: Int, flagged: Boolean = false) extends Serializable 
     * distances.
     */
   def insert(id: Int, d: Double): Boolean = {
-    if (size == cap && d >= ds(size - 1)) return false
+    if (size == cap && d >= worst) return false
     if (contains(id)) return false
     var pos = size
     if (size == cap) pos = size - 1 else size += 1

@@ -45,6 +45,23 @@ object MetricProps extends Properties("Metric") {
   property("EditDistance.triangle") = Prop.forAll(word, word, word) { (a, b, c) =>
     EditDistance(a, c) <= EditDistance(a, b) + EditDistance(b, c)
   }
+
+  /** Words of 0–70 UTF-16 units, so pairs run both the bit-parallel kernel
+    * (shorter word <= 64 units) and the DP fallback (both longer). The
+    * alphabet has a non-ASCII char and a surrogate pair, which the kernel
+    * encodes as two units, like `charAt`.
+    */
+  private val kernelWord: Gen[String] = for {
+    len <- Gen.oneOf(Gen.chooseNum(0, 70), Gen.chooseNum(60, 70))
+    toks <- Gen.listOfN(len, Gen.oneOf("a", "b", "c", "\u00e9", "\uD83D\uDE00"))
+  } yield toks.mkString.take(len)
+
+  property("StringSpace.dist.matchesEditDistance") =
+    Prop.forAll(Gen.chooseNum(1, 6).flatMap(Gen.listOfN(_, kernelWord))) { ws =>
+      val ss = new StringSpace(ws.toArray)
+      val ids = ws.indices
+      ids.forall(i => ids.forall(j => ss.dist(i, j) == EditDistance(ws(i), ws(j)).toDouble))
+    }
 }
 
 /** NNList (bounded sorted candidate list) invariants. */

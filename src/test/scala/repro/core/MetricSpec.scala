@@ -157,6 +157,66 @@ class MetricSpec extends AnyFunSuite {
     }
   }
 
+  test("StringSpace.dist equals EditDistance at pattern lengths 0, 63, 64 and 65") {
+    val rng = new Random(14)
+    def w(len: Int): String = new String(Array.fill(len)(('a' + rng.nextInt(4)).toChar))
+    for (m <- Seq(0, 63, 64, 65); _ <- 0 until 20) {
+      val pattern = w(m)
+      val texts = Seq(w(m), w(m + 1 + rng.nextInt(40)), pattern + "x", "y" + pattern,
+        pattern.reverse + pattern)
+      val ss = new StringSpace((pattern +: texts).toArray)
+      for (t <- 1 to texts.length) {
+        val want = EditDistance(pattern, texts(t - 1)).toDouble
+        assert(ss.dist(0, t) == want, s"m=$m text=${texts(t - 1)}")
+        assert(ss.dist(t, 0) == want, s"m=$m text=${texts(t - 1)}")
+      }
+      assert(ss.dist(0, 3) == 1.0 && ss.dist(0, 4) == 1.0)
+    }
+  }
+
+  test("StringSpace.dist: identical and empty words") {
+    val long = "ab" * 40
+    val ss = new StringSpace(Array("", "", "kitten", "kitten", "a" * 64, "a" * 64, long, long, "sitting"))
+    for (i <- 0 until 8 by 2) assert(ss.dist(i, i + 1) == 0.0 && ss.dist(i, i) == 0.0)
+    assert(ss.dist(0, 2) == 6.0 && ss.dist(6, 0) == 80.0)
+    assert(ss.dist(2, 8) == 3.0 && ss.dist(8, 2) == 3.0)
+    assert(ss.dist(4, 6) == 40.0 && ss.dist(6, 4) == 40.0)
+  }
+
+  test("StringSpace.dist equals EditDistance when the alphabet is too large for the tables") {
+    val rng = new Random(17)
+    val units = (0x100 until 0x100 + 43000).map(_.toChar) // below the surrogate range
+    val long = units.grouped(100).map(_.mkString).toArray
+    val short = Array.fill(100)(new String(Array.fill(rng.nextInt(31))(units(rng.nextInt(units.length)))))
+    // 100 rows of 43,000 symbols exceed the table limit, so every pair runs the DP
+    assert(short.length.toLong * units.length > BitParallelEdit.MaxTableWords)
+    val words = short ++ long
+    val ss = new StringSpace(words)
+    for (_ <- 0 until 300) {
+      val i = rng.nextInt(words.length); val j = rng.nextInt(words.length)
+      assert(ss.dist(i, j) == EditDistance(words(i), words(j)).toDouble)
+    }
+  }
+
+  test("StringSpace serializes without its kernel tables and keeps its distances") {
+    def bytes(o: AnyRef): Array[Byte] = {
+      val bos = new java.io.ByteArrayOutputStream
+      val out = new java.io.ObjectOutputStream(bos)
+      out.writeObject(o); out.close()
+      bos.toByteArray
+    }
+    val ss = TestSpaces.strings(500, seed = 15)
+    val rng = new Random(16)
+    val pairs = Seq.fill(300)((rng.nextInt(ss.n), rng.nextInt(ss.n)))
+    val before = pairs.map { case (i, j) => ss.dist(i, j) } // builds the tables
+    val ser = bytes(ss)
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(ser))
+      .readObject().asInstanceOf[StringSpace]
+    assert(pairs.map { case (i, j) => copy.dist(i, j) } == before)
+    val wordsOnly = bytes(ss.words).length
+    assert(ser.length <= 1.1 * wordsOnly, s"space ${ser.length} B vs words ${wordsOnly} B")
+  }
+
   test("StringSpace.dist equals EditDistance") {
     val ss = TestSpaces.strings(80, seed = 12)
     val rng = new Random(13)

@@ -1,7 +1,8 @@
 package repro.graph
 
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, LocalRunner, SparkRunner, VectorMetric}
+import repro.core.{BruteForce, CountingSpace, EditDistance, GraphDOD, LocalRunner, MetricSpace,
+  SparkRunner, StringSpace, VectorMetric}
 
 /** The full MRPG pipeline: the three §5 properties, connectivity, stats. */
 class MRPGSpec extends SparkSpec {
@@ -128,5 +129,43 @@ class MRPGSpec extends SparkSpec {
       val res = repro.core.GraphDOD.detectLocal(s, g, 30.0, 2)
       assert(res.outliers.toSeq == BruteForce.outliers(s, 30.0, 2).toSeq, s"n=$n")
     }
+  }
+
+  test("one- and two-object spaces: MRPG and KGraph build and stay exact") {
+    for (n <- Seq(1, 2)) {
+      val spaces = Seq(
+        TestSpaces.uniform(n, 3, VectorMetric.L2, seed = 56 + n),
+        new StringSpace(Array("kitten", "sitting").take(n)))
+      for (s <- spaces; k <- Seq(1, 2)) {
+        val (mrpg, _) = MRPG.build(s, 4, runner, seed = 11, maxIters = 2)
+        val kg = KGraphBuilder.build(s, 4, runner, seed = 11, maxIters = 2)
+        val r = 3.0
+        val truth = BruteForce.outliers(s, r, k).toSeq
+        if (n == 1) assert(truth == Seq(0))
+        val fromMrpg = GraphDOD.detectLocal(s, mrpg, r, k).outliers.toSeq
+        val fromKg = GraphDOD.detectLocal(s, kg, r, k, usePivotHop = false, useExactShortcut = false)
+          .outliers.toSeq
+        assert(fromMrpg == truth, s"MRPG n=$n k=$k ${s.getClass.getSimpleName}")
+        assert(fromKg == truth, s"KGraph n=$n k=$k ${s.getClass.getSimpleName}")
+      }
+    }
+  }
+
+  test("the bit-parallel edit kernel builds the same MRPG with the same counts as the DP") {
+    val words = TestSpaces.strings(600, seed = 57).words
+    val dp = new MetricSpace {
+      val n: Int = words.length
+      def dist(i: Int, j: Int): Double = EditDistance(words(i), words(j)).toDouble
+      def dataBytes: Long = 0L
+    }
+    val viaKernel = new CountingSpace(new StringSpace(words))
+    val viaDp = new CountingSpace(dp)
+    val (a, _) = MRPG.build(viaKernel, 8, runner, seed = 13, maxIters = 4)
+    val (b, _) = MRPG.build(viaDp, 8, runner, seed = 13, maxIters = 4)
+    def same(x: Array[Int], y: Array[Int]) = java.util.Arrays.equals(x, y)
+    assert(a.isPivot.sameElements(b.isPivot))
+    assert((0 until words.length).forall(v => same(a.exactLists(v), b.exactLists(v))))
+    assert((0 until words.length).forall(v => same(a.adj(v), b.adj(v))))
+    assert(viaKernel.evaluations == viaDp.evaluations)
   }
 }
