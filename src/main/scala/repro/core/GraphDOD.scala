@@ -82,7 +82,8 @@ object GraphDOD {
   /** Algorithm 1 over a [[ParRunner]]: the filtering phase fans every object
     * out (in random chunks, as the paper assigns objects to threads), the
     * verification phase fans out the candidates. Space, graph and counter
-    * reach the chunks through the runner's shared data.
+    * reach the chunks through the runner's shared data. Requires `k >= 1`
+    * and `r >= 0` (not NaN).
     */
   def run(
       runner: ParRunner,
@@ -94,6 +95,8 @@ object GraphDOD {
       useExactShortcut: Boolean = true,
       counter: ExactCounter = LinearScanCounter(),
   ): DODResult = {
+    require(k >= 1, s"k must be at least 1, got $k")
+    require(r >= 0, s"r must be a non-negative number, got $r")
     val ids = Array.range(0, space.n)
     val t0 = System.nanoTime()
     val verdicts = runner.mapIds(ids, (space, g)) { case ((sp, gg), p) =>

@@ -85,13 +85,18 @@ object VectorMetric {
 }
 
 /** Vectors under a Minkowski or angular metric. Norms are precomputed for the
-  * angular case so `dist` stays one pass over the coordinates.
+  * angular case so `dist` stays one pass over the coordinates. Every row must
+  * have the same number of coordinates, all finite.
   */
 final class VectorSpace(val points: Array[Array[Double]], val metric: VectorMetric)
     extends MetricSpace {
   require(points.nonEmpty, "empty space")
   val n: Int = points.length
   val dim: Int = points(0).length
+  points.indices.foreach { i =>
+    require(points(i).length == dim, s"row $i has ${points(i).length} coordinates, row 0 has $dim")
+    require(points(i).forall(java.lang.Double.isFinite), s"row $i has a NaN or infinite coordinate")
+  }
 
   private val norms: Array[Double] =
     if (metric == VectorMetric.Angular) points.map(VectorMetric.Angular.norm) else null

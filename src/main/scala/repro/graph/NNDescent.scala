@@ -1,7 +1,6 @@
 package repro.graph
 
 import repro.core.{BruteForce, MetricSpace, ParRunner, VPTree}
-import scala.collection.mutable
 import scala.util.Random
 
 /** Configuration for [[NNDescent.build]].
@@ -43,37 +42,47 @@ final case class AKnnResult(
     iterations: Int,
 )
 
-/** Bounded nearest-neighbor candidate list, ascending by distance. With
-  * `flagged`, it also keeps NNDescent's per-entry "new" flags aligned with
-  * the sorted entries (the driver-side master lists).
+/** `rows` bounded nearest-neighbor lists of capacity `cap`, each ascending by
+  * distance, in flat row-major arrays: row `r` is
+  * `ids/ds(r * cap until r * cap + size(r))`. With `flagged`, it also keeps
+  * NNDescent's per-entry "new" flags aligned with the sorted entries (the
+  * driver-side master lists). The master lists and the local join's per-chunk
+  * candidate lists share this one insert rule.
   */
-final class NNList(val cap: Int, flagged: Boolean = false) extends Serializable {
-  val ids = new Array[Int](cap)
-  val ds = new Array[Double](cap)
-  val isNew: Array[Boolean] = if (flagged) new Array[Boolean](cap) else null
-  var size = 0
+final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) {
+  val ids = new Array[Int](rows * cap)
+  val ds = new Array[Double](rows * cap)
+  val isNew: Array[Boolean] = if (flagged) new Array[Boolean](rows * cap) else null
+  private val sizes = new Array[Int](rows)
 
-  /** The distance a new entry must beat; a zero-capacity list (a space of
-    * one object) admits nothing.
+  def size(r: Int): Int = sizes(r)
+
+  /** The distance a new entry of row `r` must beat; a zero-capacity list (a
+    * space of one object) admits nothing.
     */
-  def worst: Double =
-    if (size < cap) Double.MaxValue else if (cap == 0) Double.NegativeInfinity else ds(size - 1)
+  def worst(r: Int): Double = {
+    val sz = sizes(r)
+    if (sz < cap) Double.MaxValue else if (cap == 0) Double.NegativeInfinity else ds(r * cap + sz - 1)
+  }
 
-  def contains(id: Int): Boolean = {
-    var i = 0
-    while (i < size) { if (ids(i) == id) return true; i += 1 }
+  private def contains(r: Int, id: Int): Boolean = {
+    var i = r * cap
+    val end = i + sizes(r)
+    while (i < end) { if (ids(i) == id) return true; i += 1 }
     false
   }
 
-  /** Sorted insert (flagged new); rejects duplicates and non-improving
-    * distances.
+  /** Sorted insert into row `r` (flagged new), after any entries of equal
+    * distance; rejects duplicates and non-improving distances.
     */
-  def insert(id: Int, d: Double): Boolean = {
-    if (size == cap && d >= worst) return false
-    if (contains(id)) return false
-    var pos = size
-    if (size == cap) pos = size - 1 else size += 1
-    while (pos > 0 && ds(pos - 1) > d) {
+  def insert(r: Int, id: Int, d: Double): Boolean = {
+    val sz = sizes(r)
+    if (sz == cap && d >= worst(r)) return false
+    if (contains(r, id)) return false
+    val base = r * cap
+    var pos = base + sz
+    if (sz == cap) pos -= 1 else sizes(r) = sz + 1
+    while (pos > base && ds(pos - 1) > d) {
       ids(pos) = ids(pos - 1); ds(pos) = ds(pos - 1)
       if (isNew != null) isNew(pos) = isNew(pos - 1)
       pos -= 1
@@ -82,9 +91,27 @@ final class NNList(val cap: Int, flagged: Boolean = false) extends Serializable 
     if (isNew != null) isNew(pos) = true
     true
   }
+
+  def idsOf(r: Int): Array[Int] = java.util.Arrays.copyOfRange(ids, r * cap, r * cap + sizes(r))
+  def distsOf(r: Int): Array[Double] = java.util.Arrays.copyOfRange(ds, r * cap, r * cap + sizes(r))
 }
 
 object NNDescent {
+
+  /** Per-vertex id lists in compressed sparse row form: row `v` is
+    * `ids(off(v) until off(v + 1))`.
+    */
+  private final case class Csr(off: Array[Int], ids: Array[Int])
+
+  /** One iteration's join lists and worst-distance snapshot, shared by every
+    * local-join chunk.
+    */
+  private final case class JoinLists(joinNew: Csr, joinOld: Csr, worst: Array[Double], k: Int)
+
+  /** One chunk's improving candidates: `ids/ds(off(i) until off(i + 1))`
+    * are the candidates for `targets(i)`, ascending by distance.
+    */
+  private final case class Candidates(targets: Array[Int], off: Array[Int], ids: Array[Int], ds: Array[Double])
 
   /** Builds the AKNN graph. Deterministic in `cfg.seed` for a fixed runner
     * chunking (sampling happens on the driver; executors only evaluate
@@ -94,48 +121,38 @@ object NNDescent {
     val n = space.n
     val k = math.min(cfg.K, n - 1)
     val rng = new Random(cfg.seed)
-    val buckets = Array.fill(n)(new NNList(k, flagged = true))
+    val lists = new NNLists(n, k, flagged = true)
     val isPivot = new Array[Boolean](n)
 
     // ---- initialization -------------------------------------------------
-    if (cfg.vpInit) initByVpTree(space, buckets, isPivot, k, rng)
-    fillRandom(space, buckets, k, rng) // cover objects the partitioning missed
+    if (cfg.vpInit) initByVpTree(space, lists, isPivot, k, rng)
+    fillRandom(space, lists, k, rng) // cover objects the partitioning missed
 
     // ---- iterative AKNN updates ----------------------------------------
     var iter = 0
     var converged = false
     val updatedPrev = Array.fill(n)(true)
     while (iter < cfg.maxIters && !converged) {
-      val inserts = runIteration(space, buckets, updatedPrev, k, cfg, rng, runner)
+      val inserts = runIteration(space, lists, updatedPrev, cfg, rng, runner)
       iter += 1
       if (inserts < cfg.delta * n * k) converged = true
     }
+    val ids = Array.tabulate(n)(lists.idsOf)
+    val ds = Array.tabulate(n)(lists.distsOf)
 
     // ---- exact K'-NN retrieval (NNDescent+ third stage) ----------------
     val exactLists: Array[Array[Int]] =
       if (cfg.exactListSize > 0 && cfg.exactCount > 0) {
         val m = math.min(cfg.exactCount, n)
-        val bySpread = (0 until n).sortBy(v => -buckets(v).ds.take(buckets(v).size).sum)
-        val targets = bySpread.take(m).toArray
+        val spread = ds.map(_.sum)
+        val targets = (0 until n).sortBy(v => -spread(v)).take(m).toArray
         val kk = math.min(cfg.exactListSize, n - 1)
-        val res =
-          runner.runWithData(targets.length, (space, targets, kk)) { (data, s, e) =>
-            val (sp, tg, kp) = data
-            (s until e).map(i => (i, BruteForce.knn(sp, tg(i), kp))).toArray
-          }
+        val knn = runner.mapIds(targets, (space, kk)) { case ((sp, kp), v) => BruteForce.knn(sp, v, kp) }
         val out = new Array[Array[Int]](n)
-        res.flatten.foreach { case (i, lst) => out(targets(i)) = lst }
+        targets.indices.foreach(i => out(targets(i)) = knn(i))
         out
       } else null
 
-    val ids = new Array[Array[Int]](n)
-    val ds = new Array[Array[Double]](n)
-    var v = 0
-    while (v < n) {
-      ids(v) = buckets(v).ids.take(buckets(v).size)
-      ds(v) = buckets(v).ds.take(buckets(v).size)
-      v += 1
-    }
     AKnnResult(ids, ds, isPivot, exactLists, iter)
   }
 
@@ -144,7 +161,7 @@ object NNDescent {
     */
   private def initByVpTree(
       space: MetricSpace,
-      buckets: Array[NNList],
+      lists: NNLists,
       isPivot: Array[Boolean],
       k: Int,
       rng: Random,
@@ -160,7 +177,7 @@ object NNDescent {
           val p = group(i)
           var j = 0
           while (j < group.length) {
-            if (j != i) buckets(p).insert(group(j), space.dist(p, group(j)))
+            if (j != i) lists.insert(p, group(j), space.dist(p, group(j)))
             j += 1
           }
           i += 1
@@ -170,112 +187,196 @@ object NNDescent {
   }
 
   /** Random AKNNs for any object whose list is still under-filled. */
-  private def fillRandom(space: MetricSpace, buckets: Array[NNList], k: Int, rng: Random): Unit = {
+  private def fillRandom(space: MetricSpace, lists: NNLists, k: Int, rng: Random): Unit = {
     val n = space.n
     var v = 0
     while (v < n) {
       var guard = 0
-      while (buckets(v).size < k && guard < 8 * k) {
+      while (lists.size(v) < k && guard < 8 * k) {
         val u = rng.nextInt(n)
-        if (u != v) buckets(v).insert(u, space.dist(v, u))
+        if (u != v) lists.insert(v, u, space.dist(v, u))
         guard += 1
       }
       v += 1
     }
   }
 
+  /** The sample of `row = src(from until until)` a join list takes: the row
+    * itself when it has at most `cap` ids (no draws), else
+    * `rng.shuffle(row).take(cap)`, computed without boxing and with the same
+    * draws — `rng.nextInt(m)` for `m` = row length down to 2. Leaves the
+    * sample in `work(0 until result)`.
+    */
+  private[graph] def sample(src: Array[Int], from: Int, until: Int, cap: Int, rng: Random, work: Array[Int]): Int = {
+    val len = until - from
+    System.arraycopy(src, from, work, 0, len)
+    if (len <= cap) return len
+    var m = len
+    while (m >= 2) {
+      val j = rng.nextInt(m)
+      val t = work(m - 1); work(m - 1) = work(j); work(j) = t
+      m -= 1
+    }
+    cap
+  }
+
+  /** Splits every master list into its new and old entries, in list order,
+    * with the NNDescent+ skip: an unchanged object's entry is not added to
+    * the similar-object (old) list.
+    */
+  private def splitForward(lists: NNLists, updatedPrev: Array[Boolean], skipUnchanged: Boolean): (Csr, Csr) = {
+    val n = lists.rows
+    val k = lists.cap
+    val newOff = new Array[Int](n + 1)
+    val oldOff = new Array[Int](n + 1)
+    def isOld(i: Int): Boolean = !skipUnchanged || updatedPrev(lists.ids(i))
+    var v = 0
+    while (v < n) {
+      var i = v * k
+      val end = i + lists.size(v)
+      while (i < end) {
+        if (lists.isNew(i)) newOff(v + 1) += 1 else if (isOld(i)) oldOff(v + 1) += 1
+        i += 1
+      }
+      newOff(v + 1) += newOff(v); oldOff(v + 1) += oldOff(v)
+      v += 1
+    }
+    val newIds = new Array[Int](newOff(n))
+    val oldIds = new Array[Int](oldOff(n))
+    v = 0
+    while (v < n) {
+      var a = newOff(v); var b = oldOff(v)
+      var i = v * k
+      val end = i + lists.size(v)
+      while (i < end) {
+        if (lists.isNew(i)) { newIds(a) = lists.ids(i); a += 1 }
+        else if (isOld(i)) { oldIds(b) = lists.ids(i); b += 1 }
+        i += 1
+      }
+      v += 1
+    }
+    (Csr(newOff, newIds), Csr(oldOff, oldIds))
+  }
+
+  /** Reverse lists: row `u` holds every `v` with `u` in row `v`, by
+    * ascending `v`.
+    */
+  private def reverse(fwd: Csr, n: Int): Csr = {
+    val off = new Array[Int](n + 1)
+    fwd.ids.foreach(u => off(u + 1) += 1)
+    var u = 0
+    while (u < n) { off(u + 1) += off(u); u += 1 }
+    val next = java.util.Arrays.copyOf(off, n)
+    val ids = new Array[Int](fwd.ids.length)
+    var v = 0
+    while (v < n) {
+      var i = fwd.off(v)
+      while (i < fwd.off(v + 1)) {
+        val t = fwd.ids(i)
+        ids(next(t)) = v; next(t) += 1
+        i += 1
+      }
+      v += 1
+    }
+    Csr(off, ids)
+  }
+
   /** One local-join iteration: the driver samples the join lists (including
     * reverse neighbors), executors evaluate candidate pairs against a
     * snapshot of each vertex's current worst distance, and the driver merges
     * the proposals. Returns the number of successful inserts.
+    *
+    * Per vertex the driver draws the forward-new, reverse-new and
+    * reverse-old samples, in that order; the forward old list is taken
+    * whole. Each join list keeps the first occurrence of every id.
     */
   private def runIteration(
       space: MetricSpace,
-      buckets: Array[NNList],
+      lists: NNLists,
       updatedPrev: Array[Boolean],
-      k: Int,
       cfg: NNDescentConfig,
       rng: Random,
       runner: ParRunner,
   ): Long = {
     val n = space.n
+    val k = lists.cap
     val sampleK = math.max(1, (cfg.rho * k).toInt)
 
-    // forward new/old split, with the NNDescent+ skip: an unchanged object's
-    // entry is not added to the similar-object (old) list.
-    val fwdNew = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    val fwdOld = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
+    val (fwdNew, fwdOld) = splitForward(lists, updatedPrev, cfg.skipUnchanged)
+    val revNew = reverse(fwdNew, n)
+    val revOld = reverse(fwdOld, n)
+
+    val work = new Array[Int](n) // no row repeats an id, so none is longer than n
+    val stamp = new Array[Int](n) // generation stamps: the ids already in the list being built
+    var gen = 0
+
+    /** Appends the sample of row `v` of `src` to `out` from `at`, skipping
+      * ids stamped `gen`; returns the new end.
+      */
+    def addSample(src: Csr, v: Int, cap: Int, out: Array[Int], at: Int): Int = {
+      val len = sample(src.ids, src.off(v), src.off(v + 1), cap, rng, work)
+      var end = at
+      var i = 0
+      while (i < len) {
+        val u = work(i)
+        if (stamp(u) != gen) { stamp(u) = gen; out(end) = u; end += 1 }
+        i += 1
+      }
+      end
+    }
+
+    // a join list is a subset of its forward and reverse rows
+    val newOff = new Array[Int](n + 1)
+    val newIds = new Array[Int](fwdNew.ids.length + revNew.ids.length)
+    val oldOff = new Array[Int](n + 1)
+    val oldIds = new Array[Int](fwdOld.ids.length + revOld.ids.length)
+    val worst = new Array[Double](n)
     var v = 0
     while (v < n) {
-      val b = buckets(v)
-      var i = 0
-      while (i < b.size) {
-        val u = b.ids(i)
-        if (b.isNew(i)) fwdNew(v) += u
-        else if (!cfg.skipUnchanged || updatedPrev(u)) fwdOld(v) += u
+      gen += 1
+      val fwdNewEnd = addSample(fwdNew, v, sampleK, newIds, newOff(v))
+      newOff(v + 1) = addSample(revNew, v, sampleK, newIds, fwdNewEnd)
+      // clear the "new" flags of the forward entries that join this round;
+      // membership is read from the stamps before the old list reuses them
+      var i = v * k
+      val end = i + lists.size(v)
+      while (i < end) {
+        if (lists.isNew(i) && stamp(lists.ids(i)) == gen) lists.isNew(i) = false
         i += 1
       }
+      gen += 1
+      val fwdOldEnd = addSample(fwdOld, v, Int.MaxValue, oldIds, oldOff(v)) // taken whole
+      oldOff(v + 1) = addSample(revOld, v, sampleK, oldIds, fwdOldEnd)
+      worst(v) = lists.worst(v)
       v += 1
     }
+    val join = JoinLists(
+      Csr(newOff, java.util.Arrays.copyOf(newIds, newOff(n))),
+      Csr(oldOff, java.util.Arrays.copyOf(oldIds, oldOff(n))),
+      worst,
+      k,
+    )
 
-    // reverse lists
-    val revNew = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    val revOld = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    v = 0
-    while (v < n) {
-      fwdNew(v).foreach(u => revNew(u) += v)
-      fwdOld(v).foreach(u => revOld(u) += v)
-      v += 1
+    val proposals = runner.runWithData(n, (space, join)) { case ((sp, jl), s, e) =>
+      localJoinChunk(sp, jl, s, e)
     }
 
-    def sample(buf: mutable.ArrayBuffer[Int], cap: Int): Seq[Int] =
-      if (buf.length <= cap) buf.toSeq
-      else rng.shuffle(buf).take(cap).toSeq
-
-    val joinNew = new Array[Array[Int]](n)
-    val joinOld = new Array[Array[Int]](n)
-    val worst = new Array[Double](n)
-    v = 0
-    while (v < n) {
-      val sNew = sample(fwdNew(v), sampleK) ++ sample(revNew(v), sampleK)
-      val sOld = fwdOld(v).toSeq ++ sample(revOld(v), sampleK)
-      joinNew(v) = sNew.distinct.toArray
-      joinOld(v) = sOld.distinct.toArray
-      worst(v) = buckets(v).worst
-      v += 1
-    }
-
-    // clear "new" flags of the forward entries that participated this round
-    v = 0
-    while (v < n) {
-      val b = buckets(v)
-      val used = joinNew(v)
-      var i = 0
-      while (i < b.size) {
-        if (b.isNew(i) && used.contains(b.ids(i))) b.isNew(i) = false
-        i += 1
-      }
-      v += 1
-    }
-
-    val proposals =
-      runner.runWithData(n, (space, joinNew, joinOld, worst, k)) { (data, s, e) =>
-        localJoinChunk(data, s, e)
-      }
-
-    // merge on the driver
+    // merge on the driver, chunk by chunk in chunk order
     val updatedNow = new Array[Boolean](n)
     var inserts = 0L
-    proposals.foreach { chunk =>
-      chunk.foreach { case (target, ids, ds) =>
-        var i = 0
-        while (i < ids.length) {
-          if (ids(i) != target && buckets(target).insert(ids(i), ds(i))) {
+    proposals.foreach { c =>
+      var t = 0
+      while (t < c.targets.length) {
+        val target = c.targets(t)
+        var i = c.off(t)
+        while (i < c.off(t + 1)) {
+          if (lists.insert(target, c.ids(i), c.ds(i))) {
             inserts += 1
             updatedNow(target) = true
           }
           i += 1
         }
+        t += 1
       }
     }
     System.arraycopy(updatedNow, 0, updatedPrev, 0, n)
@@ -285,39 +386,58 @@ object NNDescent {
   /** Pure per-chunk local join: evaluates new×new and new×old pairs of each
     * vertex's join lists, accumulating improving candidates into bounded
     * per-target lists. Runs as one [[ParRunner]] chunk (a Spark task under
-    * the SparkRunner), reading the shared state only through `data`.
+    * the SparkRunner), reading the shared state only through its arguments.
     */
-  private def localJoinChunk(
-      data: (MetricSpace, Array[Array[Int]], Array[Array[Int]], Array[Double], Int),
-      s: Int,
-      e: Int,
-  ): Array[(Int, Array[Int], Array[Double])] = {
-    val (space, joinNew, joinOld, worst, k) = data
-    val cand = mutable.HashMap.empty[Int, NNList]
+  private def localJoinChunk(space: MetricSpace, join: JoinLists, s: Int, e: Int): Candidates = {
+    val n = space.n
+    val worst = join.worst
+    val cand = new NNLists(n, join.k)
 
     def consider(a: Int, b: Int): Unit = {
       if (a == b) return
       val d = space.dist(a, b)
-      if (d < worst(a)) cand.getOrElseUpdate(a, new NNList(k)).insert(b, d)
-      if (d < worst(b)) cand.getOrElseUpdate(b, new NNList(k)).insert(a, d)
+      if (d < worst(a)) cand.insert(a, b, d)
+      if (d < worst(b)) cand.insert(b, a, d)
     }
 
+    val nw = join.joinNew
+    val od = join.joinOld
     var v = s
     while (v < e) {
-      val nl = joinNew(v)
-      val ol = joinOld(v)
-      var i = 0
-      while (i < nl.length) {
+      var i = nw.off(v)
+      while (i < nw.off(v + 1)) {
         var j = i + 1
-        while (j < nl.length) { consider(nl(i), nl(j)); j += 1 }
-        var t = 0
-        while (t < ol.length) { consider(nl(i), ol(t)); t += 1 }
+        while (j < nw.off(v + 1)) { consider(nw.ids(i), nw.ids(j)); j += 1 }
+        var t = od.off(v)
+        while (t < od.off(v + 1)) { consider(nw.ids(i), od.ids(t)); t += 1 }
         i += 1
       }
       v += 1
     }
-    cand.iterator.map { case (t, lst) =>
-      (t, lst.ids.take(lst.size), lst.ds.take(lst.size))
-    }.toArray
+
+    var rows = 0; var total = 0
+    v = 0
+    while (v < n) {
+      if (cand.size(v) > 0) { rows += 1; total += cand.size(v) }
+      v += 1
+    }
+    val targets = new Array[Int](rows)
+    val off = new Array[Int](rows + 1)
+    val ids = new Array[Int](total)
+    val ds = new Array[Double](total)
+    var t = 0
+    v = 0
+    while (v < n) {
+      val sz = cand.size(v)
+      if (sz > 0) {
+        targets(t) = v
+        System.arraycopy(cand.ids, v * cand.cap, ids, off(t), sz)
+        System.arraycopy(cand.ds, v * cand.cap, ds, off(t), sz)
+        off(t + 1) = off(t) + sz
+        t += 1
+      }
+      v += 1
+    }
+    Candidates(targets, off, ids, ds)
   }
 }

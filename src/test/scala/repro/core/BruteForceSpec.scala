@@ -58,4 +58,19 @@ class BruteForceSpec extends AnyFunSuite {
     val got = BruteForce.knn(s, 0, 30)
     assert(got.sorted.toSeq == (1 until 20))
   }
+
+  test("knn equals sorting by (dist, id) and taking k, ties included") {
+    val strings = TestSpaces.strings(60, seed = 76) // integer distances
+    val duplicates = new VectorSpace(Array.tabulate(40)(i => Array((i % 4).toDouble, 1.0)), VectorMetric.L2)
+    val grid = new VectorSpace(Array.tabulate(49)(i => Array((i % 7).toDouble, (i / 7).toDouble)), VectorMetric.L1)
+    for ((name, s) <- Seq("strings" -> strings, "duplicates" -> duplicates, "L1 grid" -> grid)) {
+      val n = s.n
+      for (p <- Seq(0, n / 2, n - 1); k <- Seq(0, 1, 5, n - 2, n - 1, n + 3)) {
+        val expected = (0 until n).filter(_ != p).sortBy(i => (s.dist(p, i), i)).take(k).toArray
+        val counting = new CountingSpace(s)
+        assert(BruteForce.knn(counting, p, k).sameElements(expected), s"$name p=$p k=$k")
+        assert(counting.evaluations == n - 1, s"$name p=$p k=$k")
+      }
+    }
+  }
 }

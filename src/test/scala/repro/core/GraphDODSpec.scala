@@ -123,6 +123,34 @@ class GraphDODSpec extends SparkSpec {
     assert(none.outliers.isEmpty)
   }
 
+  private lazy val smallCase = {
+    val s = TestSpaces.scenarios().head
+    (s, MRPG.build(s.space, 8, runner, seed = 12, maxIters = 4)._1)
+  }
+
+  test("run rejects k < 1") {
+    val (s, g) = smallCase
+    for (k <- Seq(0, -3)) {
+      assertThrows[IllegalArgumentException](GraphDOD.run(runner, s.space, g, s.r, k))
+      assertThrows[IllegalArgumentException](GraphDOD.detect(spark, s.space, g, s.r, k, partitions = 2))
+    }
+    // the boundary values stay valid
+    val edge = GraphDOD.run(runner, s.space, g, 0.0, 1)
+    assert(edge.outliers.toSeq == BruteForce.outliers(s.space, 0.0, 1).toSeq)
+  }
+
+  test("run rejects a negative r") {
+    val (s, g) = smallCase
+    assertThrows[IllegalArgumentException](GraphDOD.run(runner, s.space, g, -1e-9, s.k))
+    assertThrows[IllegalArgumentException](GraphDOD.detectLocal(s.space, g, -s.r, s.k))
+  }
+
+  test("run rejects a NaN r") {
+    val (s, g) = smallCase
+    assertThrows[IllegalArgumentException](GraphDOD.run(runner, s.space, g, Double.NaN, s.k))
+    assertThrows[IllegalArgumentException](GraphDOD.detectLocal(s.space, g, Double.NaN, s.k))
+  }
+
   test("empty-adjacency graph still yields exact results (all candidates verified)") {
     val s = TestSpaces.scenarios().head
     val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
-import repro.graph.NNList
+import repro.graph.NNLists
 
 /** ScalaCheck property suites (run by sbt's ScalaCheck framework directly). */
 object MetricProps extends Properties("Metric") {
@@ -64,33 +64,53 @@ object MetricProps extends Properties("Metric") {
     }
 }
 
-/** NNList (bounded sorted candidate list) invariants. */
+/** Invariants of the flat bounded candidate lists ([[NNLists]]): every row
+  * behaves as its own sorted, bounded, duplicate-free list.
+  */
 object NNListProps extends Properties("NNList") {
 
-  private val inserts: Gen[List[(Int, Double)]] =
-    Gen.listOf(Gen.zip(Gen.chooseNum(0, 40), Gen.choose(0.0, 100.0)))
+  private val Rows = 3
+
+  private val inserts: Gen[List[(Int, Int, Double)]] =
+    Gen.listOf(Gen.zip(Gen.chooseNum(0, Rows - 1), Gen.chooseNum(0, 40), Gen.choose(0.0, 100.0)))
+
+  private def row(l: NNLists, r: Int): (Array[Int], Array[Double]) = (l.idsOf(r), l.distsOf(r))
 
   property("sortedAndBounded") = Prop.forAll(inserts, Gen.chooseNum(1, 8)) { (ops, cap) =>
-    val l = new NNList(cap)
-    ops.foreach { case (id, d) => l.insert(id, d) }
-    val ds = l.ds.take(l.size)
-    val ids = l.ids.take(l.size)
-    l.size <= cap &&
-      ds.sameElements(ds.sorted) &&
-      ids.distinct.length == ids.length
+    val l = new NNLists(Rows, cap)
+    ops.foreach { case (r, id, d) => l.insert(r, id, d) }
+    (0 until Rows).forall { r =>
+      val (ids, ds) = row(l, r)
+      // a row holds exactly what a one-row store fed the same inserts holds
+      val alone = new NNLists(1, cap)
+      ops.foreach { case (r2, id, d) => if (r2 == r) alone.insert(0, id, d) }
+      l.size(r) <= cap &&
+        ds.sameElements(ds.sorted) &&
+        ids.distinct.length == ids.length &&
+        ids.sameElements(alone.idsOf(0)) && ds.sameElements(alone.distsOf(0))
+    }
   }
 
   property("keepsTheMinimum") = Prop.forAll(inserts, Gen.chooseNum(1, 8)) { (ops, cap) =>
     // in real use an id is always inserted with the same (deterministic)
-    // distance, so feed one occurrence per id
-    val unique = ops.distinctBy(_._1)
-    val l = new NNList(cap)
-    unique.foreach { case (id, d) => l.insert(id, d) }
-    unique.isEmpty || math.abs(l.ds(0) - unique.map(_._2).min) < 1e-12
+    // distance, so feed one occurrence per (row, id)
+    val unique = ops.distinctBy { case (r, id, _) => (r, id) }
+    val l = new NNLists(Rows, cap)
+    unique.foreach { case (r, id, d) => l.insert(r, id, d) }
+    (0 until Rows).forall { r =>
+      val mine = unique.filter(_._1 == r)
+      mine.isEmpty || math.abs(l.distsOf(r)(0) - mine.map(_._3).min) < 1e-12
+    }
   }
 
   property("rejectsDuplicates") = Prop.forAll(Gen.chooseNum(1, 8)) { cap =>
-    val l = new NNList(cap)
-    l.insert(1, 5.0) && !l.insert(1, 7.0) && l.size == 1
+    val l = new NNLists(Rows, cap)
+    l.insert(1, 1, 5.0) && !l.insert(1, 1, 7.0) && l.size(1) == 1 && l.size(0) == 0
+  }
+
+  property("zeroCapacityAdmitsNothing") = Prop.forAll(inserts) { ops =>
+    val l = new NNLists(Rows, 0)
+    ops.forall { case (r, id, d) => !l.insert(r, id, d) } &&
+      (0 until Rows).forall(r => l.size(r) == 0 && l.worst(r) == Double.NegativeInfinity)
   }
 }

@@ -117,6 +117,25 @@ class MetricSpec extends AnyFunSuite {
     assert(vs.dataBytes == 10L * 4 * 8)
   }
 
+  test("VectorSpace rejects rows of unequal length") {
+    val short = Array(Array(1.0, 2.0, 3.0), Array(1.0, 2.0))
+    val long = Array(Array(1.0, 2.0), Array(1.0, 2.0, 3.0))
+    for (pts <- Seq(short, long); m <- metrics)
+      assertThrows[IllegalArgumentException](new VectorSpace(pts, m))
+  }
+
+  test("VectorSpace rejects NaN coordinates") {
+    val pts = Array(Array(1.0, 2.0), Array(Double.NaN, 0.0))
+    for (m <- metrics) assertThrows[IllegalArgumentException](new VectorSpace(pts, m))
+  }
+
+  test("VectorSpace rejects infinite coordinates") {
+    for (x <- Seq(Double.PositiveInfinity, Double.NegativeInfinity); m <- metrics) {
+      val pts = Array(Array(0.0, x), Array(1.0, 2.0))
+      assertThrows[IllegalArgumentException](new VectorSpace(pts, m))
+    }
+  }
+
   // ---- edit distance -----------------------------------------------------
   test("EditDistance: known values") {
     assert(EditDistance("kitten", "sitting") == 3)

@@ -1,7 +1,9 @@
 package repro.graph
 
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, LocalRunner, SparkRunner, VectorMetric}
+import repro.core.{BruteForce, CountingSpace, LocalRunner, MetricSpace, ParRunner, SparkRunner, VectorMetric, VectorSpace}
+import scala.collection.mutable
+import scala.util.Random
 
 /** AKNN graph quality and the NNDescent+ extensions. */
 class NNDescentSpec extends SparkSpec {
@@ -143,5 +145,65 @@ class NNDescentSpec extends SparkSpec {
     // the empirical claim of §5.1 — the plus variant saves distance work
     assert(countPlus < countPlain,
       s"NNDescent+ used $countPlus evals vs NNDescent $countPlain")
+  }
+
+  // ---- the flat implementation against the boxed reference ---------------
+
+  private def sameRows(x: Array[Array[Int]], y: Array[Array[Int]]): Boolean =
+    (x == null && y == null) || (x != null && y != null && x.length == y.length &&
+      x.indices.forall(i => java.util.Arrays.equals(x(i), y(i))))
+
+  /** Builds with [[NNDescent]] and [[NNDescentReference]] and demands equal
+    * lists (distances bit for bit), pivots, exact lists, iteration counts
+    * and distance evaluations.
+    */
+  private def assertSameAsReference(space: MetricSpace, cfg: NNDescentConfig, runner: ParRunner, clue: String): Unit = {
+    val flatSpace = new CountingSpace(space)
+    val refSpace = new CountingSpace(space)
+    val got = NNDescent.build(flatSpace, cfg, runner)
+    val ref = NNDescentReference.build(refSpace, cfg, runner)
+    assert(sameRows(got.nbrId, ref.nbrId), s"$clue: nbrId")
+    assert(got.nbrDist.length == ref.nbrDist.length &&
+      got.nbrDist.indices.forall(v => java.util.Arrays.equals(got.nbrDist(v), ref.nbrDist(v))), s"$clue: nbrDist")
+    assert(java.util.Arrays.equals(got.isPivot, ref.isPivot), s"$clue: isPivot")
+    assert(sameRows(got.exactLists, ref.exactLists), s"$clue: exactLists")
+    assert(got.iterations == ref.iterations, s"$clue: iterations")
+    assert(flatSpace.evaluations == refSpace.evaluations, s"$clue: distance evaluations")
+  }
+
+  private val referenceSpaces: Seq[(String, () => MetricSpace)] = Seq(
+    "clustered L2" -> (() => TestSpaces.clustered(800, 8, VectorMetric.L2, seed = 61)),
+    "angular" -> (() => TestSpaces.angular(800, 12, seed = 62)),
+    "tie-heavy strings" -> (() => TestSpaces.strings(500, seed = 63)),
+    "all-identical points" -> (() => new VectorSpace(Array.fill(120)(Array(3.0, -1.0, 2.0)), VectorMetric.L2)),
+  ) ++ (1 to 3).map(n => s"n=$n" -> (() => TestSpaces.uniform(n, 3, VectorMetric.L2, seed = 80L + n)))
+
+  for ((name, mkSpace) <- referenceSpaces) {
+    test(s"$name: builds bit-identically to the reference implementation") {
+      val space = mkSpace()
+      for {
+        (cfgName, cfg) <- Seq("KGraph" -> cfgKGraph(10), "NNDescent+" -> cfgPlus(10))
+        (runnerName, r) <- Seq("LocalRunner(4)" -> new LocalRunner(4), "SparkRunner(4)" -> new SparkRunner(spark, 4))
+      } assertSameAsReference(space, cfg.copy(exactListSize = 30, exactCount = 40), r,
+        s"$cfgName / $runnerName")
+    }
+  }
+
+  test("sample draws what Random.shuffle(buf).take(cap) draws and leaves the RNG in step") {
+    // the boxed sampler NNDescent used: no draws when the list fits
+    def boxed(buf: mutable.ArrayBuffer[Int], cap: Int, rng: Random): Seq[Int] =
+      if (buf.length <= cap) buf.toSeq else rng.shuffle(buf).take(cap).toSeq
+    for (cap <- Seq(1, 2, 5); len <- 0 to 3 * cap; seed <- 1L to 4L) {
+      val buf = Array.tabulate(len)(i => 1000 + 7 * i)
+      val expectedRng = new Random(seed)
+      val expected = boxed(mutable.ArrayBuffer.from(buf), cap, expectedRng)
+      val rng = new Random(seed)
+      val work = new Array[Int](len)
+      val src = Array(-1, -2) ++ buf ++ Array(-3) // a row inside a larger array
+      val got = NNDescent.sample(src, 2, 2 + len, cap, rng, work)
+      assert(work.take(got).toSeq == expected, s"cap=$cap len=$len seed=$seed")
+      if (len > cap) assert(expected == new Random(seed).shuffle(buf.toSeq).take(cap))
+      assert(rng.nextInt() == expectedRng.nextInt(), s"RNG state, cap=$cap len=$len seed=$seed")
+    }
   }
 }
