@@ -29,13 +29,19 @@ final case class VPTreeCounter(tree: VPTree) extends ExactCounter {
 
 /** Result of one DOD run.
   *
+  * Filtering and verification overlap (each chunk verifies its own
+  * candidates), so the run's wall time is split between the two phases in
+  * proportion to the time the chunks' own clocks spent in each.
+  *
   * @param outliers       detected outlier ids (sorted)
   * @param candidates     |P'| — objects that survived filtering (excludes
   *                       exact-list direct decisions)
   * @param falsePositives inliers among the candidates (Table 7's `f`)
   * @param directOutliers outliers decided by the exact-list shortcut (§5.5)
-  * @param filterMs       filtering phase wall-clock [ms]
-  * @param verifyMs       verification phase wall-clock [ms]
+  * @param filterMs       filtering's share of the wall-clock [ms]
+  * @param verifyMs       verification's share of the wall-clock [ms]
+  * @param maxChunkMs     busy time of the slowest chunk [ms]
+  * @param meanChunkMs    mean busy time of a chunk [ms]
   */
 final case class DODResult(
     outliers: Array[Int],
@@ -44,6 +50,8 @@ final case class DODResult(
     directOutliers: Int,
     filterMs: Long,
     verifyMs: Long,
+    maxChunkMs: Double,
+    meanChunkMs: Double,
 ) {
   def totalMs: Long = filterMs + verifyMs
 }
@@ -55,10 +63,18 @@ final case class DODResult(
 object GraphDOD {
 
   // per-object filtering verdicts
-  private val Inlier = 0: Byte // filtered: proven inlier
-  private val Candidate = 1: Byte // needs verification
-  private val DirectOutlier = 2: Byte // exact-list shortcut says outlier
-  private val DirectInlier = 3: Byte // exact-list shortcut says inlier
+  val Inlier = 0: Byte // filtered: proven inlier
+  val Candidate = 1: Byte // needs verification
+  val DirectOutlier = 2: Byte // exact-list shortcut says outlier
+  val DirectInlier = 3: Byte // exact-list shortcut says inlier
+  // a candidate's outcome after verification
+  val VerifiedOutlier = 4: Byte
+  val FalsePositive = 5: Byte
+
+  /** One chunk's outcomes, in dealt order, and the nanoseconds it spent
+    * filtering and verifying.
+    */
+  private final case class ChunkOutcomes(outcomes: Array[Byte], filterNs: Long, verifyNs: Long)
 
   /** One object's filtering verdict (§4 filtering phase + §5.5 shortcut). */
   def filterVerdict(
@@ -79,11 +95,13 @@ object GraphDOD {
     }
   }
 
-  /** Algorithm 1 over a [[ParRunner]]: the filtering phase fans every object
-    * out (in random chunks, as the paper assigns objects to threads), the
-    * verification phase fans out the candidates. Space, graph and counter
-    * reach the chunks through the runner's shared data. Requires `k >= 1`
-    * and `r >= 0` (not NaN).
+  /** Algorithm 1 over a [[ParRunner]], in one fan-out (one Spark job): the
+    * ids are dealt to chunks in [[ParRunner.mapIds]]' random order, as the
+    * paper assigns objects to threads, and each chunk verifies a candidate
+    * as soon as it has filtered it. No barrier is needed between the
+    * phases, because filtering never drops a true outlier (Lemma 1). Space,
+    * graph and counter reach the chunks through the runner's data. Requires
+    * `k >= 1` and `r >= 0` (not NaN).
     */
   def run(
       runner: ParRunner,
@@ -97,25 +115,48 @@ object GraphDOD {
   ): DODResult = {
     require(k >= 1, s"k must be at least 1, got $k")
     require(r >= 0, s"r must be a non-negative number, got $r")
-    val ids = Array.range(0, space.n)
+    val n = space.n
+    val order = ParRunner.permutation(n)
     val t0 = System.nanoTime()
-    val verdicts = runner.mapIds(ids, (space, g)) { case ((sp, gg), p) =>
-      filterVerdict(sp, gg, p, r, k, usePivotHop, useExactShortcut)
+    val chunks = runner.runWithData(n, (space, g, counter, order)) { case ((sp, gg, ec, ord), s, e) =>
+      val outcomes = new Array[Byte](e - s)
+      var verifyNs = 0L
+      val c0 = System.nanoTime()
+      var i = s
+      while (i < e) {
+        val p = ord(i)
+        var o = filterVerdict(sp, gg, p, r, k, usePivotHop, useExactShortcut)
+        if (o == Candidate) {
+          val v0 = System.nanoTime()
+          o = if (ec.count(sp, p, r, k) < k) VerifiedOutlier else FalsePositive
+          verifyNs += System.nanoTime() - v0
+        }
+        outcomes(i - s) = o
+        i += 1
+      }
+      ChunkOutcomes(outcomes, System.nanoTime() - c0 - verifyNs, verifyNs)
     }
-    val t1 = System.nanoTime()
-    val candidates = ids.filter(verdicts(_) == Candidate)
-    val directOut = ids.filter(verdicts(_) == DirectOutlier)
-    val verified = runner.select(candidates, (space, counter)) { case ((sp, ec), p) =>
-      ec.count(sp, p, r, k) < k
-    }
-    val t2 = System.nanoTime()
+    val wallMs = (System.nanoTime() - t0) / 1000000L
+
+    val outcome = new Array[Byte](n)
+    var pos = 0
+    chunks.foreach(_.outcomes.foreach { o => outcome(order(pos)) = o; pos += 1 })
+    def count(o: Byte): Int = outcome.count(_ == o)
+    val falsePositives = count(FalsePositive)
+
+    val filterNs = chunks.map(_.filterNs).sum
+    val busyNs = filterNs + chunks.map(_.verifyNs).sum
+    val filterMs = if (busyNs == 0) wallMs else math.round(wallMs * (filterNs.toDouble / busyNs))
+    val chunkMs = chunks.map(c => (c.filterNs + c.verifyNs) / 1e6)
     DODResult(
-      (directOut ++ verified).sorted,
-      candidates = candidates.length,
-      falsePositives = candidates.length - verified.length,
-      directOutliers = directOut.length,
-      filterMs = (t1 - t0) / 1000000L,
-      verifyMs = (t2 - t1) / 1000000L,
+      Array.range(0, n).filter(p => outcome(p) == DirectOutlier || outcome(p) == VerifiedOutlier),
+      candidates = count(VerifiedOutlier) + falsePositives,
+      falsePositives = falsePositives,
+      directOutliers = count(DirectOutlier),
+      filterMs = filterMs,
+      verifyMs = wallMs - filterMs,
+      maxChunkMs = chunkMs.maxOption.getOrElse(0.0),
+      meanChunkMs = if (chunkMs.isEmpty) 0.0 else chunkMs.sum / chunkMs.size,
     )
   }
 

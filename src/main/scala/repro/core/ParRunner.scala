@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import scala.reflect.ClassTag
 
@@ -7,13 +8,18 @@ import scala.reflect.ClassTag
   * the one place the algorithms touch Spark.
   *
   * The paper parallelizes NNDescent's local joins, Remove-Detours' BFS and
-  * both DOD phases across OpenMP threads ("each thread independently
-  * evaluates assigned objects"). Here a "thread" is a chunk: [[SparkRunner]]
-  * broadcasts the shared read-only state once per call and runs one Spark
-  * task per chunk; [[LocalRunner]] runs the chunks inline, which keeps unit
-  * tests fast and serves as the reference the Spark runner must match.
-  * Both return the chunk results in chunk order, so driver-side merges see
-  * the same sequence — and build the same graph — under either runner.
+  * Algorithm 1 across OpenMP threads ("each thread independently evaluates
+  * assigned objects"). Here a "thread" is a chunk: [[SparkRunner]]
+  * broadcasts the call's data and runs one Spark task per chunk, so a call
+  * of several chunks is one Spark job; [[LocalRunner]] runs the chunks
+  * inline, which keeps unit tests fast and serves as the reference the
+  * Spark runner must match. Both return the chunk results in chunk order,
+  * so driver-side merges see the same sequence — and build the same graph —
+  * under either runner.
+  *
+  * State that several calls read (the dataset during a build) is shared
+  * once with [[share]]: the call data then carries only the small handle,
+  * and each chunk reads the state through [[Shared.value]].
   *
   * `f` must not mutate `data`, and must reach shared state only through
   * `data`: under Spark, whatever else `f` captures is a serialized copy (a
@@ -23,6 +29,11 @@ import scala.reflect.ClassTag
   */
 trait ParRunner extends Serializable {
   def runWithData[D: ClassTag, T: ClassTag](n: Int, data: D)(f: (D, Int, Int) => T): Seq[T]
+
+  /** Makes `data` readable by the chunks of any later call through the
+    * returned handle, until the handle's [[Shared.release]].
+    */
+  def share[D: ClassTag](data: D): Shared[D]
 
   /** Splits `[0, n)` into at most `parts` contiguous ranges. */
   protected def chunks(n: Int, parts: Int): Seq[(Int, Int)] = {
@@ -56,6 +67,18 @@ trait ParRunner extends Serializable {
   }
 }
 
+/** A read-only value shared with the chunks of a [[ParRunner]]'s calls. The
+  * handle is small and serializable, so call data can carry it.
+  */
+trait Shared[D] extends Serializable {
+  def value: D
+
+  /** Frees the shared copies; call it once, after the last call that reads
+    * the value. Under Spark, a call that reads the value afterwards fails.
+    */
+  def release(): Unit
+}
+
 object ParRunner {
 
   /** Seed of the id-to-chunk assignment; it only moves work between chunks,
@@ -77,24 +100,44 @@ object ParRunner {
   }
 }
 
-/** Sequential in-process runner (deterministic; used by unit tests). */
+/** Sequential in-process runner (deterministic; used by unit tests). Its
+  * shared handles are the values themselves.
+  */
 final class LocalRunner(parts: Int = 8) extends ParRunner {
   def runWithData[D: ClassTag, T: ClassTag](n: Int, data: D)(f: (D, Int, Int) => T): Seq[T] =
     chunks(n, parts).map { case (s, e) => f(data, s, e) }
+
+  def share[D: ClassTag](data: D): Shared[D] = new LocalRunner.Value(data)
 }
 
-/** Spark-backed runner: broadcast the shared state, run one task per chunk,
-  * collect the results in chunk order. A single chunk runs on the driver.
-  * `parts <= 0` means the session's default parallelism.
+object LocalRunner {
+  private final class Value[D](val value: D) extends Shared[D] {
+    def release(): Unit = ()
+  }
+}
+
+/** Spark-backed runner: broadcast the call's data, run one task per chunk,
+  * collect the results in chunk order, and destroy the broadcast, also when
+  * a chunk fails. A single chunk runs on the driver. `parts <= 0` means the
+  * session's default parallelism. A shared handle is a broadcast that lives
+  * until its release.
   */
 final class SparkRunner(@transient spark: SparkSession, parts: Int = 0) extends ParRunner {
   def runWithData[D: ClassTag, T: ClassTag](n: Int, data: D)(f: (D, Int, Int) => T): Seq[T] = {
     val sc = spark.sparkContext
     val ranges = chunks(n, if (parts > 0) parts else sc.defaultParallelism)
     if (ranges.size <= 1) return ranges.map { case (s, e) => f(data, s, e) }
-    val bc = sc.broadcast(data)
-    val res = sc.parallelize(ranges, ranges.size).map { case (s, e) => f(bc.value, s, e) }.collect()
-    bc.destroy()
-    res.toSeq
+    val shared = share(data)
+    try sc.parallelize(ranges, ranges.size).map { case (s, e) => f(shared.value, s, e) }.collect().toSeq
+    finally shared.release()
+  }
+
+  def share[D: ClassTag](data: D): Shared[D] = new SparkRunner.Broadcasted(spark.sparkContext.broadcast(data))
+}
+
+object SparkRunner {
+  private final class Broadcasted[D](bc: Broadcast[D]) extends Shared[D] {
+    def value: D = bc.value
+    def release(): Unit = bc.destroy()
   }
 }

@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.core.{BruteForce, MetricSpace, ParRunner, VPTree}
+import repro.core.{BruteForce, MetricSpace, ParRunner, Shared, VPTree}
 import scala.util.Random
 
 /** Configuration for [[NNDescent.build]].
@@ -115,7 +115,9 @@ object NNDescent {
 
   /** Builds the AKNN graph. Deterministic in `cfg.seed` for a fixed runner
     * chunking (sampling happens on the driver; executors only evaluate
-    * distances).
+    * distances). The space is shared with the runner once per build, so the
+    * local-join and exact K'-NN fan-outs ship only their join lists and
+    * targets.
     */
   def build(space: MetricSpace, cfg: NNDescentConfig, runner: ParRunner): AKnnResult = {
     val n = space.n
@@ -128,32 +130,35 @@ object NNDescent {
     if (cfg.vpInit) initByVpTree(space, lists, isPivot, k, rng)
     fillRandom(space, lists, k, rng) // cover objects the partitioning missed
 
-    // ---- iterative AKNN updates ----------------------------------------
-    var iter = 0
-    var converged = false
-    val updatedPrev = Array.fill(n)(true)
-    while (iter < cfg.maxIters && !converged) {
-      val inserts = runIteration(space, lists, updatedPrev, cfg, rng, runner)
-      iter += 1
-      if (inserts < cfg.delta * n * k) converged = true
-    }
-    val ids = Array.tabulate(n)(lists.idsOf)
-    val ds = Array.tabulate(n)(lists.distsOf)
+    val shared = runner.share(space)
+    try {
+      // ---- iterative AKNN updates --------------------------------------
+      var iter = 0
+      var converged = false
+      val updatedPrev = Array.fill(n)(true)
+      while (iter < cfg.maxIters && !converged) {
+        val inserts = runIteration(shared, lists, updatedPrev, cfg, rng, runner)
+        iter += 1
+        if (inserts < cfg.delta * n * k) converged = true
+      }
+      val ids = Array.tabulate(n)(lists.idsOf)
+      val ds = Array.tabulate(n)(lists.distsOf)
 
-    // ---- exact K'-NN retrieval (NNDescent+ third stage) ----------------
-    val exactLists: Array[Array[Int]] =
-      if (cfg.exactListSize > 0 && cfg.exactCount > 0) {
-        val m = math.min(cfg.exactCount, n)
-        val spread = ds.map(_.sum)
-        val targets = (0 until n).sortBy(v => -spread(v)).take(m).toArray
-        val kk = math.min(cfg.exactListSize, n - 1)
-        val knn = runner.mapIds(targets, (space, kk)) { case ((sp, kp), v) => BruteForce.knn(sp, v, kp) }
-        val out = new Array[Array[Int]](n)
-        targets.indices.foreach(i => out(targets(i)) = knn(i))
-        out
-      } else null
+      // ---- exact K'-NN retrieval (NNDescent+ third stage) --------------
+      val exactLists: Array[Array[Int]] =
+        if (cfg.exactListSize > 0 && cfg.exactCount > 0) {
+          val m = math.min(cfg.exactCount, n)
+          val spread = ds.map(_.sum)
+          val targets = (0 until n).sortBy(v => -spread(v)).take(m).toArray
+          val kk = math.min(cfg.exactListSize, n - 1)
+          val knn = runner.mapIds(targets, (shared, kk)) { case ((sp, kp), v) => BruteForce.knn(sp.value, v, kp) }
+          val out = new Array[Array[Int]](n)
+          targets.indices.foreach(i => out(targets(i)) = knn(i))
+          out
+        } else null
 
-    AKnnResult(ids, ds, isPivot, exactLists, iter)
+      AKnnResult(ids, ds, isPivot, exactLists, iter)
+    } finally shared.release()
   }
 
   /** Algorithm 3: repeated VP-tree ball partitioning; left leaf groups seed
@@ -291,14 +296,14 @@ object NNDescent {
     * whole. Each join list keeps the first occurrence of every id.
     */
   private def runIteration(
-      space: MetricSpace,
+      shared: Shared[MetricSpace],
       lists: NNLists,
       updatedPrev: Array[Boolean],
       cfg: NNDescentConfig,
       rng: Random,
       runner: ParRunner,
   ): Long = {
-    val n = space.n
+    val n = lists.rows
     val k = lists.cap
     val sampleK = math.max(1, (cfg.rho * k).toInt)
 
@@ -357,8 +362,8 @@ object NNDescent {
       k,
     )
 
-    val proposals = runner.runWithData(n, (space, join)) { case ((sp, jl), s, e) =>
-      localJoinChunk(sp, jl, s, e)
+    val proposals = runner.runWithData(n, (shared, join)) { case ((sp, jl), s, e) =>
+      localJoinChunk(sp.value, jl, s, e)
     }
 
     // merge on the driver, chunk by chunk in chunk order

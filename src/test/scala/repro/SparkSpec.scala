@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.SparkTestHooks
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +19,29 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** `body`'s result and the number of Spark jobs it started. */
+  def countingJobs[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    SparkTestHooks.drainListenerBus(sc) // earlier jobs' events must not reach the listener
+    sc.addSparkListener(listener)
+    try {
+      val a = body
+      SparkTestHooks.drainListenerBus(sc)
+      (a, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** Whether the driver still holds a broadcast whose value is `value`. */
+  def broadcastLive(value: AnyRef): Boolean =
+    SparkTestHooks.liveBroadcastValues(spark.sparkContext).exists {
+      case v: AnyRef => v eq value
+      case _ => false
+    }
 }
 
 object SparkSpec {

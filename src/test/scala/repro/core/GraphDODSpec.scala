@@ -169,9 +169,71 @@ class GraphDODSpec extends SparkSpec {
   test("filtering time and verification time are reported non-negative") {
     val s = TestSpaces.scenarios().head
     val (g, _) = MRPG.build(s.space, 10, runner, seed = 13, maxIters = 4)
-    val res = GraphDOD.detectLocal(s.space, g, s.r, s.k)
-    assert(res.filterMs >= 0 && res.verifyMs >= 0)
-    assert(res.totalMs == res.filterMs + res.verifyMs)
+    for (fanOut <- Seq(new LocalRunner(4), new SparkRunner(spark, 4))) {
+      val res = GraphDOD.run(fanOut, s.space, g, s.r, s.k)
+      assert(res.filterMs >= 0 && res.verifyMs >= 0)
+      assert(res.totalMs == res.filterMs + res.verifyMs)
+      assert(res.maxChunkMs >= res.meanChunkMs && res.meanChunkMs > 0)
+    }
+  }
+
+  test("phase times split the wall time, and verifyMs is 0 when nothing is verified") {
+    val s = TestSpaces.scenarios().head
+    val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))
+    // LocalRunner runs its 4 chunks one after another, inside the wall time
+    val all = GraphDOD.run(new LocalRunner(4), s.space, g, s.r, s.k, usePivotHop = false, useExactShortcut = false)
+    assert(all.candidates == s.space.n)
+    assert(all.filterMs + all.verifyMs == all.totalMs)
+    assert(all.meanChunkMs * 4 <= all.totalMs + 1.0)
+    assert(all.verifyMs >= all.filterMs) // an empty graph filters nothing away
+    for (fanOut <- Seq(new LocalRunner(4), new SparkRunner(spark, 4))) {
+      val (sm, gm) = smallCase
+      val none = GraphDOD.run(fanOut, sm.space, gm, 1e9, 2)
+      assert(none.candidates == 0 && none.outliers.isEmpty)
+      assert(none.verifyMs == 0)
+      assert(none.filterMs == none.totalMs)
+    }
+  }
+
+  test("a run under SparkRunner is one Spark job, verification included") {
+    val s = TestSpaces.scenarios().head
+    val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))
+    val (res, jobs) = countingJobs {
+      GraphDOD.run(new SparkRunner(spark, 4), s.space, g, s.r, s.k, usePivotHop = false, useExactShortcut = false)
+    }
+    assert(res.candidates == s.space.n)
+    assert(jobs == 1)
+  }
+
+  test("the fused run spends exactly filterVerdict's evaluations plus the candidates' exact counts") {
+    val spaces = Seq(
+      ("l2", TestSpaces.clustered(400, 8, VM.L2, seed = 71), 9.0, 10),
+      ("angular", TestSpaces.angular(400, 12, seed = 72), 0.12, 10),
+      ("edit", TestSpaces.strings(300, seed = 73), 4.0, 8),
+    )
+    for ((name, base, r, k) <- spaces) {
+      val (g, _) = MRPG.build(base, 10, runner, seed = 14, maxIters = 4)
+      val truth = BruteForce.outliers(base, r, k)
+      for (
+        counter <- Seq(LinearScanCounter(), VPTreeCounter(VPTree.build(base, 16, seed = 3)));
+        shortcut <- Seq(true, false);
+        fanOut <- Seq(new LocalRunner(4), new SparkRunner(spark, 4))
+      ) {
+        val label = s"$name ${counter.name} shortcut=$shortcut ${fanOut.getClass.getSimpleName}"
+        val expected = new CountingSpace(base)
+        var candidates = 0
+        for (p <- 0 until base.n) {
+          val verdict = GraphDOD.filterVerdict(expected, g, p, r, k, usePivotHop = true, shortcut)
+          if (verdict == GraphDOD.Candidate) { counter.count(expected, p, r, k); candidates += 1 }
+        }
+        val cs = new CountingSpace(base)
+        val res = GraphDOD.run(fanOut, cs, g, r, k, useExactShortcut = shortcut, counter = counter)
+        if (!shortcut) assert(candidates > 0, label) // the exact lists may decide every outlier
+        assert(cs.evaluations == expected.evaluations, label)
+        assert(res.candidates == candidates, label)
+        assert(res.outliers.toSeq == truth.toSeq, label)
+      }
+    }
   }
 
   test("random adversarial spaces: MRPG detection stays exact (20 draws)") {

@@ -1,10 +1,14 @@
 package repro.core
 
+import org.apache.spark.SparkException
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
 
 /** Range fan-out correctness: local and Spark runners agree (chunk results
-  * in the same order), chunking covers [0, n) exactly once, and the id
-  * fan-out returns results aligned with its ids.
+  * in the same order), chunking covers [0, n) exactly once, the id fan-out
+  * returns results aligned with its ids, shared handles live until their
+  * release, and a failing chunk frees its call's broadcast.
   */
 class ParRunnerSpec extends SparkSpec {
 
@@ -70,5 +74,42 @@ class ParRunnerSpec extends SparkSpec {
   test("zero-length range returns no chunks") {
     assert(new LocalRunner(4).runWithData(0, ())((_, s, e) => (s, e)).isEmpty)
     assert(new SparkRunner(spark, 4).runWithData(0, ())((_, s, e) => (s, e)).isEmpty)
+  }
+
+  test("LocalRunner.share returns the value itself") {
+    val data = Array(1, 2, 3)
+    val h = new LocalRunner(4).share(data)
+    assert(h.value eq data)
+    h.release()
+    assert(h.value eq data)
+  }
+
+  test("a SparkRunner handle serves several calls; a call reading it after release fails") {
+    val runner = new SparkRunner(spark, 4)
+    val data = Array.tabulate(100)(_ * 3)
+    val h = runner.share(data)
+    for (_ <- 0 until 3) {
+      val res = runner.runWithData(100, h)((d, s, e) => (s until e).map(d.value(_)).sum).sum
+      assert(res == data.sum)
+    }
+    assert(runner.mapIds(Array.range(0, 100), (h, 2)) { case ((d, m), id) => d.value(id) * m }.toSeq ==
+      data.map(_ * 2).toSeq)
+    h.release()
+    eventually(timeout(10.seconds))(assert(!broadcastLive(data)))
+    intercept[Exception](runner.runWithData(100, h)((d, s, e) => d.value(s) + e))
+  }
+
+  test("SparkRunner surfaces a failing chunk's error, frees the broadcast and runs again") {
+    val runner = new SparkRunner(spark, 4)
+    val data = Array.tabulate(100)(identity)
+    val err = intercept[SparkException] {
+      runner.runWithData(100, data) { (d, s, e) =>
+        if (s > 0) throw new IllegalStateException(s"boom in chunk $s")
+        d(e - 1)
+      }
+    }
+    assert(err.getMessage.contains("boom in chunk"))
+    eventually(timeout(10.seconds))(assert(!broadcastLive(data)))
+    assert(runner.runWithData(100, data)((d, s, e) => (s until e).map(d(_)).sum).sum == data.sum)
   }
 }

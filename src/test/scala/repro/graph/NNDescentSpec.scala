@@ -1,5 +1,8 @@
 package repro.graph
 
+import org.apache.spark.SparkException
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestSpaces}
 import repro.core.{BruteForce, CountingSpace, LocalRunner, MetricSpace, ParRunner, SparkRunner, VectorMetric, VectorSpace}
 import scala.collection.mutable
@@ -94,6 +97,25 @@ class NNDescentSpec extends SparkSpec {
     val viaSpark = NNDescent.build(space, cfgPlus(6), new SparkRunner(spark, 4))
     assert((0 until space.n).forall(v => local.nbrId(v).sameElements(viaSpark.nbrId(v))))
     assert(local.exactLists == null && viaSpark.exactLists == null)
+  }
+
+  test("a SparkRunner build runs iterations + 1 jobs and releases the shared space") {
+    val space = TestSpaces.clustered(800, 8, VectorMetric.L2, seed = 61)
+    val cfg = cfgPlus(10).copy(exactListSize = 30, exactCount = 40)
+    val (res, jobs) = countingJobs(NNDescent.build(space, cfg, new SparkRunner(spark, 4)))
+    assert(res.iterations > 1)
+    assert(jobs == res.iterations + 1)
+    eventually(timeout(10.seconds))(assert(!broadcastLive(space)))
+  }
+
+  test("a build whose chunk fails surfaces the error and releases the shared space") {
+    val base = TestSpaces.clustered(300, 8, VectorMetric.L2, seed = 64)
+    val initOnly = new CountingSpace(base)
+    NNDescent.build(initOnly, cfgPlus(10).copy(maxIters = 0), new LocalRunner(4))
+    val failing = new FailingSpace(base, failAfter = initOnly.evaluations + 100)
+    val err = intercept[SparkException](NNDescent.build(failing, cfgPlus(10), new SparkRunner(spark, 4)))
+    assert(err.getMessage.contains("distance failed"))
+    eventually(timeout(10.seconds))(assert(!broadcastLive(failing)))
   }
 
   test("exact K'-NN retrieval produces truly exact sorted lists for m objects") {
@@ -206,4 +228,15 @@ class NNDescentSpec extends SparkSpec {
       assert(rng.nextInt() == expectedRng.nextInt(), s"RNG state, cap=$cap len=$len seed=$seed")
     }
   }
+}
+
+/** Throws once it has made `failAfter` distance evaluations. */
+private final class FailingSpace(base: MetricSpace, failAfter: Long) extends MetricSpace {
+  private val calls = new java.util.concurrent.atomic.AtomicLong
+  def n: Int = base.n
+  def dist(i: Int, j: Int): Double = {
+    if (calls.incrementAndGet() > failAfter) throw new IllegalStateException("distance failed")
+    base.dist(i, j)
+  }
+  def dataBytes: Long = base.dataBytes
 }
