@@ -1,12 +1,13 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{CountingSpace, LocalRunner, SparkRunner}
+import repro.core.{CountingSpace, LocalRunner, ParRunner, SparkRunner}
 import repro.data.Datasets
 import repro.graph.{KGraphBuilder, MRPG, NNDescent, NNDescentConfig, NSW}
 
 /** Profiling entrypoint: builds each proximity graph for one dataset and
   * prints wall time, distance evaluations and MRPG step decomposition.
+  * With `local` the builds run inline and no SparkSession is started.
   *
   * Usage: `runMain repro.jobs.BuildProfileJob <dataset> [scale] [local|spark]`
   */
@@ -15,16 +16,14 @@ object BuildProfileJob {
     val name = args.headOption.getOrElse("deep")
     val scale = if (args.length > 1) args(1).toDouble else 1.0
     val useLocal = args.length > 2 && args(2) == "local"
-    val spark = SparkSession.builder
+    val spark = if (useLocal) None else Some(SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("BuildProfileJob")
-      .getOrCreate()
+      .getOrCreate())
     try {
       val spec = Datasets.byName(name)
-      val space = new CountingSpace(spec.space(spark, scale))
-      val runner =
-        if (useLocal) new LocalRunner(16)
-        else new SparkRunner(spark)
+      val space = new CountingSpace(spec.space(scale))
+      val runner = spark.fold[ParRunner](new LocalRunner(16))(new SparkRunner(_))
       println(s"dataset=$name n=${space.n} K=${spec.graphK} runner=${if (useLocal) "local" else "spark"}")
 
       def prof(label: String)(body: => Any): Unit = {
@@ -52,6 +51,6 @@ object BuildProfileJob {
           s"+C=${st.linksAddedConnect} +D=${st.linksAddedDetours} -L=${st.linksRemoved}"
       }
       prof("NSW") { NSW.build(space, math.max(2, spec.graphK / 2), seed = spec.seed); "" }
-    } finally spark.stop()
+    } finally spark.foreach(_.stop())
   }
 }

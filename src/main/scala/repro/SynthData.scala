@@ -1,7 +1,8 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.{col, udf}
+import scala.reflect.runtime.universe.TypeTag
 
 /** Synthetic metric datasets for the DOD reproduction.
   *
@@ -9,10 +10,18 @@ import org.apache.spark.sql.functions._
   * SIFT/Words); these synthetic substitutes keep the same distance function
   * and the same shape: clustered inliers (Gaussian clusters with skewed
   * sizes and per-cluster spread) plus a sparse uniform background of clear
-  * outliers. Generators are per-row UDFs seeded by (seed, id), so the data
-  * is deterministic regardless of partitioning.
+  * outliers. Each generator is a plain per-row function `id => row`, seeded
+  * by (seed, id): `DatasetSpec.space` tabulates it into arrays with no Spark
+  * at all, and [[frame]] wraps the same function as a UDF over `spark.range`,
+  * so both give the same rows, bit for bit, regardless of partitioning.
   */
 object SynthData {
+
+  /** `(id LONG, <column>)` DataFrame of `n` rows, row `id` being `row(id)`. */
+  def frame[T: TypeTag](spark: SparkSession, n: Long, column: String, row: Long => T): DataFrame = {
+    val gen = udf(row)
+    spark.range(n).select(col("id"), gen(col("id")).as(column))
+  }
 
   private def rowRng(seed: Long, id: Long): scala.util.Random =
     new scala.util.Random(scala.util.hashing.byteswap64(seed ^ (id * 0x9E3779B97F4A7C15L)))
@@ -35,7 +44,7 @@ object SynthData {
     cum
   }
 
-  /** Clustered vectors: `(id LONG, vec ARRAY<DOUBLE>)`.
+  /** Clustered vectors, one `dim`-vector per row id.
     *
     * Inliers: Gaussian around one of `nClusters` centers uniform in
     * `[0, range]^dim`, per-cluster spread `sigma * U(0.7, 1.3)`, skewed
@@ -43,18 +52,16 @@ object SynthData {
     * the cube — far from every cluster and from each other.
     */
   def clusteredVectors(
-      spark: SparkSession,
-      n: Long,
       dim: Int,
       nClusters: Int,
       sigma: Double,
       range: Double,
       outlierFrac: Double,
       seed: Long,
-      miniFrac: Double = 0.0,
-      nMini: Int = 0,
-      miniSigmaFactor: Double = 1.3,
-  ): DataFrame = {
+      miniFrac: Double,
+      nMini: Int,
+      miniSigmaFactor: Double,
+  ): Long => Array[Double] = {
     val setup = new scala.util.Random(seed)
     val centers = Array.fill(nClusters, dim)(setup.nextDouble() * range)
     val spreads = Array.fill(nClusters)(sigma * (0.7 + 0.6 * setup.nextDouble()))
@@ -68,7 +75,7 @@ object SynthData {
       sigma * miniSigmaFactor * (0.9 + 0.2 * setup.nextDouble()))
     val miniW = Array.fill(math.max(nMini, 1))(0.5 + setup.nextDouble())
     val miniCum = { val s = miniW.sum; var a = 0.0; miniW.map { w => a += w / s; a } }
-    val gen = udf { (id: Long) =>
+    id => {
       val rng = rowRng(seed, id)
       val u = rng.nextDouble()
       if (u < outlierFrac) Array.fill(dim)(rng.nextDouble() * range)
@@ -82,27 +89,41 @@ object SynthData {
         Array.tabulate(dim)(i => centers(c)(i) + rng.nextGaussian() * s)
       }
     }
-    spark.range(n).select(col("id"), gen(col("id")).as("vec"))
   }
 
-  /** Clustered unit vectors for the angular metric: `(id, vec)`.
+  /** [[clusteredVectors]] as an `(id LONG, vec ARRAY<DOUBLE>)` DataFrame of `n` rows. */
+  def clusteredVectors(
+      spark: SparkSession,
+      n: Long,
+      dim: Int,
+      nClusters: Int,
+      sigma: Double,
+      range: Double,
+      outlierFrac: Double,
+      seed: Long,
+      miniFrac: Double = 0.0,
+      nMini: Int = 0,
+      miniSigmaFactor: Double = 1.3,
+  ): DataFrame =
+    frame(spark, n, "vec",
+      clusteredVectors(dim, nClusters, sigma, range, outlierFrac, seed, miniFrac, nMini, miniSigmaFactor))
+
+  /** Clustered unit vectors for the angular metric, one per row id.
     *
     * Inliers: normalized Gaussian perturbations of random unit centers.
     * Outliers: random unit vectors (nearly orthogonal to everything in
     * moderate dimensions — clear outliers).
     */
   def angularVectors(
-      spark: SparkSession,
-      n: Long,
       dim: Int,
       nClusters: Int,
       sigma: Double,
       outlierFrac: Double,
       seed: Long,
-      miniFrac: Double = 0.0,
-      nMini: Int = 0,
-      miniSigmaFactor: Double = 1.3,
-  ): DataFrame = {
+      miniFrac: Double,
+      nMini: Int,
+      miniSigmaFactor: Double,
+  ): Long => Array[Double] = {
     val setup = new scala.util.Random(seed)
     def unit(rng: scala.util.Random): Array[Double] = {
       val v = Array.fill(dim)(rng.nextGaussian())
@@ -122,7 +143,7 @@ object SynthData {
       sigma * miniSigmaFactor * (0.9 + 0.2 * setup.nextDouble()))
     val miniW = Array.fill(math.max(nMini, 1))(0.5 + setup.nextDouble())
     val miniCum = { val s = miniW.sum; var a = 0.0; miniW.map { w => a += w / s; a } }
-    val gen = udf { (id: Long) =>
+    id => {
       val rng = rowRng(seed, id)
       val u = rng.nextDouble()
       if (u < outlierFrac) unit(rng)
@@ -134,10 +155,9 @@ object SynthData {
         around(centers(c), spreads(c), rng)
       }
     }
-    spark.range(n).select(col("id"), gen(col("id")).as("vec"))
   }
 
-  /** Edit-distance strings: `(id LONG, word STRING)`.
+  /** Edit-distance strings, one word per row id.
     *
     * Inliers: a root word (length 8-12) with up to 2 random edits, so
     * co-members stay within edit distance 4 of each other. Outliers: long
@@ -146,14 +166,12 @@ object SynthData {
     * i.e. length; matched here).
     */
   def editWords(
-      spark: SparkSession,
-      n: Long,
       nRoots: Int,
       outlierFrac: Double,
       seed: Long,
-      sparseFrac: Double = 0.0,
-      nSparseRoots: Int = 0,
-  ): DataFrame = {
+      sparseFrac: Double,
+      nSparseRoots: Int,
+  ): Long => String = {
     val setup = new scala.util.Random(seed)
     def randomWord(rng: scala.util.Random, len: Int): String =
       new String(Array.fill(len)(('a' + rng.nextInt(26)).toChar))
@@ -162,7 +180,7 @@ object SynthData {
     // straddle a typical r, so their neighbor counts hover around k
     val sparseRoots = Array.fill(math.max(nSparseRoots, 1))(randomWord(setup, 9 + setup.nextInt(5)))
     val cum = zipfCum(nRoots)
-    val gen = udf { (id: Long) =>
+    id => {
       val rng = rowRng(seed, id)
       val u = rng.nextDouble()
       if (u < outlierFrac) randomWord(rng, 20 + rng.nextInt(9))
@@ -189,6 +207,5 @@ object SynthData {
         w
       }
     }
-    spark.range(n).select(col("id"), gen(col("id")).as("word"))
   }
 }

@@ -41,33 +41,42 @@ final case class DatasetSpec(
 ) {
   def n(scale: Double): Int = math.max(200, (baseN * scale).toInt)
 
-  /** Source DataFrame: `(id, vec)` for vectors, `(id, word)` for strings. */
-  def df(spark: SparkSession, scale: Double = 1.0): DataFrame = metric match {
+  private def words: Long => String =
+    SynthData.editWords(nClusters, outlierFrac, seed, sparseFrac = miniFrac, nSparseRoots = nMini)
+
+  private def vectors: Long => Array[Double] = metric match {
     case "Angular" =>
-      SynthData.angularVectors(spark, n(scale), dim, nClusters, sigma, outlierFrac, seed,
+      SynthData.angularVectors(dim, nClusters, sigma, outlierFrac, seed,
         miniFrac = miniFrac, nMini = nMini, miniSigmaFactor = miniSigmaFactor)
-    case "Edit" =>
-      SynthData.editWords(spark, n(scale), nClusters, outlierFrac, seed,
-        sparseFrac = miniFrac, nSparseRoots = nMini)
     case _ =>
-      SynthData.clusteredVectors(spark, n(scale), dim, nClusters, sigma, range, outlierFrac, seed,
+      SynthData.clusteredVectors(dim, nClusters, sigma, range, outlierFrac, seed,
         miniFrac = miniFrac, nMini = nMini, miniSigmaFactor = miniSigmaFactor)
   }
 
-  /** Collects the DataFrame into a broadcastable in-memory metric space,
-    * index == id (the paper's P is memory-resident).
+  /** Source DataFrame: `(id, vec)` for vectors, `(id, word)` for strings,
+    * the rows of [[space]] bit for bit.
     */
-  def space(spark: SparkSession, scale: Double = 1.0): MetricSpace = {
-    val rows = df(spark, scale).collect().sortBy(_.getLong(0))
-    metric match {
-      case "Edit" => new StringSpace(rows.map(_.getString(1)))
-      case m =>
-        new VectorSpace(
-          rows.map(_.getSeq[Double](1).toArray),
-          VectorMetric.byName(m),
-        )
+  def df(spark: SparkSession, scale: Double = 1.0): DataFrame =
+    if (metric == "Edit") SynthData.frame(spark, n(scale), "word", words)
+    else SynthData.frame(spark, n(scale), "vec", vectors)
+
+  /** The in-memory metric space, index == id (the paper's P is
+    * memory-resident), tabulated from the generator on the calling thread:
+    * no SparkSession, Spark SQL query or Spark job.
+    */
+  def space(scale: Double = 1.0): MetricSpace =
+    if (metric == "Edit") {
+      val gen = words
+      new StringSpace(Array.tabulate(n(scale))(gen(_)))
+    } else {
+      val gen = vectors
+      new VectorSpace(Array.tabulate(n(scale))(gen(_)), VectorMetric.byName(metric))
     }
-  }
+
+  /** [[space]]`(scale)`; the session is ignored. Kept because the benchmark
+    * harness (`perfbench`) compiles against this signature.
+    */
+  def space(spark: SparkSession, scale: Double): MetricSpace = space(scale)
 }
 
 object Datasets {

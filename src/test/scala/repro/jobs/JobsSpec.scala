@@ -36,6 +36,12 @@ class JobsSpec extends SparkSpec {
     assert(rows.length == 7)
   }
 
+  test("BuildProfileJob with local starts no Spark job and leaves the session alone") {
+    val (_, jobs) = countingJobs(BuildProfileJob.main(Array("words", "0.02", "local")))
+    assert(jobs == 0)
+    assert(!spark.sparkContext.isStopped)
+  }
+
   test("BuildProfileJob's dataset lookup rejects unknown names") {
     assertThrows[IllegalArgumentException](repro.data.Datasets.byName("not-a-dataset"))
   }
