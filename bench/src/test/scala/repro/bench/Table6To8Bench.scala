@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.data.Datasets
-import repro.tables.{BenchContext, Tables}
+import repro.tables.{BenchContext, DatasetState, Tables}
 
 /** Tables 6–8: index sizes, filtering false positives, Glove decomposition. */
 class Table6To8Bench extends BenchSuite {
@@ -53,7 +53,7 @@ class Table6To8Bench extends BenchSuite {
 
   test("candidate accounting matches Table 7 on every dataset") {
     BenchContext.allStates(spark, scale).foreach { st =>
-      st.graphNames.foreach { g =>
+      DatasetState.GraphNames.foreach { g =>
         val res = st.dod(g)
         val verifiedOutliers = res.outliers.length - res.directOutliers
         assert(res.candidates == res.falsePositives + verifiedOutliers,

@@ -14,15 +14,10 @@ trait TableJob {
 
   def main(args: Array[String]): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(BenchContext.DefaultScale)
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(getClass.getSimpleName.stripSuffix("$"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    try {
+    JobSession(getClass.getSimpleName.stripSuffix("$")) { spark =>
       val (title, headers, rows) = table(spark, scale)
       println(TableFmt.render(title, headers, rows))
-    } finally spark.stop()
+    }
   }
 }
 
@@ -71,16 +66,11 @@ object Table8Job extends TableJob {
 object AllTablesJob {
   def main(args: Array[String]): Unit = {
     val scale = args.headOption.map(_.toDouble).getOrElse(BenchContext.DefaultScale)
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("AllTablesJob")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    try {
+    JobSession("AllTablesJob") { spark =>
       println(Tables.renderAll(spark, scale))
       val violations = Tables.exactnessViolations(spark, scale)
       require(violations.isEmpty, s"exactness violations:\n${violations.mkString("\n")}")
       println("\nAll algorithm results match the brute-force ground truth.")
-    } finally spark.stop()
+    }
   }
 }

@@ -1,9 +1,5 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{col, udf}
-import scala.reflect.runtime.universe.TypeTag
-
 /** Synthetic metric datasets for the DOD reproduction.
   *
   * The paper evaluates on 7 real datasets (Deep/Glove/HEPMASS/MNIST/PAMAP2/
@@ -11,17 +7,10 @@ import scala.reflect.runtime.universe.TypeTag
   * and the same shape: clustered inliers (Gaussian clusters with skewed
   * sizes and per-cluster spread) plus a sparse uniform background of clear
   * outliers. Each generator is a plain per-row function `id => row`, seeded
-  * by (seed, id): `DatasetSpec.space` tabulates it into arrays with no Spark
-  * at all, and [[frame]] wraps the same function as a UDF over `spark.range`,
-  * so both give the same rows, bit for bit, regardless of partitioning.
+  * by (seed, id), so any evaluation order gives the same rows, bit for bit:
+  * `DatasetSpec.space` tabulates it into arrays.
   */
 object SynthData {
-
-  /** `(id LONG, <column>)` DataFrame of `n` rows, row `id` being `row(id)`. */
-  def frame[T: TypeTag](spark: SparkSession, n: Long, column: String, row: Long => T): DataFrame = {
-    val gen = udf(row)
-    spark.range(n).select(col("id"), gen(col("id")).as(column))
-  }
 
   private def rowRng(seed: Long, id: Long): scala.util.Random =
     new scala.util.Random(scala.util.hashing.byteswap64(seed ^ (id * 0x9E3779B97F4A7C15L)))
@@ -90,23 +79,6 @@ object SynthData {
       }
     }
   }
-
-  /** [[clusteredVectors]] as an `(id LONG, vec ARRAY<DOUBLE>)` DataFrame of `n` rows. */
-  def clusteredVectors(
-      spark: SparkSession,
-      n: Long,
-      dim: Int,
-      nClusters: Int,
-      sigma: Double,
-      range: Double,
-      outlierFrac: Double,
-      seed: Long,
-      miniFrac: Double = 0.0,
-      nMini: Int = 0,
-      miniSigmaFactor: Double = 1.3,
-  ): DataFrame =
-    frame(spark, n, "vec",
-      clusteredVectors(dim, nClusters, sigma, range, outlierFrac, seed, miniFrac, nMini, miniSigmaFactor))
 
   /** Clustered unit vectors for the angular metric, one per row id.
     *

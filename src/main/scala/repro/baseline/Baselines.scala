@@ -1,23 +1,28 @@
 package repro.baseline
 
-import repro.core.{BruteForce, MetricSpace, ParRunner, VPTree}
+import repro.core.{BruteForce, ExactCounter, MetricSpace, ParRunner}
 import scala.collection.mutable
 import scala.util.Random
 
-/** Result of a baseline DOD run. */
-final case class BaselineResult(outliers: Array[Int], totalMs: Long, indexBytes: Long)
-
-/** Nested-loop DOD [Knorr & Ng, VLDB'98]: for each object scan P, stopping
-  * when the neighbor count reaches `k`. Objects fan out through the
-  * [[ParRunner]] (the paper runs all algorithms multi-threaded).
+/** Result of one DOD run as the tables report it: the outliers, the wall
+  * time and the size of the index the run reads.
   */
-object NestedLoop {
-  def run(runner: ParRunner, space: MetricSpace, r: Double, k: Int): BaselineResult = {
+final case class DetectionResult(outliers: Array[Int], totalMs: Long, indexBytes: Long)
+
+/** Scan DOD: count every object exactly with `counter`, stopping at `k`.
+  * With a [[repro.core.LinearScanCounter]] it is the Nested-loop baseline
+  * [Knorr & Ng, VLDB'98] (no index); with a [[repro.core.VPTreeCounter]]
+  * it is the VP-tree baseline [Yianilos, SODA'93 + Chen et al., PVLDB'17],
+  * whose tree is built offline. Objects fan out through the [[ParRunner]]
+  * (the paper runs all algorithms multi-threaded).
+  */
+object ScanDOD {
+  def run(runner: ParRunner, space: MetricSpace, r: Double, k: Int, counter: ExactCounter): DetectionResult = {
     val t0 = System.nanoTime()
-    val out = runner.select(Array.range(0, space.n), space) { (sp, p) =>
-      BruteForce.countNeighbors(sp, p, r, k) < k
+    val out = runner.select(Array.range(0, space.n), (space, counter)) { case ((sp, c), p) =>
+      c.count(sp, p, r, k) < k
     }
-    BaselineResult(out, (System.nanoTime() - t0) / 1000000L, 0L)
+    DetectionResult(out, (System.nanoTime() - t0) / 1000000L, counter.sizeBytes)
   }
 }
 
@@ -37,7 +42,7 @@ object SNIF {
       r: Double,
       k: Int,
       seed: Long = 11L,
-  ): BaselineResult = {
+  ): DetectionResult = {
     val t0 = System.nanoTime()
     val n = space.n
     val rng = new Random(seed)
@@ -84,7 +89,7 @@ object SNIF {
         }
         count < k
     }
-    BaselineResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
+    DetectionResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
   }
 }
 
@@ -103,7 +108,7 @@ object Dolphin {
       k: Int,
       pInlier: Double = 0.05,
       seed: Long = 13L,
-  ): BaselineResult = {
+  ): DetectionResult = {
     val t0 = System.nanoTime()
     val n = space.n
     val rng = new Random(seed)
@@ -135,25 +140,6 @@ object Dolphin {
     val out = runner.select(candidates, space) { (sp, q) =>
       BruteForce.countNeighbors(sp, q, r, k) < k
     }
-    BaselineResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
-  }
-}
-
-/** VP-tree DOD [Yianilos, SODA'93 + Chen et al., PVLDB'17]: build the tree
-  * offline, then range-count every object with early termination at `k`.
-  */
-object VPTreeDOD {
-  def run(
-      runner: ParRunner,
-      space: MetricSpace,
-      r: Double,
-      k: Int,
-      tree: VPTree,
-  ): BaselineResult = {
-    val t0 = System.nanoTime()
-    val out = runner.select(Array.range(0, space.n), (space, tree)) { case ((sp, tr), p) =>
-      tr.rangeCount(sp, p, r, k) < k
-    }
-    BaselineResult(out, (System.nanoTime() - t0) / 1000000L, tree.sizeBytes)
+    DetectionResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.graph.ProximityGraph
 
 /** Exact neighbor counting for the verification phase (`Exact-Counting` in
@@ -189,18 +189,4 @@ object GraphDOD {
       partitions: Int = 0,
   ): DODResult =
     run(new SparkRunner(spark, partitions), space, g, r, k, usePivotHop, useExactShortcut, counter)
-
-  /** DataFrame wrapper: detected outlier ids as a single-column DataFrame
-    * (`id: bigint`) for oracle diffs and spark-submit jobs.
-    */
-  def detectDF(
-      spark: SparkSession,
-      space: MetricSpace,
-      g: ProximityGraph,
-      r: Double,
-      k: Int,
-  ): DataFrame = {
-    import spark.implicits._
-    detect(spark, space, g, r, k).outliers.map(_.toLong).toSeq.toDF("id")
-  }
 }

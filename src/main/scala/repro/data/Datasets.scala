@@ -53,13 +53,6 @@ final case class DatasetSpec(
         miniFrac = miniFrac, nMini = nMini, miniSigmaFactor = miniSigmaFactor)
   }
 
-  /** Source DataFrame: `(id, vec)` for vectors, `(id, word)` for strings,
-    * the rows of [[space]] bit for bit.
-    */
-  def df(spark: SparkSession, scale: Double = 1.0): DataFrame =
-    if (metric == "Edit") SynthData.frame(spark, n(scale), "word", words)
-    else SynthData.frame(spark, n(scale), "vec", vectors)
-
   /** The in-memory metric space, index == id (the paper's P is
     * memory-resident), tabulated from the generator on the calling thread:
     * no SparkSession, Spark SQL query or Spark job.

@@ -41,18 +41,16 @@ object MRPG {
       runner: ParRunner,
       seed: Long = 42L,
       basic: Boolean = false,
-      exactCount: Int = -1,
       maxIters: Int = 10,
   ): (ProximityGraph, BuildStats) = {
     val n = space.n
-    val m = if (exactCount >= 0) exactCount else defaultExactCount(n)
     val kPrime = if (basic) k else KPrimeFactor * k
     val cfg = NNDescentConfig(
       K = k,
       vpInit = true,
       skipUnchanged = true,
       exactListSize = kPrime,
-      exactCount = m,
+      exactCount = defaultExactCount(n),
       maxIters = maxIters,
       seed = seed,
     )

@@ -19,9 +19,7 @@ final case class NNDescentConfig(
     skipUnchanged: Boolean,
     exactListSize: Int = 0,
     exactCount: Int = 0,
-    rho: Double = 0.5,
     maxIters: Int = 10,
-    delta: Double = 0.002,
     seed: Long = 42L,
 )
 
@@ -98,6 +96,16 @@ final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) {
 
 object NNDescent {
 
+  /** Sample rate: each iteration joins `Rho * K` new and old neighbors per
+    * vertex (NNDescent's `rho`).
+    */
+  val Rho = 0.5
+
+  /** Convergence threshold: iterations stop once fewer than `Delta * n * K`
+    * list entries improved (NNDescent's `delta`).
+    */
+  val Delta = 0.002
+
   /** Per-vertex id lists in compressed sparse row form: row `v` is
     * `ids(off(v) until off(v + 1))`.
     */
@@ -139,7 +147,7 @@ object NNDescent {
       while (iter < cfg.maxIters && !converged) {
         val inserts = runIteration(shared, lists, updatedPrev, cfg, rng, runner)
         iter += 1
-        if (inserts < cfg.delta * n * k) converged = true
+        if (inserts < Delta * n * k) converged = true
       }
       val ids = Array.tabulate(n)(lists.idsOf)
       val ds = Array.tabulate(n)(lists.distsOf)
@@ -305,7 +313,7 @@ object NNDescent {
   ): Long = {
     val n = lists.rows
     val k = lists.cap
-    val sampleK = math.max(1, (cfg.rho * k).toInt)
+    val sampleK = math.max(1, (Rho * k).toInt)
 
     val (fwdNew, fwdOld) = splitForward(lists, updatedPrev, cfg.skipUnchanged)
     val revNew = reverse(fwdNew, n)

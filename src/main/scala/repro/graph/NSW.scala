@@ -7,8 +7,10 @@ import scala.util.Random
 /** Navigable Small World graph [Malkov et al., Inf. Systems'14].
   *
   * Incremental construction: objects are inserted in random order; each new
-  * object runs `attempts` greedy searches from random entry points, collects
-  * every evaluated vertex, and links bidirectionally to the `f` closest.
+  * object runs `f` greedy searches from random entry points (the number of
+  * searches tracks the link count, as in the original construction),
+  * collects every evaluated vertex, and links bidirectionally to the `f`
+  * closest.
   * The construction is inherently sequential (each insertion must see the
   * links of its predecessors) — the paper stresses NSW cannot use
   * multi-threading, and Table 3's build times depend on that, so this
@@ -19,13 +21,8 @@ import scala.util.Random
   */
 object NSW {
 
-  /** @param attempts multi-start greedy searches per insertion; 0 (default)
-    *                  means `f`, matching the original construction where the
-    *                  number of searches tracks the link count
-    */
-  def build(space: MetricSpace, f: Int, attempts: Int = 0, seed: Long = 7L): ProximityGraph = {
+  def build(space: MetricSpace, f: Int, seed: Long = 7L): ProximityGraph = {
     val n = space.n
-    val w = if (attempts > 0) attempts else f
     val rng = new Random(seed)
     val adj = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
     val order = rng.shuffle((0 until n).toList).toArray
@@ -34,7 +31,7 @@ object NSW {
     while (t < order.length) {
       val q = order(t)
       if (t > 0) {
-        val friends = searchFriends(space, adj, order, t, q, f, w, rng)
+        val friends = searchFriends(space, adj, order, t, q, f, rng)
         friends.foreach { u =>
           if (!adj(q).contains(u)) adj(q) += u
           if (!adj(u).contains(q)) adj(u) += q
@@ -45,8 +42,8 @@ object NSW {
     ProximityGraph.plain(adj.map(_.toArray))
   }
 
-  /** Multi-start greedy descent toward `q`; returns the `f` closest evaluated
-    * vertices across all attempts.
+  /** `f` greedy descents toward `q`; returns the `f` closest evaluated
+    * vertices across all of them.
     */
   private def searchFriends(
       space: MetricSpace,
@@ -55,14 +52,13 @@ object NSW {
       inserted: Int,
       q: Int,
       f: Int,
-      attempts: Int,
       rng: Random,
   ): Seq[Int] = {
     val evaluated = mutable.HashMap.empty[Int, Double]
     def d(u: Int): Double = evaluated.getOrElseUpdate(u, space.dist(q, u))
 
     var a = 0
-    while (a < attempts) {
+    while (a < f) {
       var cur = order(rng.nextInt(inserted))
       var curD = d(cur)
       var improved = true

@@ -1,7 +1,7 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.baseline.{BaselineResult, Dolphin, NestedLoop, SNIF, VPTreeDOD}
+import repro.baseline.{DetectionResult, Dolphin, SNIF, ScanDOD}
 import repro.core._
 import repro.data.{DatasetSpec, Datasets}
 import repro.graph.{KGraphBuilder, MRPG, NSW, ProximityGraph}
@@ -21,6 +21,8 @@ import scala.collection.mutable
   * distance counts expose the algorithmic cost the paper analyzes.
   */
 final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Double) {
+  import DatasetState.Counted
+
   val runner = new SparkRunner(spark)
 
   private def timed[T](body: => T): (T, Long) = {
@@ -44,9 +46,6 @@ final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Doub
   lazy val truth: Array[Int] = BruteForce.outliers(space, spec.r, spec.k)
   lazy val outlierRatio: Double = 100.0 * truth.length / space.n
 
-  /** A run result annotated with the distance evaluations it consumed. */
-  final case class Counted[T](value: T, dists: Long)
-
   /** Measures `body`'s distance evaluations; all lazily-built inputs the
     * body depends on must be forced by the caller first.
     */
@@ -69,29 +68,18 @@ final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Doub
   private val graphCache = mutable.LinkedHashMap.empty[String, GraphBundle]
 
   def graph(name: String): GraphBundle = graphCache.getOrElseUpdate(name, {
-    val c0 = countingSpace.evaluations
-    name match {
-      case "NSW" =>
-        val (g, ms) = timed(NSW.build(space, f = math.max(2, spec.graphK / 2), seed = spec.seed))
-        GraphBundle(name, g, ms, countingSpace.evaluations - c0, None)
-      case "KGraph" =>
-        val (g, ms) = timed(KGraphBuilder.build(space, spec.graphK, runner, seed = spec.seed))
-        GraphBundle(name, g, ms, countingSpace.evaluations - c0, None)
-      case "MRPG-basic" =>
-        val ((g, st), ms) =
-          timed(MRPG.build(space, spec.graphK, runner, seed = spec.seed, basic = true))
-        GraphBundle(name, g, ms, countingSpace.evaluations - c0, Some(st))
-      case "MRPG" =>
-        val ((g, st), ms) =
-          timed(MRPG.build(space, spec.graphK, runner, seed = spec.seed, basic = false))
-        GraphBundle(name, g, ms, countingSpace.evaluations - c0, Some(st))
+    val Counted(((g, stats), ms), dists) = counted(timed(name match {
+      case "NSW" => (NSW.build(space, f = math.max(2, spec.graphK / 2), seed = spec.seed), None)
+      case "KGraph" => (KGraphBuilder.build(space, spec.graphK, runner, seed = spec.seed), None)
+      case "MRPG-basic" | "MRPG" =>
+        val (g, st) = MRPG.build(space, spec.graphK, runner, seed = spec.seed, basic = name == "MRPG-basic")
+        (g, Some(st))
       case other => throw new IllegalArgumentException(s"unknown graph: $other")
-    }
+    }))
+    GraphBundle(name, g, ms, dists, stats)
   })
 
-  val graphNames: Seq[String] = Seq("NSW", "KGraph", "MRPG-basic", "MRPG")
-
-  // ---- DOD runs (Table 5/7/8) -------------------------------------------
+  // ---- DOD runs (Table 5/6/7/8) -----------------------------------------
 
   private val dodCache = mutable.LinkedHashMap.empty[String, Counted[DODResult]]
 
@@ -99,7 +87,7 @@ final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Doub
     * and no exact-list shortcut, per the paper's §6 setup; MRPG-basic adds
     * pivot hops; MRPG adds the §5.5 direct decision.
     */
-  def dodRun(name: String): Counted[DODResult] = dodCache.getOrElseUpdate(name, {
+  private def dodRun(name: String): Counted[DODResult] = dodCache.getOrElseUpdate(name, {
     val b = graph(name) // force the offline build outside the measurement
     val ec = counter
     val pivotHop = name.startsWith("MRPG")
@@ -109,45 +97,35 @@ final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Doub
   })
 
   def dod(name: String): DODResult = dodRun(name).value
-  def dodDists(name: String): Long = dodRun(name).dists
 
-  // ---- scan-based baselines (Table 5/6) ---------------------------------
+  private val detectionCache = mutable.LinkedHashMap.empty[String, Counted[DetectionResult]]
 
-  private lazy val nestedLoopC: Counted[BaselineResult] = {
-    val _ = space
-    counted(NestedLoop.run(runner, space, spec.r, spec.k))
-  }
-  private lazy val snifC: Counted[BaselineResult] = {
-    val _ = space
-    counted(SNIF.run(runner, space, spec.r, spec.k, seed = spec.seed))
-  }
-  private lazy val dolphinC: Counted[BaselineResult] = {
-    val _ = space
-    counted(Dolphin.run(runner, space, spec.r, spec.k, seed = spec.seed))
-  }
-  private lazy val vptreeDodC: Counted[BaselineResult] = {
-    val _ = vpTree // offline build, not part of the detection measurement
-    counted(VPTreeDOD.run(runner, space, spec.r, spec.k, vpTree))
-  }
-
-  def nestedLoop: BaselineResult = nestedLoopC.value
-  def snif: BaselineResult = snifC.value
-  def dolphin: BaselineResult = dolphinC.value
-  def vptreeDod: BaselineResult = vptreeDodC.value
-
-  /** Detection-time distance evaluations for all eight algorithms, in the
-    * Table 5 column order.
+  /** One of [[DatasetState.Algorithms]] run on this dataset at its default
+    * `(r, k)`, with the size of the index it reads. Offline builds (VP-tree,
+    * graphs) are forced outside the distance measurement.
     */
-  def allDists: Seq[(String, Long)] = Seq(
-    "Nested-loop" -> nestedLoopC.dists,
-    "SNIF" -> snifC.dists,
-    "DOLPHIN" -> dolphinC.dists,
-    "VP-tree" -> vptreeDodC.dists,
-    "NSW" -> dodDists("NSW"),
-    "KGraph" -> dodDists("KGraph"),
-    "MRPG-basic" -> dodDists("MRPG-basic"),
-    "MRPG" -> dodDists("MRPG"),
-  )
+  def detection(alg: String): Counted[DetectionResult] = detectionCache.getOrElseUpdate(alg, alg match {
+    case "Nested-loop" => counted(ScanDOD.run(runner, space, spec.r, spec.k, LinearScanCounter()))
+    case "SNIF" => counted(SNIF.run(runner, space, spec.r, spec.k, seed = spec.seed))
+    case "DOLPHIN" => counted(Dolphin.run(runner, space, spec.r, spec.k, seed = spec.seed))
+    case "VP-tree" =>
+      val ec = VPTreeCounter(vpTree) // offline build, outside the measurement
+      counted(ScanDOD.run(runner, space, spec.r, spec.k, ec))
+    case g =>
+      val Counted(d, dists) = dodRun(g)
+      Counted(DetectionResult(d.outliers, d.totalMs, graph(g).graph.sizeBytes), dists)
+  })
+}
+
+object DatasetState {
+  /** A run result annotated with the distance evaluations it consumed. */
+  final case class Counted[T](value: T, dists: Long)
+
+  /** The four proximity graphs, in Table 3's column order. */
+  val GraphNames: Seq[String] = Seq("NSW", "KGraph", "MRPG-basic", "MRPG")
+
+  /** All eight DOD algorithms, in Table 5's column order. */
+  val Algorithms: Seq[String] = Seq("Nested-loop", "SNIF", "DOLPHIN", "VP-tree") ++ GraphNames
 }
 
 /** JVM-wide registry so every table harness (bench suite or job) shares one

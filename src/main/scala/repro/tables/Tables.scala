@@ -1,7 +1,9 @@
 package repro.tables
 
 import org.apache.spark.sql.SparkSession
+import repro.baseline.DetectionResult
 import repro.data.Datasets
+import repro.tables.DatasetState.{Algorithms, Counted, GraphNames}
 
 /** One harness per evaluation table. Each `compute` returns
   * `(title, headers, rows)`; jobs print them, bench suites additionally
@@ -38,10 +40,9 @@ object Tables {
   /** Table 3: pre-processing (graph build) time per proximity graph [sec]. */
   def table3(spark: SparkSession, scale: Double = BenchContext.DefaultScale) = {
     val rows = BenchContext.allStates(spark, scale).map { st =>
-      Seq(st.spec.paperName) ++ st.graphNames.map(g => TableFmt.sec(st.graph(g).buildMs))
+      Seq(st.spec.paperName) ++ GraphNames.map(g => TableFmt.sec(st.graph(g).buildMs))
     }
-    ("Table 3: Pre-processing time [sec]",
-      Seq("Dataset", "NSW", "KGraph", "MRPG-basic", "MRPG"), rows)
+    ("Table 3: Pre-processing time [sec]", "Dataset" +: GraphNames, rows)
   }
 
   /** Table 4: decomposed pre-processing time on Glove [sec]. KGraph has only
@@ -69,38 +70,30 @@ object Tables {
     * outlier set is checked against the brute-force ground truth by
     * [[exactnessViolations]] (the paper's algorithms are exact).
     */
-  def table5(spark: SparkSession, scale: Double = BenchContext.DefaultScale) = {
-    val rows = BenchContext.allStates(spark, scale).map { st =>
-      Seq(
-        st.spec.paperName,
-        TableFmt.sec(st.nestedLoop.totalMs),
-        TableFmt.sec(st.snif.totalMs),
-        TableFmt.sec(st.dolphin.totalMs),
-        TableFmt.sec(st.vptreeDod.totalMs),
-        TableFmt.sec(st.dod("NSW").totalMs),
-        TableFmt.sec(st.dod("KGraph").totalMs),
-        TableFmt.sec(st.dod("MRPG-basic").totalMs),
-        TableFmt.sec(st.dod("MRPG").totalMs),
-      )
-    }
-    ("Table 5: Running time [sec]",
-      Seq("Dataset", "Nested-loop", "SNIF", "DOLPHIN", "VP-tree",
-        "NSW", "KGraph", "MRPG-basic", "MRPG"), rows)
-  }
+  def table5(spark: SparkSession, scale: Double = BenchContext.DefaultScale) =
+    ("Table 5: Running time [sec]", "Dataset" +: Algorithms,
+      algorithmRows(spark, scale)(d => TableFmt.sec(d.value.totalMs)))
 
   /** Table 5b (ours): detection-time distance evaluations [millions] for the
     * same eight algorithms. Spark's fixed per-job overhead floors sub-second
     * wall times at reduced scale; distance counts expose the algorithmic
     * cost the paper analyzes (every algorithm is distance-bound).
     */
-  def table5b(spark: SparkSession, scale: Double = BenchContext.DefaultScale) = {
-    val rows = BenchContext.allStates(spark, scale).map { st =>
-      Seq(st.spec.paperName) ++ st.allDists.map { case (_, d) => TableFmt.mdist(d) }
+  def table5b(spark: SparkSession, scale: Double = BenchContext.DefaultScale) =
+    ("Table 5b: Distance evaluations during detection [millions]", "Dataset" +: Algorithms,
+      algorithmRows(spark, scale)(d => TableFmt.mdist(d.dists)))
+
+  /** Table 6: index size [MB] for every algorithm. */
+  def table6(spark: SparkSession, scale: Double = BenchContext.DefaultScale) =
+    ("Table 6: Index size [MB]", "Dataset" +: Algorithms,
+      algorithmRows(spark, scale)(d => TableFmt.mb(d.value.indexBytes)))
+
+  /** One row per dataset: its name, then `cell` of each algorithm's run. */
+  private def algorithmRows(spark: SparkSession, scale: Double)(
+      cell: Counted[DetectionResult] => String): Seq[Seq[String]] =
+    BenchContext.allStates(spark, scale).map { st =>
+      st.spec.paperName +: Algorithms.map(a => cell(st.detection(a)))
     }
-    ("Table 5b: Distance evaluations during detection [millions]",
-      Seq("Dataset", "Nested-loop", "SNIF", "DOLPHIN", "VP-tree",
-        "NSW", "KGraph", "MRPG-basic", "MRPG"), rows)
-  }
 
   /** Every (algorithm, dataset) pair whose detected outlier set differs from
     * the brute-force ground truth. Exactness demands this be empty.
@@ -108,57 +101,31 @@ object Tables {
   def exactnessViolations(spark: SparkSession, scale: Double = BenchContext.DefaultScale): Seq[String] =
     BenchContext.allStates(spark, scale).flatMap { st =>
       val truth = st.truth.toSeq
-      val results = Seq(
-        "Nested-loop" -> st.nestedLoop.outliers.toSeq,
-        "SNIF" -> st.snif.outliers.toSeq,
-        "DOLPHIN" -> st.dolphin.outliers.toSeq,
-        "VP-tree" -> st.vptreeDod.outliers.toSeq,
-      ) ++ st.graphNames.map(g => g -> st.dod(g).outliers.toSeq)
-      results.collect {
+      Algorithms.map(a => a -> st.detection(a).value.outliers.toSeq).collect {
         case (alg, got) if got != truth =>
           s"${st.spec.name}/$alg: got ${got.size} outliers, truth ${truth.size} " +
             s"(spurious=${got.diff(truth).take(5)}, missed=${truth.diff(got).take(5)})"
       }
     }
 
-  /** Table 6: index size [MB] for every algorithm. */
-  def table6(spark: SparkSession, scale: Double = BenchContext.DefaultScale) = {
-    val rows = BenchContext.allStates(spark, scale).map { st =>
-      Seq(
-        st.spec.paperName,
-        "0.00", // Nested-loop builds no index
-        TableFmt.mb(st.snif.indexBytes),
-        TableFmt.mb(st.dolphin.indexBytes),
-        TableFmt.mb(st.vpTree.sizeBytes),
-        TableFmt.mb(st.graph("NSW").graph.sizeBytes),
-        TableFmt.mb(st.graph("KGraph").graph.sizeBytes),
-        TableFmt.mb(st.graph("MRPG-basic").graph.sizeBytes),
-        TableFmt.mb(st.graph("MRPG").graph.sizeBytes),
-      )
-    }
-    ("Table 6: Index size [MB]",
-      Seq("Dataset", "Nested-loop", "SNIF", "DOLPHIN", "VP-tree",
-        "NSW", "KGraph", "MRPG-basic", "MRPG"), rows)
-  }
-
   /** Table 7: false positives remaining after the filtering phase. */
   def table7(spark: SparkSession, scale: Double = BenchContext.DefaultScale) = {
     val rows = BenchContext.allStates(spark, scale).map { st =>
-      Seq(st.spec.paperName) ++ st.graphNames.map(g => st.dod(g).falsePositives.toString)
+      Seq(st.spec.paperName) ++ GraphNames.map(g => st.dod(g).falsePositives.toString)
     }
     ("Table 7: Number of false positives after the filtering phase",
-      Seq("Dataset", "NSW", "KGraph", "MRPG-basic", "MRPG"), rows)
+      "Dataset" +: GraphNames, rows)
   }
 
   /** Table 8: decomposed detection time on Glove [sec]. */
   def table8(spark: SparkSession, scale: Double = BenchContext.DefaultScale) = {
     val st = BenchContext.state(spark, Datasets.glove, scale)
     val rows = Seq(
-      Seq("Filtering") ++ st.graphNames.map(g => TableFmt.sec(st.dod(g).filterMs)),
-      Seq("Verification") ++ st.graphNames.map(g => TableFmt.sec(st.dod(g).verifyMs)),
+      Seq("Filtering") ++ GraphNames.map(g => TableFmt.sec(st.dod(g).filterMs)),
+      Seq("Verification") ++ GraphNames.map(g => TableFmt.sec(st.dod(g).verifyMs)),
     )
     ("Table 8: Decomposed time of outlier detection on Glove [sec]",
-      Seq("Phase", "NSW", "KGraph", "MRPG-basic", "MRPG"), rows)
+      "Phase" +: GraphNames, rows)
   }
 
   def renderAll(spark: SparkSession, scale: Double = BenchContext.DefaultScale): String = {

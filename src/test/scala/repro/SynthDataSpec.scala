@@ -1,16 +1,21 @@
 package repro
 
+import org.scalatest.funsuite.AnyFunSuite
+
 /** The metric-dataset generators. */
-class SynthDataSpec extends SparkSpec {
+class SynthDataSpec extends AnyFunSuite {
+
+  private def vectors(seed: Long, miniFrac: Double, nMini: Int) =
+    SynthData.clusteredVectors(4, 3, 1.0, 50.0, 0.05, seed, miniFrac, nMini, miniSigmaFactor = 1.3)
 
   test("clusteredVectors: mini-cluster population is present and sparser") {
-    val df = SynthData.clusteredVectors(spark, 2000, 8, 5, 2.0, 100.0, 0.0,
+    val gen = SynthData.clusteredVectors(8, 5, 2.0, 100.0, 0.0,
       seed = 5, miniFrac = 0.2, nMini = 3, miniSigmaFactor = 1.3)
-    assert(df.count() == 2000)
+    val arrs = Array.tabulate(2000)(gen(_))
+    assert(arrs.length == 2000 && arrs.forall(_.length == 8))
     // with outlierFrac 0 and miniFrac 0.2, both populations exist; the data
     // must still be finite and in-range-ish
-    val arrs = df.limit(200).collect().map(_.getSeq[Double](1))
-    assert(arrs.forall(_.forall(v => !v.isNaN && v > -100 && v < 200)))
+    assert(arrs.take(200).forall(_.forall(v => !v.isNaN && v > -100 && v < 200)))
   }
 
   test("editWords: sparse-root members carry more edits than dense-root members") {
@@ -20,10 +25,14 @@ class SynthDataSpec extends SparkSpec {
   }
 
   test("generator output is independent of partitioning") {
-    val a = SynthData.clusteredVectors(spark, 500, 4, 3, 1.0, 50.0, 0.05, seed = 9)
-      .repartition(1).collect().sortBy(_.getLong(0)).map(_.getSeq[Double](1)).toSeq
-    val b = SynthData.clusteredVectors(spark, 500, 4, 3, 1.0, 50.0, 0.05, seed = 9)
-      .repartition(13).collect().sortBy(_.getLong(0)).map(_.getSeq[Double](1)).toSeq
-    assert(a == b)
+    val n = 500
+    val gen = vectors(seed = 9, miniFrac = 0.1, nMini = 2)
+    val forward = Seq.tabulate(n)(gen(_).toSeq)
+    val backward = (n - 1 to 0 by -1).map(gen(_).toSeq).reverse
+    // 13 chunks of ids, generated last chunk first by a fresh generator
+    val fresh = vectors(seed = 9, miniFrac = 0.1, nMini = 2)
+    val chunked = (0 until n).grouped(39).toList.reverse.map(_.map(fresh(_).toSeq)).reverse.flatten
+    assert(backward == forward)
+    assert(chunked == forward)
   }
 }

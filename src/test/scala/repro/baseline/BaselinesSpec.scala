@@ -1,9 +1,11 @@
 package repro.baseline
 
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, SparkRunner, VPTree}
+import repro.core.{BruteForce, LinearScanCounter, SparkRunner, VPTree, VPTreeCounter}
 
-/** All four scan-based baselines must be exact on every scenario. */
+/** All four scan-based baselines must be exact on every scenario: SNIF,
+  * DOLPHIN, and [[ScanDOD]] with a linear scan (Nested-loop) or a VP-tree.
+  */
 class BaselinesSpec extends SparkSpec {
 
   private lazy val runner = new SparkRunner(spark)
@@ -12,7 +14,7 @@ class BaselinesSpec extends SparkSpec {
     lazy val truth = BruteForce.outliers(s.space, s.r, s.k).toSeq
 
     test(s"${s.name}: Nested-loop is exact") {
-      assert(NestedLoop.run(runner, s.space, s.r, s.k).outliers.toSeq == truth)
+      assert(ScanDOD.run(runner, s.space, s.r, s.k, LinearScanCounter()).outliers.toSeq == truth)
     }
 
     test(s"${s.name}: SNIF is exact") {
@@ -25,7 +27,7 @@ class BaselinesSpec extends SparkSpec {
 
     test(s"${s.name}: VP-tree DOD is exact") {
       val tree = VPTree.build(s.space, 16, seed = 2)
-      assert(VPTreeDOD.run(runner, s.space, s.r, s.k, tree).outliers.toSeq == truth)
+      assert(ScanDOD.run(runner, s.space, s.r, s.k, VPTreeCounter(tree)).outliers.toSeq == truth)
     }
   }
 
@@ -50,28 +52,28 @@ class BaselinesSpec extends SparkSpec {
     for ((rf, k) <- Seq((0.5, 3), (1.5, 20))) {
       val r = s.r * rf
       val truth = BruteForce.outliers(s.space, r, k).toSeq
-      assert(NestedLoop.run(runner, s.space, r, k).outliers.toSeq == truth)
+      assert(ScanDOD.run(runner, s.space, r, k, LinearScanCounter()).outliers.toSeq == truth)
       assert(SNIF.run(runner, s.space, r, k).outliers.toSeq == truth)
       assert(Dolphin.run(runner, s.space, r, k).outliers.toSeq == truth)
       val tree = VPTree.build(s.space, 16, seed = 3)
-      assert(VPTreeDOD.run(runner, s.space, r, k, tree).outliers.toSeq == truth)
+      assert(ScanDOD.run(runner, s.space, r, k, VPTreeCounter(tree)).outliers.toSeq == truth)
     }
   }
 
   test("index size accounting: nested-loop none, SNIF/DOLPHIN/VP-tree positive") {
     val s = TestSpaces.scenarios().head
-    assert(NestedLoop.run(runner, s.space, s.r, s.k).indexBytes == 0L)
+    assert(ScanDOD.run(runner, s.space, s.r, s.k, LinearScanCounter()).indexBytes == 0L)
     assert(SNIF.run(runner, s.space, s.r, s.k).indexBytes > 0L)
     assert(Dolphin.run(runner, s.space, s.r, s.k).indexBytes > 0L)
     val tree = VPTree.build(s.space, 16, seed = 4)
-    assert(VPTreeDOD.run(runner, s.space, s.r, s.k, tree).indexBytes == tree.sizeBytes)
+    assert(ScanDOD.run(runner, s.space, s.r, s.k, VPTreeCounter(tree)).indexBytes == tree.sizeBytes)
   }
 
   test("results are invariant to the partition count") {
     val s = TestSpaces.scenarios()(3)
-    val reference = NestedLoop.run(new SparkRunner(spark, 1), s.space, s.r, s.k).outliers.toSeq
-    for (p <- Seq(2, 7, 16)) {
-      assert(NestedLoop.run(new SparkRunner(spark, p), s.space, s.r, s.k).outliers.toSeq == reference)
-    }
+    def nestedLoop(parts: Int) =
+      ScanDOD.run(new SparkRunner(spark, parts), s.space, s.r, s.k, LinearScanCounter()).outliers.toSeq
+    val reference = nestedLoop(1)
+    for (p <- Seq(2, 7, 16)) assert(nestedLoop(p) == reference)
   }
 }

@@ -86,15 +86,6 @@ class GraphDODSpec extends SparkSpec {
     assert(results.distinct.size == 1)
   }
 
-  test("detectDF returns the outlier ids as a DataFrame") {
-    val s = TestSpaces.scenarios().head
-    val (g, _) = MRPG.build(s.space, 10, runner, seed = 8, maxIters = 4)
-    val df = GraphDOD.detectDF(spark, s.space, g, s.r, s.k)
-    assert(df.columns.toSeq == Seq("id"))
-    val got = df.collect().map(_.getLong(0).toInt).sorted.toSeq
-    assert(got == BruteForce.outliers(s.space, s.r, s.k).toSeq)
-  }
-
   test("VP-tree verification yields the same result as linear-scan verification") {
     val s = TestSpaces.scenarios().head
     val (g, _) = MRPG.build(s.space, 10, runner, seed = 9, maxIters = 4)

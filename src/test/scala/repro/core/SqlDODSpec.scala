@@ -1,8 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestSpaces}
 import repro.data.Datasets
-import repro.graph.MRPG
+import repro.graph.{MRPG, ProximityGraph}
 
 /** DuckDB-oracle correctness: the Spark-SQL DOD plan and the graph-based
   * detector are both diffed against DuckDB running the same query.
@@ -45,10 +46,16 @@ class SqlDODSpec extends SparkSpec {
     assert(got.collect().map(_.getLong(0).toInt).toSeq == BruteForce.outliers(space, 4.0, 6).toSeq)
   }
 
-  test("graph-based detector (MRPG) agrees with DuckDB via detectDF") {
+  /** Graph-based DOD through Spark, as an `(id: bigint)` DataFrame. */
+  private def graphOutliers(space: MetricSpace, g: ProximityGraph, r: Double, k: Int): DataFrame = {
+    import spark.implicits._
+    GraphDOD.run(new SparkRunner(spark), space, g, r, k).outliers.map(_.toLong).toSeq.toDF("id")
+  }
+
+  test("graph-based detector (MRPG) agrees with DuckDB") {
     val (space, df) = vecCase(VectorMetric.L2, 4, 205)
     val (g, _) = MRPG.build(space, 8, runner, seed = 7, maxIters = 4)
-    val got = GraphDOD.detectDF(spark, space, g, 10.0, 8)
+    val got = graphOutliers(space, g, 10.0, 8)
     Oracle.assertEquivalent(got, SqlDOD.duckSql(df, "L2", 10.0, 8), "pts" -> df)
   }
 
@@ -56,7 +63,7 @@ class SqlDODSpec extends SparkSpec {
     val space = TestSpaces.strings(220, seed = 206)
     val df = Datasets.flatDF(spark, space)
     val (g, _) = MRPG.build(space, 8, runner, seed = 8, maxIters = 4)
-    val got = GraphDOD.detectDF(spark, space, g, 4.0, 6)
+    val got = graphOutliers(space, g, 4.0, 6)
     Oracle.assertEquivalent(got, SqlDOD.duckSql(df, "Edit", 4.0, 6), "pts" -> df)
   }
 

@@ -3,7 +3,9 @@ package repro.data
 import repro.SparkSpec
 import repro.core.{BruteForce, MetricSpace, StringSpace, VectorSpace}
 
-/** Generator determinism, schemas, and dataset shape for the 7 substitutes. */
+/** Generator determinism, the flat DataFrame's schema and contents, and
+  * dataset shape for the 7 substitutes.
+  */
 class DatasetsSpec extends SparkSpec {
 
   private val testScale = 0.05
@@ -15,16 +17,23 @@ class DatasetsSpec extends SparkSpec {
     case other => fail(s"unexpected space $other")
   }
 
+  /** The ids and row bits [[Datasets.flatDF]] holds for `space`, by id. */
+  private def flatRows(space: MetricSpace): (Seq[Long], Seq[Seq[Any]]) = {
+    val rows = Datasets.flatDF(spark, space).collect().sortBy(_.getLong(0)).toSeq
+    val bits: Seq[Seq[Any]] = space match {
+      case _: StringSpace => rows.map(r => Seq(r.getString(1)))
+      case _ => rows.map(r => (1 until r.length).map(i => java.lang.Double.doubleToRawLongBits(r.getDouble(i))))
+    }
+    (rows.map(_.getLong(0)), bits)
+  }
+
   for (spec <- Datasets.all) {
     test(s"${spec.name}: space(scale) equals the DataFrame's rows sorted by id, bit for bit") {
-      for (scale <- Seq(testScale, 0.15)) {
-        val rows = spec.df(spark, scale).collect().sortBy(_.getLong(0))
-        assert(rows.map(_.getLong(0)).toSeq == (0L until spec.n(scale)))
-        val fromDf: Seq[Seq[Any]] =
-          if (spec.metric == "Edit") rows.toSeq.map(r => Seq(r.getString(1)))
-          else rows.toSeq.map(_.getSeq[Double](1).map(java.lang.Double.doubleToRawLongBits).toSeq)
-        assert(rowBits(spec.space(scale)) == fromDf, s"scale $scale")
-      }
+      // the flat DataFrame is what SqlDOD and the DuckDB oracle read
+      val space = spec.space(testScale)
+      val (ids, bits) = flatRows(space)
+      assert(ids == (0L until spec.n(testScale)))
+      assert(bits == rowBits(space))
     }
 
     test(s"${spec.name}: space(scale) starts no Spark job and repeats exactly") {
@@ -35,16 +44,20 @@ class DatasetsSpec extends SparkSpec {
     }
 
     test(s"${spec.name}: DataFrame schema and cardinality") {
-      val df = spec.df(spark, testScale)
-      val expectedCols = if (spec.metric == "Edit") Seq("id", "word") else Seq("id", "vec")
+      val df = Datasets.flatDF(spark, spec.space(testScale))
+      val expectedCols =
+        if (spec.metric == "Edit") Seq("id", "word") else "id" +: (0 until spec.dim).map(i => s"x$i")
       assert(df.columns.toSeq == expectedCols)
       assert(df.count() == spec.n(testScale))
     }
 
     test(s"${spec.name}: generation is deterministic") {
-      val a = spec.df(spark, testScale).collect().sortBy(_.getLong(0)).map(_.toString).toSeq
-      val b = spec.df(spark, testScale).collect().sortBy(_.getLong(0)).map(_.toString).toSeq
-      assert(a == b)
+      // each row is a function of (seed, id) alone, so a smaller scale's
+      // rows are a prefix of a larger scale's
+      val small = rowBits(spec.space(testScale))
+      val large = rowBits(spec.space(3 * testScale))
+      assert(large.length > small.length)
+      assert(large.take(small.length) == small)
     }
 
     test(s"${spec.name}: space round-trip matches the declared metric/shape") {

@@ -91,7 +91,7 @@ object NNDescentReference {
     while (iter < cfg.maxIters && !converged) {
       val inserts = runIteration(space, buckets, updatedPrev, k, cfg, rng, runner)
       iter += 1
-      if (inserts < cfg.delta * n * k) converged = true
+      if (inserts < 0.002 * n * k) converged = true
     }
 
     // ---- exact K'-NN retrieval (NNDescent+ third stage) ----------------
@@ -182,7 +182,7 @@ object NNDescentReference {
       runner: ParRunner,
   ): Long = {
     val n = space.n
-    val sampleK = math.max(1, (cfg.rho * k).toInt)
+    val sampleK = math.max(1, (0.5 * k).toInt)
 
     // forward new/old split, with the NNDescent+ skip: an unchanged object's
     // entry is not added to the similar-object (old) list.

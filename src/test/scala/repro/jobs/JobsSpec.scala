@@ -3,7 +3,8 @@ package repro.jobs
 import repro.SparkSpec
 
 /** The spark-submit entrypoints' table functions at a tiny scale (their
-  * `main`s only add SparkSession setup + printing around these).
+  * `main`s only add [[JobSession]] and printing around these), and the
+  * `main`s' handling of a session that is already running.
   */
 class JobsSpec extends SparkSpec {
 
@@ -40,6 +41,15 @@ class JobsSpec extends SparkSpec {
     val (_, jobs) = countingJobs(BuildProfileJob.main(Array("words", "0.02", "local")))
     assert(jobs == 0)
     assert(!spark.sparkContext.isStopped)
+  }
+
+  test("job mains run in the suite's session and leave it running") {
+    val sc = spark.sparkContext
+    Table1Job.main(Array(tiny.toString))
+    assert(!sc.isStopped)
+    val (_, jobs) = countingJobs(BuildProfileJob.main(Array("words", "0.02", "spark")))
+    assert(jobs > 0) // the builds fanned out through the suite's session
+    assert(!sc.isStopped)
   }
 
   test("BuildProfileJob's dataset lookup rejects unknown names") {

@@ -54,11 +54,13 @@ class TablesSpec extends SparkSpec {
     val d1 = st.dod("KGraph")
     val d2 = st.dod("KGraph")
     assert(d1 eq d2)
+    for (a <- DatasetState.Algorithms) assert(st.detection(a) eq st.detection(a), a)
+    assert(st.detection("MRPG").value.indexBytes == st.graph("MRPG").graph.sizeBytes)
   }
 
   test("DatasetState DOD results are exact for all four graphs (tiny words)") {
     val st = BenchContext.state(spark, Datasets.words, tiny)
-    for (g <- st.graphNames) {
+    for (g <- DatasetState.GraphNames) {
       assert(st.dod(g).outliers.toSeq == st.truth.toSeq, g)
     }
   }
@@ -72,6 +74,14 @@ class TablesSpec extends SparkSpec {
     assert(h6.length == 9 && r6.length == 7)
     val (_, h7, r7) = Tables.table7(spark, tiny)
     assert(h7.length == 5 && r7.length == 7)
+  }
+
+  test("tables 5/5b/6 have one column per algorithm, in Table 5's order") {
+    val expected = "Dataset" +: DatasetState.Algorithms
+    assert(expected == Seq("Dataset", "Nested-loop", "SNIF", "DOLPHIN", "VP-tree",
+      "NSW", "KGraph", "MRPG-basic", "MRPG"))
+    val tables = Seq(Tables.table5(spark, tiny), Tables.table5b(spark, tiny), Tables.table6(spark, tiny))
+    for ((title, headers, _) <- tables) assert(headers == expected, title)
   }
 
   test("exactnessViolations is empty at tiny scale") {
