@@ -38,7 +38,7 @@ object BuildProfileJob {
     }
     prof("NNDescent+") {
       val cfg = NNDescentConfig(spec.graphK, vpInit = true, skipUnchanged = true,
-        exactListSize = 4 * spec.graphK, exactCount = MRPG.defaultExactCount(space.n), seed = spec.seed)
+        exactListSize = MRPG.KPrimeFactor * spec.graphK, exactCount = MRPG.defaultExactCount(space.n), seed = spec.seed)
       s"iters=${NNDescent.build(space, cfg, runner).iterations}"
     }
     prof("KGraph") { KGraphBuilder.build(space, spec.graphK, runner, seed = spec.seed); "" }

@@ -1,5 +1,7 @@
 package repro
 
+import scala.util.Random
+
 /** Synthetic metric datasets for the DOD reproduction.
   *
   * The paper evaluates on 7 real datasets (Deep/Glove/HEPMASS/MNIST/PAMAP2/
@@ -12,11 +14,11 @@ package repro
   */
 object SynthData {
 
-  private def rowRng(seed: Long, id: Long): scala.util.Random =
-    new scala.util.Random(scala.util.hashing.byteswap64(seed ^ (id * 0x9E3779B97F4A7C15L)))
+  private def rowRng(seed: Long, id: Long): Random =
+    new Random(scala.util.hashing.byteswap64(seed ^ (id * 0x9E3779B97F4A7C15L)))
 
   /** Zipf-ish cluster pick: weight of cluster c is 1/(c+1). */
-  private def pickCluster(rng: scala.util.Random, cum: Array[Double]): Int = {
+  private def pickCluster(rng: Random, cum: Array[Double]): Int = {
     val u = rng.nextDouble()
     var i = 0
     while (i < cum.length - 1 && u > cum(i)) i += 1
@@ -33,12 +35,62 @@ object SynthData {
     cum
   }
 
-  /** Clustered vectors, one `dim`-vector per row id.
+  /** The population both vector generators draw, in one draw order.
     *
-    * Inliers: Gaussian around one of `nClusters` centers uniform in
-    * `[0, range]^dim`, per-cluster spread `sigma * U(0.7, 1.3)`, skewed
-    * (zipf) cluster sizes. Outliers (fraction `outlierFrac`): uniform in
-    * the cube — far from every cluster and from each other.
+    * Inliers: `around(center, spread, rng)` for one of `nClusters` centers,
+    * per-cluster spread `sigma * U(0.7, 1.3)`, skewed (zipf) cluster sizes.
+    * Outliers (fraction `outlierFrac`): `point(rng)`, the same draw as the
+    * centers, so far from every cluster and from each other.
+    */
+  private def mixture(
+      nClusters: Int,
+      sigma: Double,
+      outlierFrac: Double,
+      seed: Long,
+      miniFrac: Double,
+      nMini: Int,
+      miniSigmaFactor: Double,
+  )(
+      point: Random => Array[Double],
+      around: (Array[Double], Double, Random) => Array[Double],
+  ): Long => Array[Double] = {
+    val setup = new Random(seed)
+    val centers = Array.fill(nClusters)(point(setup))
+    val spreads = Array.fill(nClusters)(sigma * (0.7 + 0.6 * setup.nextDouble()))
+    val cum = zipfCum(nClusters)
+    // sparse mini-clusters: small populations whose neighbor counts straddle
+    // k (per-point radial jitter creates a density gradient) — these exercise
+    // graph reachability in sparse regions, the source of the paper's false
+    // positives, and contribute borderline outliers
+    val miniCenters = Array.fill(math.max(nMini, 1))(point(setup))
+    val miniSpreads = Array.fill(math.max(nMini, 1))(
+      sigma * miniSigmaFactor * (0.9 + 0.2 * setup.nextDouble()))
+    val miniW = Array.fill(math.max(nMini, 1))(0.5 + setup.nextDouble())
+    val miniCum = { val s = miniW.sum; var a = 0.0; miniW.map { w => a += w / s; a } }
+    id => {
+      val rng = rowRng(seed, id)
+      val u = rng.nextDouble()
+      if (u < outlierFrac) point(rng)
+      else if (nMini > 0 && u < outlierFrac + miniFrac) {
+        val c = pickCluster(rng, miniCum)
+        around(miniCenters(c), miniSpreads(c) * (0.75 + 0.45 * rng.nextDouble()), rng) // radial jitter
+      } else {
+        val c = pickCluster(rng, cum)
+        around(centers(c), spreads(c), rng)
+      }
+    }
+  }
+
+  private def gaussianAround(center: Array[Double], s: Double, rng: Random): Array[Double] =
+    Array.tabulate(center.length)(i => center(i) + rng.nextGaussian() * s)
+
+  private def normalized(v: Array[Double]): Array[Double] = {
+    val nrm = math.sqrt(v.map(x => x * x).sum)
+    v.map(_ / nrm)
+  }
+
+  /** Clustered vectors, one `dim`-vector per row id: the [[mixture]] with
+    * centers and outliers uniform in `[0, range]^dim` and Gaussian inliers.
     */
   def clusteredVectors(
       dim: Int,
@@ -50,41 +102,14 @@ object SynthData {
       miniFrac: Double,
       nMini: Int,
       miniSigmaFactor: Double,
-  ): Long => Array[Double] = {
-    val setup = new scala.util.Random(seed)
-    val centers = Array.fill(nClusters, dim)(setup.nextDouble() * range)
-    val spreads = Array.fill(nClusters)(sigma * (0.7 + 0.6 * setup.nextDouble()))
-    val cum = zipfCum(nClusters)
-    // sparse mini-clusters: small populations whose neighbor counts straddle
-    // k (per-point radial jitter creates a density gradient) — these exercise
-    // graph reachability in sparse regions, the source of the paper's false
-    // positives, and contribute borderline outliers
-    val miniCenters = Array.fill(math.max(nMini, 1), dim)(setup.nextDouble() * range)
-    val miniSpreads = Array.fill(math.max(nMini, 1))(
-      sigma * miniSigmaFactor * (0.9 + 0.2 * setup.nextDouble()))
-    val miniW = Array.fill(math.max(nMini, 1))(0.5 + setup.nextDouble())
-    val miniCum = { val s = miniW.sum; var a = 0.0; miniW.map { w => a += w / s; a } }
-    id => {
-      val rng = rowRng(seed, id)
-      val u = rng.nextDouble()
-      if (u < outlierFrac) Array.fill(dim)(rng.nextDouble() * range)
-      else if (nMini > 0 && u < outlierFrac + miniFrac) {
-        val c = pickCluster(rng, miniCum)
-        val s = miniSpreads(c) * (0.75 + 0.45 * rng.nextDouble()) // radial jitter
-        Array.tabulate(dim)(i => miniCenters(c)(i) + rng.nextGaussian() * s)
-      } else {
-        val c = pickCluster(rng, cum)
-        val s = spreads(c)
-        Array.tabulate(dim)(i => centers(c)(i) + rng.nextGaussian() * s)
-      }
-    }
-  }
+  ): Long => Array[Double] =
+    mixture(nClusters, sigma, outlierFrac, seed, miniFrac, nMini, miniSigmaFactor)(
+      rng => Array.fill(dim)(rng.nextDouble() * range), gaussianAround)
 
-  /** Clustered unit vectors for the angular metric, one per row id.
-    *
-    * Inliers: normalized Gaussian perturbations of random unit centers.
-    * Outliers: random unit vectors (nearly orthogonal to everything in
-    * moderate dimensions — clear outliers).
+  /** Clustered unit vectors for the angular metric, one per row id: the
+    * [[mixture]] with random unit centers and outliers (nearly orthogonal to
+    * everything in moderate dimensions — clear outliers) and normalized
+    * Gaussian inliers.
     */
   def angularVectors(
       dim: Int,
@@ -95,39 +120,10 @@ object SynthData {
       miniFrac: Double,
       nMini: Int,
       miniSigmaFactor: Double,
-  ): Long => Array[Double] = {
-    val setup = new scala.util.Random(seed)
-    def unit(rng: scala.util.Random): Array[Double] = {
-      val v = Array.fill(dim)(rng.nextGaussian())
-      val nrm = math.sqrt(v.map(x => x * x).sum)
-      v.map(_ / nrm)
-    }
-    def around(center: Array[Double], s: Double, rng: scala.util.Random): Array[Double] = {
-      val v = Array.tabulate(dim)(i => center(i) + rng.nextGaussian() * s)
-      val nrm = math.sqrt(v.map(x => x * x).sum)
-      v.map(_ / nrm)
-    }
-    val centers = Array.fill(nClusters)(unit(setup))
-    val spreads = Array.fill(nClusters)(sigma * (0.7 + 0.6 * setup.nextDouble()))
-    val cum = zipfCum(nClusters)
-    val miniCenters = Array.fill(math.max(nMini, 1))(unit(setup))
-    val miniSpreads = Array.fill(math.max(nMini, 1))(
-      sigma * miniSigmaFactor * (0.9 + 0.2 * setup.nextDouble()))
-    val miniW = Array.fill(math.max(nMini, 1))(0.5 + setup.nextDouble())
-    val miniCum = { val s = miniW.sum; var a = 0.0; miniW.map { w => a += w / s; a } }
-    id => {
-      val rng = rowRng(seed, id)
-      val u = rng.nextDouble()
-      if (u < outlierFrac) unit(rng)
-      else if (nMini > 0 && u < outlierFrac + miniFrac) {
-        val c = pickCluster(rng, miniCum)
-        around(miniCenters(c), miniSpreads(c) * (0.75 + 0.45 * rng.nextDouble()), rng)
-      } else {
-        val c = pickCluster(rng, cum)
-        around(centers(c), spreads(c), rng)
-      }
-    }
-  }
+  ): Long => Array[Double] =
+    mixture(nClusters, sigma, outlierFrac, seed, miniFrac, nMini, miniSigmaFactor)(
+      rng => normalized(Array.fill(dim)(rng.nextGaussian())),
+      (center, s, rng) => normalized(gaussianAround(center, s, rng)))
 
   /** Edit-distance strings, one word per row id.
     *
@@ -144,8 +140,8 @@ object SynthData {
       sparseFrac: Double,
       nSparseRoots: Int,
   ): Long => String = {
-    val setup = new scala.util.Random(seed)
-    def randomWord(rng: scala.util.Random, len: Int): String =
+    val setup = new Random(seed)
+    def randomWord(rng: Random, len: Int): String =
       new String(Array.fill(len)(('a' + rng.nextInt(26)).toChar))
     val roots = Array.fill(nRoots)(randomWord(setup, 8 + setup.nextInt(5)))
     // sparse root families: few members, up to 4 edits — pairwise distances

@@ -21,20 +21,34 @@ object RemoveDetours {
 
   val MaxVisitsPerBfs = 4096 // safety bound, |A| is O(K^2) per the paper
 
-  /** Per-chunk BFS scratch: generation stamps avoid clearing O(n) arrays
-    * between the O(n/K) BFS runs of a chunk.
+  /** Per-chunk scratch: generation stamps (one per BFS, one per target's
+    * set `A`) avoid clearing O(n) arrays between the O(n/K) targets. A BFS
+    * enqueues each vertex once, so `queue(0 until tail)` lists its visits.
     */
   private final class Scratch(n: Int) {
     val dp = new Array[Double](n)
     val hop = new Array[Int](n)
     val mono = new Array[Boolean](n)
-    private val gen = new Array[Int](n)
-    private var cur = 0
-    val queue = new java.util.ArrayDeque[Integer]()
+    val queue = new Array[Int](n)
+    var tail = 0
+    val a = new Array[Int](n) // A's ids, in the order found
+    var aSize = 0
+    private val visitGen = new Array[Int](n)
+    private val aGen = new Array[Int](n)
+    private var bfs = 0
+    private var target = 0
 
-    def begin(): Unit = { cur += 1; queue.clear() }
-    def seen(v: Int): Boolean = gen(v) == cur
-    def mark(v: Int): Unit = gen(v) = cur
+    def beginBfs(): Unit = { bfs += 1; tail = 0 }
+    def seen(v: Int): Boolean = visitGen(v) == bfs
+    def enqueue(v: Int): Unit = { visitGen(v) = bfs; queue(tail) = v; tail += 1 }
+
+    /** Starts target `p`'s empty `A`, which `p` and `direct` never enter. */
+    def beginTarget(p: Int, direct: Array[Int]): Unit = {
+      target += 1; aSize = 0
+      aGen(p) = target
+      direct.foreach(aGen(_) = target)
+    }
+    def addToA(v: Int): Unit = if (aGen(v) != target) { aGen(v) = target; a(aSize) = v; aSize += 1 }
   }
 
   /** Mutates `adj`; returns the number of links added. */
@@ -87,7 +101,10 @@ object RemoveDetours {
     added
   }
 
-  /** The chain `p :: A` for one target (`A` ascending by distance to `p`). */
+  /** The chain `p :: A` for one target (`A` ascending by distance to `p`,
+    * ties by id). Every id in `A` was found by a BFS from this target, so
+    * `dp` holds its distance to `p` when `A` is sorted.
+    */
   private def chainFor(
       space: MetricSpace,
       adj: Array[Array[Int]],
@@ -96,33 +113,27 @@ object RemoveDetours {
       p: Int,
       maxA: Int,
       pivotSample: Int,
-      scratch: Scratch,
+      sc: Scratch,
   ): Array[Int] = {
-    val acc = mutable.HashMap.empty[Int, Double] // non-monotonic id -> dist to p
+    sc.beginTarget(p, adj(p))
+    val dp = sc.dp
+    val byDist: Ordering[Int] = (x, y) => java.lang.Double.compare(dp(x), dp(y))
 
-    val pivotCands = getNonMonotonic(space, adj, p, p, 3, acc, scratch)
-
+    getNonMonotonic(space, adj, p, p, 3, sc)
     // pivots "with small distances to p": found at hop >= 2 of the BFS,
-    // excluding exact-list objects (Alg. 5 line 5 conditions)
-    val pivs = pivotCands
-      .filter { case (id, _) => isPivot(id) && !isExact(id) }
-      .sortBy(_._2)
+    // excluding exact-list objects (Alg. 5 line 5 conditions); read off the
+    // queue, in a stable sort, before the 2-hop BFSes reuse it
+    val pivs = sc.queue.take(sc.tail)
+      .filter(w => sc.hop(w) >= 2 && isPivot(w) && !isExact(w))
+      .sorted(byDist)
       .take(pivotSample)
-    pivs.foreach { case (pv, _) => getNonMonotonic(space, adj, p, pv, 2, acc, scratch) }
+    pivs.foreach(pv => getNonMonotonic(space, adj, p, pv, 2, sc))
 
-    val direct = adj(p).toSet
-    val a = acc.iterator
-      .filter { case (id, _) => id != p && !direct.contains(id) }
-      .toArray
-      .sortBy { case (id, d) => (d, id) }
-      .take(maxA)
-      .map(_._1)
-    p +: a
+    p +: sc.a.take(sc.aSize).sorted(byDist.orElse(Ordering.Int)).take(maxA)
   }
 
-  /** Hop-limited BFS from `start`, distances measured from `p`. Adds objects
-    * with no monotonic discovered path to `acc`; returns the visited pivots
-    * at hop >= 2 with their distances (used for Alg. 5's pivot sampling).
+  /** Hop-limited BFS from `start`, distances measured from `p`. Adds the
+    * objects it found with no monotonic discovered path to `A`.
     */
   private def getNonMonotonic(
       space: MetricSpace,
@@ -130,24 +141,18 @@ object RemoveDetours {
       p: Int,
       start: Int,
       maxHops: Int,
-      acc: mutable.HashMap[Int, Double],
       sc: Scratch,
-  ): Array[(Int, Double)] = {
-    sc.begin()
-    val pivotCands = mutable.ArrayBuffer.empty[(Int, Double)]
-    val visitedIds = mutable.ArrayBuffer.empty[Int]
-
-    sc.mark(start)
+  ): Unit = {
+    sc.beginBfs()
+    sc.enqueue(start)
     sc.dp(start) = if (start == p) 0.0 else space.dist(p, start)
     sc.mono(start) = true
     sc.hop(start) = 0
-    sc.queue.add(start)
-    visitedIds += start
-    var visits = 0
+    var head = 0
 
-    while (!sc.queue.isEmpty && visits < MaxVisitsPerBfs) {
-      val u = sc.queue.poll().intValue()
-      visits += 1
+    while (head < sc.tail && head < MaxVisitsPerBfs) {
+      val u = sc.queue(head)
+      head += 1
       val hu = sc.hop(u)
       if (hu < maxHops) {
         val du = sc.dp(u)
@@ -157,14 +162,11 @@ object RemoveDetours {
         while (i < edges.length) {
           val w = edges(i)
           if (!sc.seen(w)) {
-            sc.mark(w)
+            sc.enqueue(w)
             val dw = if (w == p) 0.0 else space.dist(p, w)
             sc.dp(w) = dw
             sc.mono(w) = mu && du <= dw
             sc.hop(w) = hu + 1
-            if (hu + 1 >= 2) pivotCands += ((w, dw))
-            sc.queue.add(w)
-            visitedIds += w
           } else if (!sc.mono(w) && mu && du <= sc.dp(w)) {
             sc.mono(w) = true // a second, monotonic path reached w
           }
@@ -173,15 +175,6 @@ object RemoveDetours {
       }
     }
 
-    visitedIds.foreach { w =>
-      if (!sc.mono(w) && w != p) {
-        val d = sc.dp(w)
-        acc.get(w) match {
-          case Some(old) if old <= d => ()
-          case _ => acc(w) = d
-        }
-      }
-    }
-    pivotCands.toArray
+    for (i <- 0 until sc.tail) if (!sc.mono(sc.queue(i))) sc.addToA(sc.queue(i))
   }
 }

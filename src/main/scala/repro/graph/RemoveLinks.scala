@@ -29,7 +29,7 @@ object RemoveLinks {
     var p = 0
     while (p < n) {
       if (!isPivot(p) && !isExact(p)) {
-        val pivotNbrs = adj(p).filter(isPivot(_)).toArray
+        val pivotNbrs = adj(p).iterator.filter(isPivot(_)).toArray
         var i = 0
         while (i < pivotNbrs.length) {
           val piv = pivotNbrs(i)

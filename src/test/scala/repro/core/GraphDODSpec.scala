@@ -171,8 +171,12 @@ class GraphDODSpec extends SparkSpec {
   test("phase times split the wall time, and verifyMs is 0 when nothing is verified") {
     val s = TestSpaces.scenarios().head
     val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))
-    // LocalRunner runs its 4 chunks one after another, inside the wall time
-    val all = GraphDOD.run(new LocalRunner(4), s.space, g, s.r, s.k, usePivotHop = false, useExactShortcut = false)
+    // on the empty graph filtering evaluates no distance and verification
+    // at least k per object, so at 10 µs per distance verification takes at
+    // least 600 × 10 × 10 µs = 60 ms; LocalRunner runs its 4 chunks one
+    // after another, inside the wall time
+    val slow = new SlowSpace(s.space, burnNs = 10000L)
+    val all = GraphDOD.run(new LocalRunner(4), slow, g, s.r, s.k, usePivotHop = false, useExactShortcut = false)
     assert(all.candidates == s.space.n)
     assert(all.filterMs + all.verifyMs == all.totalMs)
     assert(all.meanChunkMs * 4 <= all.totalMs + 1.0)
@@ -238,4 +242,15 @@ class GraphDODSpec extends SparkSpec {
       assert(res.outliers.toSeq == BruteForce.outliers(space, r, k).toSeq, s"draw $i r=$r k=$k")
     }
   }
+}
+
+/** `base`, with every distance evaluation busy-waiting `burnNs` first. */
+private final class SlowSpace(base: MetricSpace, burnNs: Long) extends MetricSpace {
+  def n: Int = base.n
+  def dist(i: Int, j: Int): Double = {
+    val end = System.nanoTime() + burnNs
+    while (System.nanoTime() < end) {}
+    base.dist(i, j)
+  }
+  def dataBytes: Long = base.dataBytes
 }
