@@ -8,13 +8,14 @@ import java.util.concurrent.atomic.LongAdder
   * otherwise floor the sub-second runs).
   *
   * Every fan-out passes the space to its chunks through [[ParRunner]]: in
-  * a call's data (one broadcast per call, as `GraphDOD.run` does once per
-  * query) or behind a [[Shared]] handle (one broadcast per NNDescent+
-  * build). [[LocalRunner]] hands it over as is. Under [[SparkRunner]] the
-  * count is complete only in `local[*]` mode, where a broadcast value is
-  * shared by reference inside the one JVM, so task-side evaluations land in
-  * the same adder; on a cluster each executor would count into its own
-  * copy. Callers read [[evaluations]] before/after a run.
+  * a call's data (one broadcast per call) or behind a [[Shared]] handle
+  * (one broadcast per NNDescent+ build, and one per graph for
+  * `GraphDOD.run`, kept across its queries). [[LocalRunner]] hands it over
+  * as is. Under [[SparkRunner]] the count is complete only in `local[*]`
+  * mode, where a broadcast value is shared by reference inside the one
+  * JVM, so task-side evaluations land in the same adder; on a cluster each
+  * executor would count into its own copy. Callers read [[evaluations]]
+  * before/after a run.
   */
 final class CountingSpace(val base: MetricSpace) extends MetricSpace {
   private val adder = new LongAdder

@@ -99,9 +99,15 @@ object GraphDOD {
     * ids are dealt to chunks in [[ParRunner.mapIds]]' random order, as the
     * paper assigns objects to threads, and each chunk verifies a candidate
     * as soon as it has filtered it. No barrier is needed between the
-    * phases, because filtering never drops a true outlier (Lemma 1). Space,
-    * graph and counter reach the chunks through the runner's data. Requires
-    * `k >= 1` and `r >= 0` (not NaN).
+    * phases, because filtering never drops a true outlier (Lemma 1).
+    *
+    * Space, graph, counter and deal order reach the chunks as one payload,
+    * shared through [[ParRunner.shareFor]] under the key (space, graph,
+    * counter): an MRPG depends only on `K`, so every (r, k) query on the
+    * same graph reads the payload shared by the first. Under
+    * [[SparkRunner]] it stays broadcast until a run on another key, or
+    * until the context stops; space and graph must not change once
+    * detected on. Requires `k >= 1` and `r >= 0` (not NaN).
     */
   def run(
       runner: ParRunner,
@@ -116,9 +122,10 @@ object GraphDOD {
     require(k >= 1, s"k must be at least 1, got $k")
     require(r >= 0, s"r must be a non-negative number, got $r")
     val n = space.n
-    val order = ParRunner.permutation(n)
     val t0 = System.nanoTime()
-    val chunks = runner.runWithData(n, (space, g, counter, order)) { case ((sp, gg, ec, ord), s, e) =>
+    val payload = runner.shareFor(Seq(space, g, counter))((space, g, counter, ParRunner.permutation(n)))
+    val order = payload.value._4
+    val chunks = try runner.runShared(n, payload) { case ((sp, gg, ec, ord), s, e) =>
       val outcomes = new Array[Byte](e - s)
       var verifyNs = 0L
       val c0 = System.nanoTime()
@@ -135,7 +142,7 @@ object GraphDOD {
         i += 1
       }
       ChunkOutcomes(outcomes, System.nanoTime() - c0 - verifyNs, verifyNs)
-    }
+    } finally payload.release()
     val wallMs = (System.nanoTime() - t0) / 1000000L
 
     val outcome = new Array[Byte](n)

@@ -11,6 +11,9 @@ object SparkTestHooks {
     */
   def drainListenerBus(sc: SparkContext): Unit = sc.listenerBus.waitUntilEmpty()
 
+  /** The running SparkContext, reachable from inside a local-mode task. */
+  def activeContext: SparkContext = SparkContext.getActive.get
+
   /** The values of the broadcasts the driver's block manager still holds. */
   def liveBroadcastValues(sc: SparkContext): Seq[Any] = {
     val bm = sc.env.blockManager

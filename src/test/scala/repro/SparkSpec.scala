@@ -36,9 +36,12 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     } finally sc.removeSparkListener(listener)
   }
 
+  /** The values of the broadcasts the driver still holds. */
+  def liveBroadcasts: Seq[Any] = SparkTestHooks.liveBroadcastValues(spark.sparkContext)
+
   /** Whether the driver still holds a broadcast whose value is `value`. */
   def broadcastLive(value: AnyRef): Boolean =
-    SparkTestHooks.liveBroadcastValues(spark.sparkContext).exists {
+    liveBroadcasts.exists {
       case v: AnyRef => v eq value
       case _ => false
     }

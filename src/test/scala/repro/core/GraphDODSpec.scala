@@ -1,13 +1,15 @@
 package repro.core
 
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestSpaces}
 import repro.core.{VectorMetric => VM}
 import repro.graph.{KGraphBuilder, MRPG, NSW, ProximityGraph}
 import scala.util.Random
 
 /** Algorithm 1 end-to-end: exactness for every proximity graph on every
-  * scenario and several (r, k) settings, plus accounting invariants and
-  * local/Spark-run equivalence.
+  * scenario and several (r, k) settings, plus accounting invariants,
+  * local/Spark-run equivalence and the payload kept across queries.
   */
 class GraphDODSpec extends SparkSpec {
 
@@ -198,6 +200,62 @@ class GraphDODSpec extends SparkSpec {
     }
     assert(res.candidates == s.space.n)
     assert(jobs == 1)
+  }
+
+  /** The live broadcasts of a run's payload (space, graph, counter, order) on `g`. */
+  private def payloadsOf(g: ProximityGraph): Seq[AnyRef] = liveBroadcasts.collect {
+    case t: Tuple4[_, _, _, _] if t._2.asInstanceOf[AnyRef] eq g => t
+  }
+
+  test("SparkRunner queries on one graph share one payload broadcast; LocalRunner runs keep it") {
+    val s = TestSpaces.scenarios().head
+    val (g, _) = MRPG.build(s.space, 10, runner, seed = 15, maxIters = 4)
+    var kept: AnyRef = null
+    // the default counter is a new, equal LinearScanCounter per call
+    for ((rf, kq) <- Seq((1.0, s.k), (0.7, 3), (1.3, 2 * s.k))) {
+      val r = s.r * rf
+      val viaSpark = GraphDOD.detect(spark, s.space, g, r, kq, partitions = 4)
+      val live = payloadsOf(g)
+      assert(live.size == 1, s"r=$r k=$kq")
+      if (kept == null) kept = live.head
+      assert(live.head eq kept, s"r=$r k=$kq")
+      val local = GraphDOD.detectLocal(s.space, g, r, kq)
+      val afterLocal = payloadsOf(g)
+      assert(afterLocal.size == 1 && (afterLocal.head eq kept), s"r=$r k=$kq")
+      assert(viaSpark.outliers.toSeq == local.outliers.toSeq, s"r=$r k=$kq")
+    }
+  }
+
+  test("runs interleaving graphs A, B, A replace the payload and match LocalRunner's outliers and counts") {
+    val sa = TestSpaces.scenarios().head
+    val sb = TestSpaces.scenarios()(1)
+    val cases = Seq(sa, sb).map { s =>
+      (s, new CountingSpace(s.space), MRPG.build(s.space, 10, runner, seed = 16, maxIters = 4)._1)
+    }
+    def dists[A](cs: CountingSpace)(body: => A): (A, Long) = {
+      val before = cs.evaluations
+      val a = body
+      (a, cs.evaluations - before)
+    }
+    val payloads = scala.collection.mutable.ArrayBuffer.empty[AnyRef]
+    for (((s, cs, g), step) <- Seq(cases(0), cases(1), cases(0)).zipWithIndex) {
+      val (viaSpark, sparkDists) = dists(cs)(GraphDOD.detect(spark, cs, g, s.r, s.k, partitions = 4))
+      val (local, localDists) = dists(cs)(GraphDOD.detectLocal(cs, g, s.r, s.k))
+      assert(viaSpark.outliers.toSeq == local.outliers.toSeq, s"step $step")
+      assert(viaSpark.outliers.toSeq == BruteForce.outliers(s.space, s.r, s.k).toSeq, s"step $step")
+      assert(viaSpark.candidates == local.candidates, s"step $step")
+      assert(viaSpark.falsePositives == local.falsePositives, s"step $step")
+      assert(viaSpark.directOutliers == local.directOutliers, s"step $step")
+      assert(sparkDists == localDists, s"step $step")
+      val live = payloadsOf(g)
+      assert(live.size == 1, s"step $step")
+      payloads += live.head
+      if (step > 0) {
+        val previous = payloads(step - 1)
+        eventually(timeout(10.seconds))(assert(!broadcastLive(previous), s"step $step"))
+      }
+    }
+    assert(!(payloads(2) eq payloads(0)), "graph A's payload is shared anew after B's run")
   }
 
   test("the fused run spends exactly filterVerdict's evaluations plus the candidates' exact counts") {

@@ -100,6 +100,46 @@ class GreedyCountingSpec extends AnyFunSuite {
     assert(calls.map(_._2).distinct.length == calls.length, "a vertex was evaluated twice")
   }
 
+  /** Algorithm 2 over a fresh visited set and queue per call. */
+  private def referenceCount(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int,
+      usePivotHop: Boolean): Int = {
+    val visited = new java.util.BitSet(space.n)
+    val queue = scala.collection.mutable.Queue(p)
+    visited.set(p)
+    var count = 0
+    while (queue.nonEmpty && count < k) {
+      val v = queue.dequeue()
+      for (w <- g.adj(v) if count < k && !visited.get(w)) {
+        visited.set(w)
+        if (space.dist(p, w) <= r) { count += 1; queue.enqueue(w) }
+        else if (usePivotHop && g.isPivot(w)) queue.enqueue(w)
+      }
+    }
+    count
+  }
+
+  test("counts on spaces of different n, interleaved on one thread, equal a plain BFS") {
+    val rng = new Random(87)
+    val cases = Seq(
+      (TestSpaces.clustered(300, 4, VectorMetric.L2, seed = 88), 6.0),
+      (TestSpaces.clustered(40, 3, VectorMetric.L1, seed = 89), 20.0),
+      (TestSpaces.strings(150, seed = 90), 4.0),
+      (TestSpaces.clustered(700, 5, VectorMetric.L2, seed = 91), 8.0),
+    ).zipWithIndex.map { case ((space, r), i) =>
+      val plain = randomGraph(space.n, 5, seed = 92 + i)
+      val isPivot = Array.fill(space.n)(rng.nextInt(8) == 0)
+      (space, new ProximityGraph(plain.adj, isPivot, null, 0), r)
+    }
+    for (round <- 0 until 30; (space, g, r) <- cases) {
+      val p = rng.nextInt(space.n)
+      val k = 1 + rng.nextInt(40)
+      for (hop <- Seq(false, true)) {
+        assert(GreedyCounting.count(space, g, p, r, k, hop) == referenceCount(space, g, p, r, k, hop),
+          s"round $round n=${space.n} p=$p k=$k hop=$hop")
+      }
+    }
+  }
+
   // ---- exact-list direct decision (§5.5) ---------------------------------
   test("countExactList equals capped true count when the list is the true K'-NN") {
     val space = TestSpaces.clustered(400, 6, VectorMetric.L2, seed = 84)

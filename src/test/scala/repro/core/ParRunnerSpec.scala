@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.SparkException
+import org.apache.spark.{SparkException, SparkTestHooks}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.SparkSpec
@@ -8,7 +8,8 @@ import repro.SparkSpec
 /** Range fan-out correctness: local and Spark runners agree (chunk results
   * in the same order), chunking covers [0, n) exactly once, the id fan-out
   * returns results aligned with its ids, shared handles live until their
-  * release, and a failing chunk frees its call's broadcast.
+  * release, keyed handles live until another key replaces them and no
+  * handle on them is held, and a failing chunk frees its call's broadcast.
   */
 class ParRunnerSpec extends SparkSpec {
 
@@ -97,6 +98,74 @@ class ParRunnerSpec extends SparkSpec {
     h.release()
     eventually(timeout(10.seconds))(assert(!broadcastLive(data)))
     intercept[Exception](runner.runWithData(100, h)((d, s, e) => d.value(s) + e))
+  }
+
+  test("runShared runs one job over a shared handle and broadcasts nothing of its own") {
+    val runner = new SparkRunner(spark, 4)
+    val data = Array.tabulate(100)(_ * 3)
+    val h = runner.share(data)
+    try {
+      // each chunk counts, while the job runs, the live broadcasts of its value
+      val (copies, jobs) = countingJobs {
+        runner.runShared(100, h) { (d, _, _) =>
+          SparkTestHooks.liveBroadcastValues(SparkTestHooks.activeContext).count {
+            case v: AnyRef => v eq d
+            case _ => false
+          }
+        }
+      }
+      assert(jobs == 1)
+      assert(copies == Seq(1, 1, 1, 1))
+    } finally h.release()
+  }
+
+  test("LocalRunner.shareFor returns the value itself and keeps none") {
+    val key = new Object
+    var makes = 0
+    val data = Array(1, 2, 3)
+    val runner = new LocalRunner(4)
+    for (_ <- 0 until 2) {
+      val h = runner.shareFor(Seq(key)) { makes += 1; data }
+      assert(h.value eq data)
+      h.release()
+    }
+    assert(makes == 2)
+  }
+
+  test("SparkRunner.shareFor keeps one broadcast per context until another key replaces it") {
+    val keyA, keyB = new Object
+    val dataA = Array.tabulate(100)(_ * 3)
+    val dataB = Array.tabulate(100)(_ * 5)
+    var makes = 0
+    // a new runner per call, as GraphDOD.detect makes one per query
+    def lease(key: AnyRef, data: Array[Int]): Shared[Array[Int]] =
+      new SparkRunner(spark, 4).shareFor(Seq(key)) { makes += 1; data }
+    def sum(h: Shared[Array[Int]]): Int =
+      new SparkRunner(spark, 4).runShared(100, h)((d, s, e) => (s until e).map(d(_)).sum).sum
+
+    val first = lease(keyA, dataA)
+    val again = lease(keyA, dataA)
+    assert(makes == 1)
+    assert(sum(first) == dataA.sum && sum(again) == dataA.sum)
+    first.release(); again.release()
+    assert(broadcastLive(dataA)) // kept with no handle held
+    val third = lease(keyA, dataA)
+    assert(sum(third) == dataA.sum && makes == 1)
+    third.release()
+
+    val b = lease(keyB, dataB)
+    assert(makes == 2)
+    eventually(timeout(10.seconds))(assert(!broadcastLive(dataA)))
+    // a handle in use outlives its replacement, and is freed on its release
+    val a = lease(keyA, dataA)
+    assert(makes == 3)
+    assert(sum(b) == dataB.sum)
+    b.release()
+    b.release() // a second release is a no-op
+    eventually(timeout(10.seconds))(assert(!broadcastLive(dataB)))
+    assert(sum(a) == dataA.sum)
+    a.release()
+    assert(broadcastLive(dataA))
   }
 
   test("SparkRunner surfaces a failing chunk's error, frees the broadcast and runs again") {

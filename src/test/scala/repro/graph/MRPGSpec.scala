@@ -101,8 +101,11 @@ class MRPGSpec extends SparkSpec {
   }
 
   test("exact-list vertices' adjacency equals their exact list") {
-    val v = (0 until space.n).find(graph.hasExactList).get
-    assert(graph.adj(v).toSet == graph.exactLists(v).toSet)
+    // Connect-SubGraphs' phase 2 may add one link beyond the list (see its
+    // scaladoc); on this fixture it adds none
+    val withLists = (0 until space.n).filter(graph.hasExactList)
+    assert(withLists.nonEmpty)
+    for (v <- withLists) assert(graph.adj(v).toSet == graph.exactLists(v).toSet, s"vertex $v")
   }
 
   test("MRPG works on string spaces end to end") {
