@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{BruteForce, ExactCounter, MetricSpace, ParRunner}
+import repro.core.{BruteForce, DODQuery, ExactCounter, MetricSpace, ParRunner}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -18,6 +18,7 @@ final case class DetectionResult(outliers: Array[Int], totalMs: Long, indexBytes
   */
 object ScanDOD {
   def run(runner: ParRunner, space: MetricSpace, r: Double, k: Int, counter: ExactCounter): DetectionResult = {
+    DODQuery.check(r, k)
     val t0 = System.nanoTime()
     val out = runner.select(Array.range(0, space.n), (space, counter)) { case ((sp, c), p) =>
       c.count(sp, p, r, k) < k
@@ -43,6 +44,7 @@ object SNIF {
       k: Int,
       seed: Long = 11L,
   ): DetectionResult = {
+    DODQuery.check(r, k)
     val t0 = System.nanoTime()
     val n = space.n
     val rng = new Random(seed)
@@ -101,36 +103,35 @@ object SNIF {
   * objects are candidates, verified in a parallel second scan.
   */
 object Dolphin {
+  /** Probability that a proven inlier stays in the index (`p_inlier`). */
+  val PInlier = 0.05
+
   def run(
       runner: ParRunner,
       space: MetricSpace,
       r: Double,
       k: Int,
-      pInlier: Double = 0.05,
       seed: Long = 13L,
   ): DetectionResult = {
+    DODQuery.check(r, k)
     val t0 = System.nanoTime()
     val n = space.n
     val rng = new Random(seed)
 
     val indexIds = mutable.ArrayBuffer.empty[Int]
-    val counts = mutable.HashMap.empty[Int, Int]
+    val counts = new Array[Int](n) // partial neighbor counts of indexed objects
     var p = 0
     while (p < n) {
       var cnt = 0
       var i = 0
       while (cnt < k && i < indexIds.length) {
         val q = indexIds(i)
-        if (space.dist(p, q) <= r) {
-          cnt += 1
-          val cq = counts(q) + 1
-          counts(q) = cq
-        }
+        if (space.dist(p, q) <= r) { cnt += 1; counts(q) += 1 }
         i += 1
       }
       if (cnt >= k) {
-        // proven inlier; keep in the index only with probability pInlier
-        if (rng.nextDouble() < pInlier) { indexIds += p; counts(p) = cnt }
+        // proven inlier; keep in the index only with probability PInlier
+        if (rng.nextDouble() < PInlier) { indexIds += p; counts(p) = cnt }
       } else { indexIds += p; counts(p) = cnt }
       p += 1
     }

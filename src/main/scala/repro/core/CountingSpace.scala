@@ -22,7 +22,6 @@ final class CountingSpace(val base: MetricSpace) extends MetricSpace {
 
   def n: Int = base.n
   def dist(i: Int, j: Int): Double = { adder.increment(); base.dist(i, j) }
-  def dataBytes: Long = base.dataBytes
 
   def evaluations: Long = adder.sum()
 }

@@ -27,6 +27,17 @@ final case class VPTreeCounter(tree: VPTree) extends ExactCounter {
   def sizeBytes: Long = tree.sizeBytes
 }
 
+/** The query every DOD detector answers: is `p` an outlier, having fewer
+  * than `k` other objects within distance `r`?
+  */
+object DODQuery {
+  /** Rejects a query no detector can answer: `k < 1`, or `r` negative or NaN. */
+  def check(r: Double, k: Int): Unit = {
+    require(k >= 1, s"k must be at least 1, got $k")
+    require(r >= 0, s"r must be a non-negative number, got $r")
+  }
+}
+
 /** Result of one DOD run.
   *
   * Filtering and verification overlap (each chunk verifies its own
@@ -107,7 +118,7 @@ object GraphDOD {
     * same graph reads the payload shared by the first. Under
     * [[SparkRunner]] it stays broadcast until a run on another key, or
     * until the context stops; space and graph must not change once
-    * detected on. Requires `k >= 1` and `r >= 0` (not NaN).
+    * detected on. Rejects invalid queries ([[DODQuery.check]]).
     */
   def run(
       runner: ParRunner,
@@ -119,8 +130,7 @@ object GraphDOD {
       useExactShortcut: Boolean = true,
       counter: ExactCounter = LinearScanCounter(),
   ): DODResult = {
-    require(k >= 1, s"k must be at least 1, got $k")
-    require(r >= 0, s"r must be a non-negative number, got $r")
+    DODQuery.check(r, k)
     val n = space.n
     val t0 = System.nanoTime()
     val payload = runner.shareFor(Seq(space, g, counter))((space, g, counter, ParRunner.permutation(n)))

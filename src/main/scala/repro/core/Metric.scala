@@ -12,9 +12,6 @@ trait MetricSpace extends Serializable {
 
   /** Metric distance between objects `i` and `j` (symmetric, triangle ineq.). */
   def dist(i: Int, j: Int): Double
-
-  /** Approximate in-memory footprint of the raw data in bytes (Table 6). */
-  def dataBytes: Long
 }
 
 /** Distance functions over dense vectors. L1/L2/L4 are Minkowski norms; the
@@ -105,8 +102,6 @@ final class VectorSpace(val points: Array[Array[Double]], val metric: VectorMetr
     if (metric == VectorMetric.Angular)
       VectorMetric.Angular.angle(VectorMetric.Angular.dot(points(i), points(j)), norms(i), norms(j))
     else metric.dist(points(i), points(j))
-
-  def dataBytes: Long = n.toLong * dim * 8L
 }
 
 /** Strings under unit-cost Levenshtein (edit) distance — the paper's Words
@@ -124,8 +119,6 @@ final class StringSpace(val words: Array[String]) extends MetricSpace {
   @transient private lazy val kernel = new BitParallelEdit(words)
 
   def dist(i: Int, j: Int): Double = kernel.dist(i, j).toDouble
-
-  def dataBytes: Long = words.map(_.length.toLong * 2L + 16L).sum
 }
 
 /** Exact Levenshtein distances between the words of one space, computed with

@@ -1,7 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
+import org.apache.spark.sql.SparkSession
 import repro.SynthData
 import repro.core.{MetricSpace, StringSpace, VectorMetric, VectorSpace}
 
@@ -15,7 +14,7 @@ import repro.core.{MetricSpace, StringSpace, VectorMetric, VectorSpace}
   *                   scaled to 20 / 30 here)
   * @param vpVerify   use a VP-tree in Exact-Counting (paper: HEPMASS,
   *                   PAMAP2, Words — low intrinsic dimensionality)
-  * @param paperR/paperK/paperRatio the paper's Table 2 row, for reporting
+  * @param paperRatio the paper's Table 2 outlier ratio [%], for reporting
   */
 final case class DatasetSpec(
     name: String,
@@ -32,8 +31,6 @@ final case class DatasetSpec(
     graphK: Int,
     vpVerify: Boolean,
     seed: Long,
-    paperR: String,
-    paperK: Int,
     paperRatio: Double,
     miniFrac: Double = 0.0,
     nMini: Int = 0,
@@ -80,60 +77,41 @@ object Datasets {
   // paper's outlier ratio.
   val deep = DatasetSpec("deep", "Deep", 16000, 32, "L2", 30, 2.0, 30.0, 0.005,
     r = 22.0, k = 50, graphK = 20, vpVerify = false, seed = 101L,
-    paperR = "0.93", paperK = 50, paperRatio = 0.62,
+    paperRatio = 0.62,
     miniFrac = 0.06, nMini = 8)
 
   val glove = DatasetSpec("glove", "Glove", 12000, 25, "Angular", 25, 0.05, 0.0, 0.0044,
     r = 0.15, k = 20, graphK = 20, vpVerify = false, seed = 102L,
-    paperR = "0.25", paperK = 20, paperRatio = 0.55,
+    paperRatio = 0.55,
     miniFrac = 0.05, nMini = 12, miniSigmaFactor = 1.3)
 
   val hepmass = DatasetSpec("hepmass", "HEPMASS", 14000, 27, "L1", 20, 2.0, 30.0, 0.0052,
     r = 82.0, k = 50, graphK = 20, vpVerify = true, seed = 103L,
-    paperR = "15", paperK = 50, paperRatio = 0.65,
+    paperRatio = 0.65,
     miniFrac = 0.06, nMini = 7)
 
   val mnist = DatasetSpec("mnist", "MNIST", 6000, 96, "L4", 15, 2.0, 30.0, 0.0027,
     r = 16.0, k = 50, graphK = 20, vpVerify = false, seed = 104L,
-    paperR = "600", paperK = 50, paperRatio = 0.34,
+    paperRatio = 0.34,
     miniFrac = 0.06, nMini = 3)
 
   val pamap2 = DatasetSpec("pamap2", "PAMAP2", 12000, 51, "L2", 20, 2.0, 30.0, 0.0049,
     r = 27.0, k = 100, graphK = 30, vpVerify = true, seed = 105L,
-    paperR = "50,000", paperK = 100, paperRatio = 0.61,
+    paperRatio = 0.61,
     miniFrac = 0.08, nMini = 3)
 
   val sift = DatasetSpec("sift", "SIFT", 10000, 64, "L2", 25, 2.0, 30.0, 0.0083,
     r = 30.0, k = 40, graphK = 20, vpVerify = false, seed = 106L,
-    paperR = "320", paperK = 40, paperRatio = 1.04,
+    paperRatio = 1.04,
     miniFrac = 0.06, nMini = 6)
 
   val words = DatasetSpec("words", "Words", 4000, 0, "Edit", 40, 0.0, 0.0, 0.033,
     r = 4.0, k = 15, graphK = 20, vpVerify = true, seed = 107L,
-    paperR = "5", paperK = 15, paperRatio = 4.16,
+    paperRatio = 4.16,
     miniFrac = 0.06, nMini = 10)
 
   val all: Seq[DatasetSpec] = Seq(deep, glove, hepmass, mnist, pamap2, sift, words)
 
   def byName(name: String): DatasetSpec =
     all.find(_.name == name).getOrElse(throw new IllegalArgumentException(s"no dataset $name"))
-
-  /** Flat scalar-column DataFrame (`id, x0..x{d-1}` or `id, word`) for the
-    * DuckDB oracle / SqlDOD, built from an in-memory space.
-    */
-  def flatDF(spark: SparkSession, space: MetricSpace): DataFrame = space match {
-    case vs: VectorSpace =>
-      val schema = StructType(
-        StructField("id", LongType) +:
-          (0 until vs.dim).map(i => StructField(s"x$i", DoubleType)))
-      val rows = vs.points.zipWithIndex.map { case (p, i) =>
-        Row.fromSeq(i.toLong +: p.toSeq)
-      }
-      spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
-    case ss: StringSpace =>
-      val schema = StructType(Seq(StructField("id", LongType), StructField("word", StringType)))
-      val rows = ss.words.zipWithIndex.map { case (w, i) => Row(i.toLong, w) }
-      spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
-    case other => throw new IllegalArgumentException(s"unsupported space: $other")
-  }
 }

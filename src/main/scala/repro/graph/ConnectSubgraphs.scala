@@ -86,11 +86,11 @@ object ConnectSubgraphs {
            Seq.fill(StartPivots)(reachedPivots(rng.nextInt(reachedPivots.length)))
          else Seq.fill(StartPivots)(reachedIds(rng.nextInt(reachedIds.length)))).distinct
 
-      val adjArr = adj.map(_.toArray) // snapshot for the ANN walks
+      // the walks only read `adj`; the pair is linked once every start has walked
       var best = -1
       var bestD = Double.MaxValue
       starts.foreach { s =>
-        val ann = NSW.greedyAnnSearch(space, adjArr, s, target, AnnMaxHops)
+        val ann = greedyAnnSearch(space, adj, s, target, AnnMaxHops)
         val d = space.dist(ann, target)
         if (d < bestD) { bestD = d; best = ann }
       }
@@ -101,5 +101,36 @@ object ConnectSubgraphs {
       bfsFrom(target)
     }
     added
+  }
+
+  /** Greedy ANN search (§5.2): walk from `start` toward `query` over the
+    * links of `adj`, hop-limited, returning the closest vertex reached.
+    */
+  def greedyAnnSearch(
+      space: MetricSpace,
+      adj: Array[mutable.LinkedHashSet[Int]],
+      start: Int,
+      query: Int,
+      maxHops: Int,
+  ): Int = {
+    var cur = start
+    var curD = space.dist(query, cur)
+    var hops = 0
+    var improved = true
+    while (improved && hops < maxHops) {
+      improved = false
+      val edges = adj(cur).iterator
+      var best = cur
+      var bestD = curD
+      while (edges.hasNext) {
+        val w = edges.next()
+        if (w != query) {
+          val dw = space.dist(query, w)
+          if (dw < bestD) { best = w; bestD = dw }
+        }
+      }
+      if (best != cur) { cur = best; curD = bestD; improved = true; hops += 1 }
+    }
+    cur
   }
 }

@@ -80,37 +80,4 @@ object NSW {
     }
     evaluated.toSeq.sortBy { case (id, dd) => (dd, id) }.take(f).map(_._1)
   }
-
-  /** Greedy ANN search used by Connect-SubGraphs (§5.2): walk from `start`
-    * toward `query`, hop-limited, returning the closest vertex reached.
-    */
-  def greedyAnnSearch(
-      space: MetricSpace,
-      adj: Array[Array[Int]],
-      start: Int,
-      query: Int,
-      maxHops: Int,
-  ): Int = {
-    var cur = start
-    var curD = space.dist(query, cur)
-    var hops = 0
-    var improved = true
-    while (improved && hops < maxHops) {
-      improved = false
-      val edges = adj(cur)
-      var i = 0
-      var best = cur
-      var bestD = curD
-      while (i < edges.length) {
-        val w = edges(i)
-        if (w != query) {
-          val dw = space.dist(query, w)
-          if (dw < bestD) { best = w; bestD = dw }
-        }
-        i += 1
-      }
-      if (best != cur) { cur = best; curD = bestD; improved = true; hops += 1 }
-    }
-    cur
-  }
 }

@@ -34,7 +34,7 @@ final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Doub
   lazy val countingSpace: CountingSpace = new CountingSpace(spec.space(scale))
   def space: MetricSpace = countingSpace
 
-  lazy val (vpTree, vpTreeBuildMs) = timed(VPTree.build(space, capacity = 32, seed = spec.seed))
+  lazy val vpTree: VPTree = VPTree.build(space, capacity = 32, seed = spec.seed)
 
   /** Exact-Counting backend (§4): VP-tree for low intrinsic dimensionality
     * datasets, linear scan otherwise.
@@ -176,7 +176,6 @@ object TableFmt {
     (s"== $title ==" +: line(headers) +: sep +: rows.map(line)).mkString("\n")
   }
 
-  def ms(v: Long): String = v.toString
   def sec(v: Long): String = f"${v / 1000.0}%.2f"
   def mb(bytes: Long): String = f"${bytes / 1048576.0}%.2f"
   def mdist(v: Long): String = f"${v / 1e6}%.2f"

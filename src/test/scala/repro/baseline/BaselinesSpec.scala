@@ -39,11 +39,27 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
-  test("DOLPHIN is exact across pInlier settings") {
+  test("DOLPHIN is exact across seeds") {
     val s = TestSpaces.scenarios().head
     val truth = BruteForce.outliers(s.space, s.r, s.k).toSeq
-    for (p <- Seq(0.0, 0.05, 0.5, 1.0)) {
-      assert(Dolphin.run(runner, s.space, s.r, s.k, pInlier = p).outliers.toSeq == truth, s"p=$p")
+    for (seed <- 1 to 5) {
+      assert(Dolphin.run(runner, s.space, s.r, s.k, seed = seed).outliers.toSeq == truth, s"seed=$seed")
+    }
+  }
+
+  test("every baseline rejects k < 1, r < 0 and r = NaN") {
+    val s = TestSpaces.scenarios().head
+    val tree = VPTree.build(s.space, 16, seed = 5)
+    val detectors: Seq[(String, (Double, Int) => DetectionResult)] = Seq(
+      "Nested-loop" -> ((r, k) => ScanDOD.run(runner, s.space, r, k, LinearScanCounter())),
+      "VP-tree" -> ((r, k) => ScanDOD.run(runner, s.space, r, k, VPTreeCounter(tree))),
+      "SNIF" -> ((r, k) => SNIF.run(runner, s.space, r, k)),
+      "DOLPHIN" -> ((r, k) => Dolphin.run(runner, s.space, r, k)),
+    )
+    for ((name, run) <- detectors; (r, k) <- Seq((s.r, 0), (-1.0, s.k), (Double.NaN, s.k))) {
+      withClue(s"$name at r=$r, k=$k: ") {
+        assertThrows[IllegalArgumentException](run(r, k))
+      }
     }
   }
 

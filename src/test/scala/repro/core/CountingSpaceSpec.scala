@@ -12,11 +12,10 @@ class CountingSpaceSpec extends SparkSpec {
     assert(cs.evaluations == 3L)
   }
 
-  test("delegates n, dist values and dataBytes to the base space") {
+  test("delegates n and dist values to the base space") {
     val base = TestSpaces.clustered(50, 4, VectorMetric.L2, seed = 8)
     val cs = new CountingSpace(base)
     assert(cs.n == base.n)
-    assert(cs.dataBytes == base.dataBytes)
     for (i <- 0 until 10; j <- 0 until 10) assert(cs.dist(i, j) == base.dist(i, j))
   }
 

@@ -310,5 +310,4 @@ private final class SlowSpace(base: MetricSpace, burnNs: Long) extends MetricSpa
     while (System.nanoTime() < end) {}
     base.dist(i, j)
   }
-  def dataBytes: Long = base.dataBytes
 }

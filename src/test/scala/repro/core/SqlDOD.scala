@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 
 /** DOD expressed purely in the DataFrame/Spark-SQL API (Catalyst): a
   * self-join on the distance predicate, a group-by count, and an anti-join
@@ -9,9 +10,28 @@ import org.apache.spark.sql.functions._
   * cross-check against DuckDB via [[repro.Oracle]], not as a fast baseline.
   *
   * Inputs carry scalar columns (`id`, `x0..x{d-1}` or `id`, `word`) so the
-  * same tables can be handed to DuckDB.
+  * same tables can be handed to DuckDB; [[flatDF]] builds them from a space.
   */
 object SqlDOD {
+
+  /** Flat scalar-column DataFrame (`id, x0..x{d-1}` or `id, word`) for the
+    * DuckDB oracle and [[outliers]], built from an in-memory space.
+    */
+  def flatDF(spark: SparkSession, space: MetricSpace): DataFrame = space match {
+    case vs: VectorSpace =>
+      val schema = StructType(
+        StructField("id", LongType) +:
+          (0 until vs.dim).map(i => StructField(s"x$i", DoubleType)))
+      val rows = vs.points.zipWithIndex.map { case (p, i) =>
+        Row.fromSeq(i.toLong +: p.toSeq)
+      }
+      spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+    case ss: StringSpace =>
+      val schema = StructType(Seq(StructField("id", LongType), StructField("word", StringType)))
+      val rows = ss.words.zipWithIndex.map { case (w, i) => Row(i.toLong, w) }
+      spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+    case other => throw new IllegalArgumentException(s"unsupported space: $other")
+  }
 
   /** Distance expression between aliased sides `a` and `b` of a self-join. */
   private def distExpr(df: DataFrame, metric: String): org.apache.spark.sql.Column = {

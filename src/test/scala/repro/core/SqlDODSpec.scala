@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestSpaces}
-import repro.data.Datasets
 import repro.graph.{MRPG, ProximityGraph}
 
 /** DuckDB-oracle correctness: the Spark-SQL DOD plan and the graph-based
@@ -14,7 +13,7 @@ class SqlDODSpec extends SparkSpec {
 
   private def vecCase(metric: repro.core.VectorMetric, dim: Int, seed: Long) = {
     val space = TestSpaces.clustered(250, dim, metric, nClusters = 4, outlierFrac = 0.04, seed = seed)
-    (space, Datasets.flatDF(spark, space))
+    (space, SqlDOD.flatDF(spark, space))
   }
 
   test("SqlDOD (L2) matches DuckDB on the same table") {
@@ -40,7 +39,7 @@ class SqlDODSpec extends SparkSpec {
 
   test("SqlDOD (edit distance) matches DuckDB levenshtein and our DP distance") {
     val space = TestSpaces.strings(220, seed = 204)
-    val df = Datasets.flatDF(spark, space)
+    val df = SqlDOD.flatDF(spark, space)
     val got = SqlDOD.outliers(spark, df, "Edit", 4.0, 6)
     Oracle.assertEquivalent(got, SqlDOD.duckSql(df, "Edit", 4.0, 6), "pts" -> df)
     assert(got.collect().map(_.getLong(0).toInt).toSeq == BruteForce.outliers(space, 4.0, 6).toSeq)
@@ -61,7 +60,7 @@ class SqlDODSpec extends SparkSpec {
 
   test("graph-based detector on strings agrees with DuckDB levenshtein") {
     val space = TestSpaces.strings(220, seed = 206)
-    val df = Datasets.flatDF(spark, space)
+    val df = SqlDOD.flatDF(spark, space)
     val (g, _) = MRPG.build(space, 8, runner, seed = 8, maxIters = 4)
     val got = graphOutliers(space, g, 4.0, 6)
     Oracle.assertEquivalent(got, SqlDOD.duckSql(df, "Edit", 4.0, 6), "pts" -> df)

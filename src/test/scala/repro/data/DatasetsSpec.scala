@@ -1,7 +1,7 @@
 package repro.data
 
 import repro.SparkSpec
-import repro.core.{BruteForce, MetricSpace, StringSpace, VectorSpace}
+import repro.core.{BruteForce, MetricSpace, SqlDOD, StringSpace, VectorSpace}
 
 /** Generator determinism, the flat DataFrame's schema and contents, and
   * dataset shape for the 7 substitutes.
@@ -17,9 +17,9 @@ class DatasetsSpec extends SparkSpec {
     case other => fail(s"unexpected space $other")
   }
 
-  /** The ids and row bits [[Datasets.flatDF]] holds for `space`, by id. */
+  /** The ids and row bits [[SqlDOD.flatDF]] holds for `space`, by id. */
   private def flatRows(space: MetricSpace): (Seq[Long], Seq[Seq[Any]]) = {
-    val rows = Datasets.flatDF(spark, space).collect().sortBy(_.getLong(0)).toSeq
+    val rows = SqlDOD.flatDF(spark, space).collect().sortBy(_.getLong(0)).toSeq
     val bits: Seq[Seq[Any]] = space match {
       case _: StringSpace => rows.map(r => Seq(r.getString(1)))
       case _ => rows.map(r => (1 until r.length).map(i => java.lang.Double.doubleToRawLongBits(r.getDouble(i))))
@@ -44,7 +44,7 @@ class DatasetsSpec extends SparkSpec {
     }
 
     test(s"${spec.name}: DataFrame schema and cardinality") {
-      val df = Datasets.flatDF(spark, spec.space(testScale))
+      val df = SqlDOD.flatDF(spark, spec.space(testScale))
       val expectedCols =
         if (spec.metric == "Edit") Seq("id", "word") else "id" +: (0 until spec.dim).map(i => s"x$i")
       assert(df.columns.toSeq == expectedCols)
@@ -110,14 +110,14 @@ class DatasetsSpec extends SparkSpec {
 
   test("flatDF exposes scalar columns for vectors") {
     val space = Datasets.sift.space(0.02)
-    val df = Datasets.flatDF(spark, space)
+    val df = SqlDOD.flatDF(spark, space)
     assert(df.columns.length == 1 + 64)
     assert(df.count() == space.n)
   }
 
   test("flatDF exposes (id, word) for strings") {
     val space = Datasets.words.space(0.05)
-    val df = Datasets.flatDF(spark, space)
+    val df = SqlDOD.flatDF(spark, space)
     assert(df.columns.toSeq == Seq("id", "word"))
     assert(df.count() == space.n)
   }

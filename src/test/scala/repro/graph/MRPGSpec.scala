@@ -159,7 +159,6 @@ class MRPGSpec extends SparkSpec {
     val dp = new MetricSpace {
       val n: Int = words.length
       def dist(i: Int, j: Int): Double = EditDistance(words(i), words(j)).toDouble
-      def dataBytes: Long = 0L
     }
     val viaKernel = new CountingSpace(new StringSpace(words))
     val viaDp = new CountingSpace(dp)

@@ -68,6 +68,36 @@ class MRPGStepsSpec extends AnyFunSuite {
     assert(buffers(50).toSet == before)
   }
 
+  // the greedy ANN walk over an NSW graph's links
+  private lazy val walkSpace = TestSpaces.clustered(500, 6, VectorMetric.L2, seed = 91)
+  private lazy val nswAdj = toBuffers(NSW.build(walkSpace, f = 6, seed = 9).adj)
+
+  test("greedyAnnSearch never returns a vertex farther than the start") {
+    val rng = new scala.util.Random(93)
+    for (_ <- 0 until 100) {
+      val start = rng.nextInt(walkSpace.n)
+      val query = rng.nextInt(walkSpace.n)
+      val res = ConnectSubgraphs.greedyAnnSearch(walkSpace, nswAdj, start, query, maxHops = 10)
+      assert(walkSpace.dist(query, res) <= walkSpace.dist(query, start) + 1e-9)
+    }
+  }
+
+  test("multi-start greedyAnnSearch usually lands near the query") {
+    // single greedy walks get stuck in local minima by design; Connect-
+    // SubGraphs therefore uses several starts — test the same setting
+    val rng = new scala.util.Random(94)
+    val improvements = (0 until 100).count { _ =>
+      val query = rng.nextInt(walkSpace.n)
+      val starts = Seq.fill(3)(rng.nextInt(walkSpace.n)).filter(_ != query)
+      val best = starts.map { s0 =>
+        walkSpace.dist(query, ConnectSubgraphs.greedyAnnSearch(walkSpace, nswAdj, s0, query, maxHops = 20))
+      }.min
+      val startBest = starts.map(walkSpace.dist(query, _)).min
+      best < 0.5 * startBest || best < 10.0 // reached the query's cluster
+    }
+    assert(improvements >= 60, s"only $improvements/100 multi-start searches got close")
+  }
+
   // ---- Remove-Detours ----------------------------------------------------
   test("RemoveDetours adds links and keeps the graph valid") {
     val space = TestSpaces.clustered(300, 6, VectorMetric.L2, seed = 35)

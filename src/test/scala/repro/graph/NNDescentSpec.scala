@@ -160,7 +160,6 @@ class NNDescentSpec extends SparkSpec {
     def counting(counter: () => Unit) = new repro.core.MetricSpace {
       def n = base.n
       def dist(i: Int, j: Int) = { counter(); base.dist(i, j) }
-      def dataBytes = 0L
     }
     NNDescent.build(counting(() => countPlain += 1), cfgKGraph(8), runner)
     NNDescent.build(counting(() => countPlus += 1), cfgPlus(8), runner)
@@ -238,5 +237,4 @@ private final class FailingSpace(base: MetricSpace, failAfter: Long) extends Met
     if (calls.incrementAndGet() > failAfter) throw new IllegalStateException("distance failed")
     base.dist(i, j)
   }
-  def dataBytes: Long = base.dataBytes
 }

@@ -20,7 +20,6 @@ class TablesSpec extends SparkSpec {
   test("TableFmt formatters") {
     assert(TableFmt.sec(2500) == "2.50")
     assert(TableFmt.mb(1048576) == "1.00")
-    assert(TableFmt.ms(7) == "7")
   }
 
   test("BenchContext memoizes dataset state per (name, scale)") {
