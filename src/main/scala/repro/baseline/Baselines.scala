@@ -33,8 +33,9 @@ object ScanDOD {
   * Objects in the same cluster are mutual neighbors by the triangle
   * inequality, so clusters with more than `k` members are all inliers; the
   * rest count neighbors only against clusters whose center lies within
-  * `3r/2` (no neighbor can live farther). The counting pass fans out
-  * through the [[ParRunner]].
+  * `3r/2` (no neighbor can live farther). Both bounds are widened by the
+  * space's `roundingSlack`, so rounding cannot break either rule. The
+  * counting pass fans out through the [[ParRunner]].
   */
 object SNIF {
   def run(
@@ -49,6 +50,11 @@ object SNIF {
     val n = space.n
     val rng = new Random(seed)
     val order = rng.shuffle((0 until n).toList)
+    // members join a center a little inside r/2, so co-members' computed
+    // distances stay within r, and centers are searched a little beyond 3r/2
+    val slack = space.roundingSlack
+    val joinR = r / 2 * (1 - slack)
+    val searchR = 1.5 * r * (1 + slack)
 
     // sequential cluster formation (order-dependent, as in the paper)
     val centers = mutable.ArrayBuffer.empty[Int]
@@ -58,7 +64,7 @@ object SNIF {
       var c = 0
       var assigned = -1
       while (assigned < 0 && c < centers.length) {
-        if (space.dist(p, centers(c)) <= r / 2) assigned = c
+        if (space.within(p, centers(c), joinR)) assigned = c
         c += 1
       }
       if (assigned < 0) {
@@ -79,11 +85,11 @@ object SNIF {
         var count = mem(cOf(p)).length - 1 // co-members are neighbors
         var c = 0
         while (count < k && c < cts.length) {
-          if (c != cOf(p) && sp.dist(p, cts(c)) <= 1.5 * r) {
+          if (c != cOf(p) && sp.within(p, cts(c), searchR)) {
             val ms = mem(c)
             var i = 0
             while (count < k && i < ms.length) {
-              if (sp.dist(p, ms(i)) <= r) count += 1
+              if (sp.within(p, ms(i), r)) count += 1
               i += 1
             }
           }
@@ -126,7 +132,7 @@ object Dolphin {
       var i = 0
       while (cnt < k && i < indexIds.length) {
         val q = indexIds(i)
-        if (space.dist(p, q) <= r) { cnt += 1; counts(q) += 1 }
+        if (space.within(p, q, r)) { cnt += 1; counts(q) += 1 }
         i += 1
       }
       if (cnt >= k) {

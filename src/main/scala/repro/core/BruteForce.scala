@@ -12,7 +12,7 @@ object BruteForce {
     var i = 0
     val n = space.n
     while (i < n && count < cap) {
-      if (i != p && space.dist(p, i) <= r) count += 1
+      if (i != p && space.within(p, i, r)) count += 1
       i += 1
     }
     count

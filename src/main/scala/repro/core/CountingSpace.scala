@@ -16,12 +16,17 @@ import java.util.concurrent.atomic.LongAdder
   * JVM, so task-side evaluations land in the same adder; on a cluster each
   * executor would count into its own copy. Callers read [[evaluations]]
   * before/after a run.
+  *
+  * A `within` test is one evaluation, like the `dist` it answers for, even
+  * when the base space stops it early.
   */
 final class CountingSpace(val base: MetricSpace) extends MetricSpace {
   private val adder = new LongAdder
 
   def n: Int = base.n
   def dist(i: Int, j: Int): Double = { adder.increment(); base.dist(i, j) }
+  override def within(i: Int, j: Int, r: Double): Boolean = { adder.increment(); base.within(i, j, r) }
+  override def roundingSlack: Double = base.roundingSlack
 
   def evaluations: Long = adder.sum()
 }

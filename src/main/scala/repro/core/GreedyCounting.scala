@@ -45,7 +45,7 @@ object GreedyCounting {
         val w = edges(i)
         if (seen(w) != stamp) {
           seen(w) = stamp
-          if (space.dist(p, w) <= r) {
+          if (space.within(p, w, r)) {
             count += 1
             if (count >= k) return count
             queue(tail) = w; tail += 1
@@ -95,7 +95,7 @@ object GreedyCounting {
     var count = 0
     var i = 0
     while (i < list.length && count < k) {
-      if (space.dist(p, list(i)) <= r) count += 1
+      if (space.within(p, list(i), r)) count += 1
       else return count // list is sorted by distance: nothing closer follows
       i += 1
     }

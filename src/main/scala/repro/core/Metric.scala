@@ -12,57 +12,128 @@ trait MetricSpace extends Serializable {
 
   /** Metric distance between objects `i` and `j` (symmetric, triangle ineq.). */
   def dist(i: Int, j: Int): Double
+
+  /** Whether `dist(i, j) <= r`: the test every detection-time decision
+    * makes. An override may stop computing once the verdict is sure, but
+    * must return exactly this verdict, bit for bit, for every `r`.
+    */
+  def within(i: Int, j: Int, r: Double): Boolean = dist(i, j) <= r
+
+  /** Relative slack that triangle-inequality rules add to their bounds, so
+    * that rounding in `dist` never lets a rule skip a pair whose computed
+    * `dist` is within `r`, or call one within `r` whose computed `dist` is
+    * not. The default, 1e-9, is far above the relative rounding error of a
+    * Minkowski sum over any practical dimension. A space whose distances
+    * are computed exactly overrides it with 0, which leaves every bound as
+    * it is.
+    */
+  def roundingSlack: Double = 1e-9
 }
 
 /** Distance functions over dense vectors. L1/L2/L4 are Minkowski norms; the
   * angular distance is `acos(cosine)/pi`, a metric on the unit sphere (the
   * paper uses it for Glove).
+  *
+  * The kernels read the vectors `x(a until a + dim)` and `y(b until b + dim)`,
+  * so rows of one flat row-major store need no copy.
   */
 sealed trait VectorMetric extends Serializable {
-  def dist(a: Array[Double], b: Array[Double]): Double
   def name: String
+
+  def dist(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double
+
+  /** Whether `dist(x, a, y, b, dim) <= r`, the same verdict bit for bit. */
+  def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean =
+    dist(x, a, y, b, dim) <= r
+
+  final def dist(a: Array[Double], b: Array[Double]): Double = dist(a, 0, b, 0, a.length)
 }
 
 object VectorMetric {
+
+  /** The partial power sum past which a Minkowski `within` may stop:
+    * `rp = r^p` widened by 1e-12, far more than the rounding of `rp` and of
+    * the final root, so a sum past it has a root above `r`. `+∞` (never
+    * stop) unless `rp` is a finite normal number: a subnormal power has
+    * lost its relative precision.
+    */
+  private def abandonAt(rp: Double): Double =
+    if (rp >= java.lang.Double.MIN_NORMAL && rp <= Double.MaxValue) rp * (1 + 1e-12)
+    else Double.PositiveInfinity
+
+  // `within` sums the same terms in the same order as `dist`, and every 8
+  // coordinates compares the partial sum with `abandonAt(r^p)`. The loops
+  // are kept apart so that `dist`, the graph build's kernel, keeps its plain
+  // loop and a JIT profile of its own.
+
   case object L1 extends VectorMetric {
     def name = "L1"
-    def dist(a: Array[Double], b: Array[Double]): Double = {
+    def dist(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double = {
       var s = 0.0; var i = 0
-      while (i < a.length) { s += math.abs(a(i) - b(i)); i += 1 }
+      while (i < dim) { s += math.abs(x(a + i) - y(b + i)); i += 1 }
       s
+    }
+    override def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean = {
+      val stop = abandonAt(r)
+      var s = 0.0; var i = 0
+      while (i < dim) {
+        s += math.abs(x(a + i) - y(b + i)); i += 1
+        if ((i & 7) == 0 && s > stop) return false
+      }
+      s <= r
     }
   }
 
   case object L2 extends VectorMetric {
     def name = "L2"
-    def dist(a: Array[Double], b: Array[Double]): Double = {
+    def dist(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double = {
       var s = 0.0; var i = 0
-      while (i < a.length) { val d = a(i) - b(i); s += d * d; i += 1 }
+      while (i < dim) { val d = x(a + i) - y(b + i); s += d * d; i += 1 }
       math.sqrt(s)
+    }
+    override def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean = {
+      val stop = abandonAt(r * r)
+      var s = 0.0; var i = 0
+      while (i < dim) {
+        val d = x(a + i) - y(b + i); s += d * d; i += 1
+        if ((i & 7) == 0 && s > stop) return false
+      }
+      math.sqrt(s) <= r
     }
   }
 
   case object L4 extends VectorMetric {
     def name = "L4"
-    def dist(a: Array[Double], b: Array[Double]): Double = {
+    def dist(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double = {
       var s = 0.0; var i = 0
-      while (i < a.length) { val d = a(i) - b(i); val d2 = d * d; s += d2 * d2; i += 1 }
+      while (i < dim) { val d = x(a + i) - y(b + i); val d2 = d * d; s += d2 * d2; i += 1 }
       math.sqrt(math.sqrt(s))
+    }
+    override def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean = {
+      val r2 = r * r
+      val stop = abandonAt(r2 * r2)
+      var s = 0.0; var i = 0
+      while (i < dim) {
+        val d = x(a + i) - y(b + i); val d2 = d * d; s += d2 * d2; i += 1
+        if ((i & 7) == 0 && s > stop) return false
+      }
+      math.sqrt(math.sqrt(s)) <= r
     }
   }
 
   /** `acos(cos(a, b)) / pi` in [0, 1]. Callers should pass non-zero vectors. */
   case object Angular extends VectorMetric {
     def name = "Angular"
-    def dist(a: Array[Double], b: Array[Double]): Double = angle(dot(a, b), norm(a), norm(b))
+    def dist(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double =
+      angle(dot(x, a, y, b, dim), norm(x, a, dim), norm(y, b, dim))
 
-    def dot(a: Array[Double], b: Array[Double]): Double = {
+    def dot(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double = {
       var s = 0.0; var i = 0
-      while (i < a.length) { s += a(i) * b(i); i += 1 }
+      while (i < dim) { s += x(a + i) * y(b + i); i += 1 }
       s
     }
 
-    def norm(a: Array[Double]): Double = math.sqrt(dot(a, a))
+    def norm(x: Array[Double], a: Int, dim: Int): Double = math.sqrt(dot(x, a, x, a, dim))
 
     /** The angular distance from a dot product and the two norms. */
     def angle(dot: Double, na: Double, nb: Double): Double = {
@@ -81,27 +152,54 @@ object VectorMetric {
   }
 }
 
-/** Vectors under a Minkowski or angular metric. Norms are precomputed for the
-  * angular case so `dist` stays one pass over the coordinates. Every row must
-  * have the same number of coordinates, all finite.
+/** Vectors under a Minkowski or angular metric, stored flat: row `i` is
+  * `data(i * dim until (i + 1) * dim)`, so a distance reads two stretches
+  * of one array and a broadcast ships one array. Norms are precomputed for
+  * the angular case so `dist` stays one pass over the coordinates.
   */
-final class VectorSpace(val points: Array[Array[Double]], val metric: VectorMetric)
+final class VectorSpace private (data: Array[Double], val n: Int, val metric: VectorMetric)
     extends MetricSpace {
-  require(points.nonEmpty, "empty space")
-  val n: Int = points.length
-  val dim: Int = points(0).length
-  points.indices.foreach { i =>
-    require(points(i).length == dim, s"row $i has ${points(i).length} coordinates, row 0 has $dim")
-    require(points(i).forall(java.lang.Double.isFinite), s"row $i has a NaN or infinite coordinate")
-  }
+
+  /** The space of `rows`: at least one row, every row with the first row's
+    * number of coordinates, all finite.
+    */
+  def this(rows: Array[Array[Double]], metric: VectorMetric) =
+    this(VectorSpace.flatten(rows), rows.length, metric)
+
+  val dim: Int = data.length / n
 
   private val norms: Array[Double] =
-    if (metric == VectorMetric.Angular) points.map(VectorMetric.Angular.norm) else null
+    if (metric == VectorMetric.Angular) Array.tabulate(n)(i => VectorMetric.Angular.norm(data, i * dim, dim))
+    else null
+
+  /** A copy of every row. */
+  def points: Array[Array[Double]] =
+    Array.tabulate(n)(i => java.util.Arrays.copyOfRange(data, i * dim, (i + 1) * dim))
 
   def dist(i: Int, j: Int): Double =
     if (metric == VectorMetric.Angular)
-      VectorMetric.Angular.angle(VectorMetric.Angular.dot(points(i), points(j)), norms(i), norms(j))
-    else metric.dist(points(i), points(j))
+      VectorMetric.Angular.angle(VectorMetric.Angular.dot(data, i * dim, data, j * dim, dim), norms(i), norms(j))
+    else metric.dist(data, i * dim, data, j * dim, dim)
+
+  override def within(i: Int, j: Int, r: Double): Boolean =
+    if (metric == VectorMetric.Angular) dist(i, j) <= r
+    else metric.within(data, i * dim, data, j * dim, dim, r)
+}
+
+object VectorSpace {
+  /** `rows` checked and copied into one row-major array. */
+  private def flatten(rows: Array[Array[Double]]): Array[Double] = {
+    require(rows.nonEmpty, "empty space")
+    val dim = rows(0).length
+    require(rows.length.toLong * dim <= Int.MaxValue - 8, s"${rows.length} rows of $dim coordinates do not fit one array")
+    val data = new Array[Double](rows.length * dim)
+    rows.indices.foreach { i =>
+      require(rows(i).length == dim, s"row $i has ${rows(i).length} coordinates, row 0 has $dim")
+      require(rows(i).forall(java.lang.Double.isFinite), s"row $i has a NaN or infinite coordinate")
+      System.arraycopy(rows(i), 0, data, i * dim, dim)
+    }
+    data
+  }
 }
 
 /** Strings under unit-cost Levenshtein (edit) distance — the paper's Words
@@ -119,6 +217,11 @@ final class StringSpace(val words: Array[String]) extends MetricSpace {
   @transient private lazy val kernel = new BitParallelEdit(words)
 
   def dist(i: Int, j: Int): Double = kernel.dist(i, j).toDouble
+
+  override def within(i: Int, j: Int, r: Double): Boolean = kernel.within(i, j, r)
+
+  /** Edit distances are integers, computed exactly. */
+  override def roundingSlack: Double = 0.0
 }
 
 /** Exact Levenshtein distances between the words of one space, computed with
@@ -134,8 +237,8 @@ final class StringSpace(val words: Array[String]) extends MetricSpace {
   * shorter word is longer than 64 units go to [[EditDistance]], and so does
   * every pair when the rows would exceed [[BitParallelEdit.MaxTableWords]].
   *
-  * Immutable after construction: `dist` allocates nothing and may be called
-  * from any number of threads at once.
+  * Immutable after construction: `dist` and `within` allocate nothing and
+  * may be called from any number of threads at once.
   */
 final class BitParallelEdit(words: Array[String]) {
   import BitParallelEdit._
@@ -212,6 +315,44 @@ final class BitParallelEdit(words: Array[String]) {
       x += 1
     }
     score
+  }
+
+  /** Whether `dist(i, j) <= r`, on `dist`'s scan with two cut-offs against
+    * `⌊r⌋`: a pair whose lengths differ by more is rejected at once (the
+    * distance is at least the difference), and the scan stops once `score`
+    * minus the text units left exceeds it, because the DP's last row moves
+    * by at most 1 per text unit. The scan is a copy of `dist`'s, kept apart
+    * like the Minkowski kernels' loops.
+    */
+  def within(i: Int, j: Int, r: Double): Boolean = {
+    if (!(r >= 0)) return false // no distance is negative, or below NaN
+    val k = if (r >= Int.MaxValue) Int.MaxValue else r.toInt // ⌊r⌋
+    var p = i; var t = j
+    if (start(j + 1) - start(j) < start(i + 1) - start(i)) { p = j; t = i }
+    val m = start(p + 1) - start(p)
+    val ts = start(t); val te = start(t + 1)
+    if (te - ts - m > k) return false
+    if (peq == null || m > MaxPattern) return EditDistance(words(i), words(j)) <= k
+    if (m == 0) return true // the distance is te - ts, at most k
+    val base = row(p)
+    val last = 1L << (m - 1)
+    var pv = -1L; var mv = 0L; var score = m
+    var x = ts
+    while (x < te) {
+      val eq = peq(base + codes(x))
+      val xv = eq | mv
+      val xh = (((eq & pv) + pv) ^ pv) | eq
+      val ph = mv | ~(xh | pv)
+      val mh = pv & xh
+      if ((ph & last) != 0) score += 1
+      else if ((mh & last) != 0) score -= 1
+      val ph1 = (ph << 1) | 1L
+      pv = (mh << 1) | ~(xv | ph1)
+      mv = ph1 & xv
+      x += 1
+      if (score - (te - x) > k) return false
+    }
+    score <= k
   }
 }
 

@@ -28,6 +28,7 @@ final class VPTree private[core] (
     * counting stops once it reaches `cap`.
     */
   def rangeCount(space: MetricSpace, q: Int, r: Double, cap: Int): Int = {
+    val slack = space.roundingSlack
     var count = 0
     def visit(node: VPTree.Node): Unit = {
       if (count >= cap) return
@@ -36,17 +37,20 @@ final class VPTree private[core] (
           var i = 0
           while (i < ids.length && count < cap) {
             val id = ids(i)
-            if (id != q && space.dist(q, id) <= r) count += 1
+            if (id != q && space.within(q, id, r)) count += 1
             i += 1
           }
         case VPTree.Internal(vp, mu, maxD, left, right) =>
           val d = space.dist(q, vp)
+          // the triangle-inequality bounds take r widened by the space's
+          // rounding slack, so rounding never prunes a computed neighbour
+          val rr = r * (1 + slack) + slack * (d + maxD)
           // lower bound of any object under this node is d - maxD
-          if (d - maxD > r) return
+          if (d - maxD > rr) return
           if (vp != q && d <= r) count += 1
           if (count >= cap) return
-          if (d <= mu + r) visit(left)
-          if (count < cap && d > mu - r) visit(right)
+          if (d <= mu + rr) visit(left)
+          if (count < cap && d > mu - rr) visit(right)
       }
     }
     visit(root)

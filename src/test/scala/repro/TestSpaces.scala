@@ -1,6 +1,7 @@
 package repro
 
 import repro.core.{MetricSpace, StringSpace, VectorMetric, VectorSpace}
+import repro.data.{DatasetSpec, Datasets}
 import scala.util.Random
 
 /** Small driver-side datasets for unit tests (no Spark needed): clustered
@@ -106,4 +107,17 @@ object TestSpaces {
     Scenario("angular-clustered", angular(600, 12, seed = seed + 3), r = 0.12, k = 10),
     Scenario("edit-strings", strings(500, seed = seed + 4), r = 4.0, k = 8),
   )
+
+  /** The (r, k) grid whose detection distance counts the suites pin, per
+    * dataset: the benchmark's `r` values around the dataset's default, and
+    * two `k`.
+    */
+  def pinnedGrid(spec: DatasetSpec): Seq[(Double, Int)] = {
+    val (rs, ks) = spec match {
+      case Datasets.deep => (Seq(20.0, 22.0, 24.0), Seq(20, 50))
+      case Datasets.words => (Seq(3.0, 4.0, 5.0), Seq(5, 15))
+      case other => throw new IllegalArgumentException(s"no pinned grid for ${other.name}")
+    }
+    for (r <- rs; k <- ks) yield (r, k)
+  }
 }

@@ -1,7 +1,8 @@
 package repro.baseline
 
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, LinearScanCounter, SparkRunner, VPTree, VPTreeCounter}
+import repro.core.{BruteForce, CountingSpace, LinearScanCounter, LocalRunner, SparkRunner, VPTree, VPTreeCounter, VectorMetric, VectorSpace}
+import repro.data.Datasets
 
 /** All four scan-based baselines must be exact on every scenario: SNIF,
   * DOLPHIN, and [[ScanDOD]] with a linear scan (Nested-loop) or a VP-tree.
@@ -85,11 +86,68 @@ class BaselinesSpec extends SparkSpec {
     assert(ScanDOD.run(runner, s.space, s.r, s.k, VPTreeCounter(tree)).indexBytes == tree.sizeBytes)
   }
 
+  test("SNIF stays exact where computed L2 distances break its triangle-inequality rules by an ulp") {
+    // three points on one line; the middle one is the cluster center c in
+    // the seeds whose scan order opens its cluster first
+    val coMembers = new VectorSpace(Array( // d(p, q) > 2 * d(p, c) = 2 * d(c, q)
+      Array(6.763, 0.034), Array(3.0845, 1.4064999999999999), Array(-0.594, 2.779)), VectorMetric.L2)
+    val farCenter = new VectorSpace(Array( // d(m, c) <= d(p, m) / 2, d(p, c) > 1.5 * d(p, m)
+      Array(-0.772, 0.607), Array(-0.39066666666666666, 5.867), Array(-0.2, 8.497)), VectorMetric.L2)
+    val cases = Seq(
+      // p and q join c's cluster at r / 2, yet their computed distance exceeds r
+      ("co-members", coMembers, 2 * coMembers.dist(0, 1), 2),
+      // the neighbour m of p sits in c's cluster, yet d(p, c) exceeds 3r/2
+      ("center filter", farCenter, farCenter.dist(0, 1), 1),
+    )
+    for ((rule, space, r, k) <- cases) {
+      val truth = BruteForce.outliers(space, r, k).toSeq
+      for (seed <- 1 to 20)
+        assert(SNIF.run(runner, space, r, k, seed = seed).outliers.toSeq == truth, s"$rule seed=$seed")
+    }
+  }
+
   test("results are invariant to the partition count") {
     val s = TestSpaces.scenarios()(3)
     def nestedLoop(parts: Int) =
       ScanDOD.run(new SparkRunner(spark, parts), s.space, s.r, s.k, LinearScanCounter()).outliers.toSeq
     val reference = nestedLoop(1)
     for (p <- Seq(2, 7, 16)) assert(nestedLoop(p) == reference)
+  }
+
+  // CountingSpace evaluations of each query of TestSpaces.pinnedGrid, in
+  // grid order, captured at ab95f41: every distance test counts once,
+  // whichever kernel answers it
+  private val pinnedDists: Map[String, Seq[Long]] = Map(
+    "deep Nested-loop" -> Seq(397262L, 523093L, 358748L, 498086L, 346743L, 486105L),
+    "deep VP-tree" -> Seq(156748L, 194454L, 156643L, 197007L, 160162L, 200077L),
+    "deep SNIF" -> Seq(687480L, 814869L, 576973L, 720214L, 453319L, 564106L),
+    "deep DOLPHIN" -> Seq(440821L, 692451L, 379898L, 634406L, 361544L, 599428L),
+    "words Nested-loop" -> Seq(24651L, 33920L, 23864L, 33078L, 23634L, 33078L),
+    "words VP-tree" -> Seq(16173L, 21352L, 17061L, 21704L, 18011L, 22943L),
+    "words SNIF" -> Seq(22507L, 28533L, 14445L, 18708L, 15112L, 19604L),
+    "words DOLPHIN" -> Seq(29943L, 45158L, 26539L, 41707L, 26084L, 41707L),
+  )
+
+  test("baseline distance counts on deep and words (scale 0.05) are pinned") {
+    val local = new LocalRunner(4)
+    val got = Seq(Datasets.deep, Datasets.words).flatMap { spec =>
+      val base = spec.space(0.05)
+      val tree = VPTree.build(base, capacity = 32, seed = spec.seed)
+      val detectors: Seq[(String, (CountingSpace, Double, Int) => DetectionResult)] = Seq(
+        "Nested-loop" -> ((cs, r, k) => ScanDOD.run(local, cs, r, k, LinearScanCounter())),
+        "VP-tree" -> ((cs, r, k) => ScanDOD.run(local, cs, r, k, VPTreeCounter(tree))),
+        "SNIF" -> ((cs, r, k) => SNIF.run(local, cs, r, k, seed = spec.seed)),
+        "DOLPHIN" -> ((cs, r, k) => Dolphin.run(local, cs, r, k, seed = spec.seed)),
+      )
+      detectors.map { case (name, run) =>
+        s"${spec.name} $name" -> TestSpaces.pinnedGrid(spec).map { case (r, k) =>
+          val cs = new CountingSpace(base)
+          val res = run(cs, r, k)
+          assert(res.outliers.toSeq == BruteForce.outliers(base, r, k).toSeq, s"${spec.name} $name r=$r k=$k")
+          cs.evaluations
+        }
+      }
+    }.toMap
+    assert(got == pinnedDists, got.map { case (n, ds) => s""""$n" -> Seq(${ds.mkString("", "L, ", "L")})""" })
   }
 }

@@ -19,6 +19,19 @@ class CountingSpaceSpec extends SparkSpec {
     for (i <- 0 until 10; j <- 0 until 10) assert(cs.dist(i, j) == base.dist(i, j))
   }
 
+  test("within counts exactly one evaluation and returns the base space's verdict") {
+    for (base <- Seq(TestSpaces.clustered(60, 12, VectorMetric.L2, seed = 11), TestSpaces.strings(60, seed = 12))) {
+      val cs = new CountingSpace(base)
+      var calls = 0L
+      for (i <- 0 until 20; j <- 0 until 20; r <- Seq(0.0, 2.0, 5.0, base.dist(i, j), Double.PositiveInfinity)) {
+        assert(cs.within(i, j, r) == base.within(i, j, r))
+        calls += 1
+        assert(cs.evaluations == calls)
+      }
+      assert(cs.roundingSlack == base.roundingSlack)
+    }
+  }
+
   test("executor-side evaluations in local mode land in the same adder") {
     val cs = new CountingSpace(TestSpaces.clustered(200, 4, VectorMetric.L2, seed = 9))
     val before = cs.evaluations

@@ -4,6 +4,7 @@ import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestSpaces}
 import repro.core.{VectorMetric => VM}
+import repro.data.Datasets
 import repro.graph.{KGraphBuilder, MRPG, NSW, ProximityGraph}
 import scala.util.Random
 
@@ -287,6 +288,31 @@ class GraphDODSpec extends SparkSpec {
         assert(res.outliers.toSeq == truth.toSeq, label)
       }
     }
+  }
+
+  // CountingSpace evaluations of each query of TestSpaces.pinnedGrid, in
+  // grid order, captured at ab95f41: every distance test counts once,
+  // whichever kernel answers it
+  private val pinnedDetectionDists: Map[String, Seq[Long]] = Map(
+    "deep" -> Seq(365093L, 750603L, 309473L, 657856L, 299900L, 615721L),
+    "words" -> Seq(12782L, 28369L, 10753L, 25116L, 10442L, 25790L),
+  )
+
+  test("MRPG detection distance counts on deep and words (scale 0.05) are pinned") {
+    val got = Seq(Datasets.deep, Datasets.words).map { spec =>
+      val base = spec.space(0.05)
+      val (g, _) = MRPG.build(base, spec.graphK, runner, seed = spec.seed)
+      val counter =
+        if (spec.vpVerify) VPTreeCounter(VPTree.build(base, capacity = 32, seed = spec.seed))
+        else LinearScanCounter()
+      spec.name -> TestSpaces.pinnedGrid(spec).map { case (r, k) =>
+        val cs = new CountingSpace(base)
+        val res = GraphDOD.run(runner, cs, g, r, k, counter = counter)
+        assert(res.outliers.toSeq == BruteForce.outliers(base, r, k).toSeq, s"${spec.name} r=$r k=$k")
+        cs.evaluations
+      }
+    }.toMap
+    assert(got == pinnedDetectionDists, got.map { case (n, ds) => s""""$n" -> Seq(${ds.mkString("", "L, ", "L")})""" })
   }
 
   test("random adversarial spaces: MRPG detection stays exact (20 draws)") {

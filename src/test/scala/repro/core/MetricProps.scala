@@ -24,6 +24,28 @@ object MetricProps extends Properties("Metric") {
     }
   }
 
+  /** Rows of 1–40 coordinates, so `within` stops mid-row, at a row's end or
+    * not at all; and radii around the pair's distance.
+    */
+  private val rowPair: Gen[(Array[Double], Array[Double])] = for {
+    dim <- Gen.chooseNum(1, 40)
+    a <- Gen.listOfN(dim, Gen.choose(-5.0, 5.0))
+    b <- Gen.listOfN(dim, Gen.choose(-5.0, 5.0))
+  } yield (a.toArray, b.toArray)
+
+  private def radiiAround(d: Double): Gen[Double] =
+    Gen.oneOf(Gen.const(d), Gen.const(Math.nextUp(d)), Gen.const(Math.nextDown(d)), Gen.choose(0.0, 2 * d))
+
+  for (m <- metrics) {
+    property(s"${m.name}.withinMatchesDist") = Prop.forAll(rowPair) { case (a, b) =>
+      val d = m.dist(a, b)
+      Prop.forAll(radiiAround(d)) { r =>
+        val space = new VectorSpace(Array(a, b), m)
+        m.within(a, 0, b, 0, a.length, r) == (d <= r) && space.within(0, 1, r) == (space.dist(0, 1) <= r)
+      }
+    }
+  }
+
   private val word: Gen[String] =
     Gen.chooseNum(0, 8).flatMap(n => Gen.listOfN(n, Gen.choose('a', 'c')).map(_.mkString))
 
@@ -55,6 +77,17 @@ object MetricProps extends Properties("Metric") {
     len <- Gen.oneOf(Gen.chooseNum(0, 70), Gen.chooseNum(60, 70))
     toks <- Gen.listOfN(len, Gen.oneOf("a", "b", "c", "\u00e9", "\uD83D\uDE00"))
   } yield toks.mkString.take(len)
+
+  property("StringSpace.within.matchesDist") =
+    Prop.forAll(Gen.chooseNum(1, 6).flatMap(Gen.listOfN(_, kernelWord)), Gen.choose(-0.5, 0.5)) { (ws, shift) =>
+      val ss = new StringSpace(ws.toArray)
+      val ids = ws.indices
+      ids.forall(i => ids.forall { j =>
+        val d = ss.dist(i, j)
+        val lengthGap = math.abs(ws(i).length - ws(j).length).toDouble
+        Seq(d, d + shift, d - 1, lengthGap, lengthGap + shift).forall(r => ss.within(i, j, r) == (d <= r))
+      })
+    }
 
   property("StringSpace.dist.matchesEditDistance") =
     Prop.forAll(Gen.chooseNum(1, 6).flatMap(Gen.listOfN(_, kernelWord))) { ws =>

@@ -111,6 +111,23 @@ class MetricSpec extends AnyFunSuite {
     }
   }
 
+  test("VectorSpace serializes one flat copy of its rows and keeps its distances") {
+    val vs = TestSpaces.clustered(500, 16, VectorMetric.L2, seed = 18)
+    val bos = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bos)
+    out.writeObject(vs); out.close()
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+      .readObject().asInstanceOf[VectorSpace]
+    val rng = new Random(19)
+    for (_ <- 0 until 200) {
+      val i = rng.nextInt(vs.n); val j = rng.nextInt(vs.n)
+      assert(copy.dist(i, j) == vs.dist(i, j) && copy.within(i, j, 9.0) == vs.within(i, j, 9.0))
+    }
+    assert(copy.points.map(_.toSeq).toSeq == vs.points.map(_.toSeq).toSeq)
+    val coordinates = 500L * 16 * 8
+    assert(bos.size <= 1.1 * coordinates, s"space ${bos.size} B vs coordinates $coordinates B")
+  }
+
   test("VectorSpace rejects empty input") {
     assertThrows[IllegalArgumentException](new VectorSpace(Array.empty, VectorMetric.L2))
   }

@@ -48,6 +48,32 @@ class VPTreeSpec extends AnyFunSuite {
     }
   }
 
+  test("range counting keeps a neighbour whose computed distances break a pruning bound by an ulp") {
+    // a, m, b on one line, m between: their computed L2 distances break the
+    // triangle inequality in the last place, d(a, b) - d(a, m) > d(m, b)
+    val a = Array(-1.010178704225238, 3.031859454455258)
+    val m = Array(0.4621469924345232, 0.6112019018965662)
+    val b = Array(5.7744670227102635, -8.122808264515303)
+    val space = new VectorSpace(Array(a, m, b, Array(100.0, 100.0)), VectorMetric.L2)
+    val (dam, dmb, dab, daf) = (space.dist(0, 1), space.dist(1, 2), space.dist(0, 2), space.dist(0, 3))
+    def tree(root: VPTree.Node) = new VPTree(root, Array.empty, Array.empty, 3)
+    val empty = VPTree.Leaf(Array.empty[Int])
+    // each tree holds the vantage point a and one neighbour of the query q
+    // at r = d(m, b), which the unwidened bound would prune
+    val cases = Seq(
+      // q = b: the node's lower bound d - maxD passes r
+      ("d - maxD > r", tree(VPTree.Internal(0, dam, dam, VPTree.Leaf(Array(1)), empty)), 2, 1),
+      // q = b: the left bound mu + r falls below d
+      ("d > mu + r", tree(VPTree.Internal(0, dam, daf, VPTree.Leaf(Array(1)), VPTree.Leaf(Array(3)))), 2, 1),
+      // q = m: the right bound mu - r reaches d
+      ("d <= mu - r", tree(VPTree.Internal(0, Math.nextDown(dab), dab, empty, VPTree.Leaf(Array(2)))), 1, 2),
+    )
+    for ((bound, t, q, neighbour) <- cases) {
+      assert(space.within(q, neighbour, dmb), bound)
+      assert(t.rangeCount(space, q, dmb, Int.MaxValue) == BruteForce.exactCount(space, q, dmb), bound)
+    }
+  }
+
   test("every object appears exactly once in the tree") {
     val space = TestSpaces.clustered(500, 4, VectorMetric.L2, seed = 41)
     val tree = VPTree.build(space, capacity = 8, seed = 6)
