@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{BruteForce, DODQuery, ExactCounter, MetricSpace, ParRunner}
+import repro.core.{DODQuery, ExactCounter, LinearScanCounter, MetricSpace, ParRunner}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -145,7 +145,7 @@ object Dolphin {
 
     val candidates = indexIds.filter(q => counts(q) < k).toArray
     val out = runner.select(candidates, space) { (sp, q) =>
-      BruteForce.countNeighbors(sp, q, r, k) < k
+      LinearScanCounter().count(sp, q, r, k) < k
     }
     DetectionResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
   }

@@ -1,8 +1,9 @@
 package repro.core
 
 /** Ground-truth helpers: O(n^2) neighbor counting with the same early
-  * termination every evaluated algorithm uses. This doubles as the
-  * sequential Nested-loop baseline core [Knorr & Ng, VLDB'98].
+  * termination every evaluated algorithm uses. Counting compares
+  * `dist <= r`, not `within`, so the reference every exactness check
+  * compares with does not share the detectors' threshold kernels.
   */
 object BruteForce {
 
@@ -12,7 +13,7 @@ object BruteForce {
     var i = 0
     val n = space.n
     while (i < n && count < cap) {
-      if (i != p && space.within(p, i, r)) count += 1
+      if (i != p && space.dist(p, i) <= r) count += 1
       i += 1
     }
     count

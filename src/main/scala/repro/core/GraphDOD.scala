@@ -13,9 +13,20 @@ sealed trait ExactCounter extends Serializable {
   def sizeBytes: Long
 }
 
+/** The linear scan; also the sequential Nested-loop baseline's core
+  * [Knorr & Ng, VLDB'98].
+  */
 final case class LinearScanCounter() extends ExactCounter {
-  def count(space: MetricSpace, p: Int, r: Double, k: Int): Int =
-    BruteForce.countNeighbors(space, p, r, k)
+  def count(space: MetricSpace, p: Int, r: Double, k: Int): Int = {
+    var count = 0
+    var i = 0
+    val n = space.n
+    while (i < n && count < k) {
+      if (i != p && space.within(p, i, r)) count += 1
+      i += 1
+    }
+    count
+  }
   def name = "linear-scan"
   def sizeBytes = 0L
 }

@@ -22,12 +22,10 @@ trait MetricSpace extends Serializable {
   /** Relative slack that triangle-inequality rules add to their bounds, so
     * that rounding in `dist` never lets a rule skip a pair whose computed
     * `dist` is within `r`, or call one within `r` whose computed `dist` is
-    * not. The default, 1e-9, is far above the relative rounding error of a
-    * Minkowski sum over any practical dimension. A space whose distances
-    * are computed exactly overrides it with 0, which leaves every bound as
-    * it is.
+    * not. A space whose distances are computed exactly states 0, which
+    * leaves every bound as it is; a wrapper states its base space's.
     */
-  def roundingSlack: Double = 1e-9
+  def roundingSlack: Double
 }
 
 /** Distance functions over dense vectors. L1/L2/L4 are Minkowski norms; the
@@ -42,14 +40,16 @@ sealed trait VectorMetric extends Serializable {
 
   def dist(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double
 
-  /** Whether `dist(x, a, y, b, dim) <= r`, the same verdict bit for bit. */
-  def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean =
-    dist(x, a, y, b, dim) <= r
-
   final def dist(a: Array[Double], b: Array[Double]): Double = dist(a, 0, b, 0, a.length)
 }
 
 object VectorMetric {
+
+  /** L1, L2 and L4: the metrics with an early-abandoning threshold test. */
+  sealed trait Minkowski extends VectorMetric {
+    /** Whether `dist(x, a, y, b, dim) <= r`, the same verdict bit for bit. */
+    def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean
+  }
 
   /** The partial power sum past which a Minkowski `within` may stop:
     * `rp = r^p` widened by 1e-12, far more than the rounding of `rp` and of
@@ -66,14 +66,14 @@ object VectorMetric {
   // are kept apart so that `dist`, the graph build's kernel, keeps its plain
   // loop and a JIT profile of its own.
 
-  case object L1 extends VectorMetric {
+  case object L1 extends Minkowski {
     def name = "L1"
     def dist(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double = {
       var s = 0.0; var i = 0
       while (i < dim) { s += math.abs(x(a + i) - y(b + i)); i += 1 }
       s
     }
-    override def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean = {
+    def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean = {
       val stop = abandonAt(r)
       var s = 0.0; var i = 0
       while (i < dim) {
@@ -84,14 +84,14 @@ object VectorMetric {
     }
   }
 
-  case object L2 extends VectorMetric {
+  case object L2 extends Minkowski {
     def name = "L2"
     def dist(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double = {
       var s = 0.0; var i = 0
       while (i < dim) { val d = x(a + i) - y(b + i); s += d * d; i += 1 }
       math.sqrt(s)
     }
-    override def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean = {
+    def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean = {
       val stop = abandonAt(r * r)
       var s = 0.0; var i = 0
       while (i < dim) {
@@ -102,14 +102,14 @@ object VectorMetric {
     }
   }
 
-  case object L4 extends VectorMetric {
+  case object L4 extends Minkowski {
     def name = "L4"
     def dist(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int): Double = {
       var s = 0.0; var i = 0
       while (i < dim) { val d = x(a + i) - y(b + i); val d2 = d * d; s += d2 * d2; i += 1 }
       math.sqrt(math.sqrt(s))
     }
-    override def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean = {
+    def within(x: Array[Double], a: Int, y: Array[Double], b: Int, dim: Int, r: Double): Boolean = {
       val r2 = r * r
       val stop = abandonAt(r2 * r2)
       var s = 0.0; var i = 0
@@ -181,9 +181,15 @@ final class VectorSpace private (data: Array[Double], val n: Int, val metric: Ve
       VectorMetric.Angular.angle(VectorMetric.Angular.dot(data, i * dim, data, j * dim, dim), norms(i), norms(j))
     else metric.dist(data, i * dim, data, j * dim, dim)
 
-  override def within(i: Int, j: Int, r: Double): Boolean =
-    if (metric == VectorMetric.Angular) dist(i, j) <= r
-    else metric.within(data, i * dim, data, j * dim, dim, r)
+  override def within(i: Int, j: Int, r: Double): Boolean = metric match {
+    case m: VectorMetric.Minkowski => m.within(data, i * dim, data, j * dim, dim, r)
+    case _ => super.within(i, j, r)
+  }
+
+  /** Far above the relative rounding error of a Minkowski sum over any
+    * practical dimension.
+    */
+  def roundingSlack: Double = 1e-9
 }
 
 object VectorSpace {
@@ -221,7 +227,7 @@ final class StringSpace(val words: Array[String]) extends MetricSpace {
   override def within(i: Int, j: Int, r: Double): Boolean = kernel.within(i, j, r)
 
   /** Edit distances are integers, computed exactly. */
-  override def roundingSlack: Double = 0.0
+  def roundingSlack: Double = 0.0
 }
 
 /** Exact Levenshtein distances between the words of one space, computed with
@@ -288,12 +294,28 @@ final class BitParallelEdit(words: Array[String]) {
     }
   }
 
-  def dist(i: Int, j: Int): Int = {
+  def dist(i: Int, j: Int): Int = scan(i, j, Int.MaxValue)
+
+  /** Whether `dist(i, j) <= r`: `scan` with the cut-off `⌊r⌋`. */
+  def within(i: Int, j: Int, r: Double): Boolean = {
+    if (!(r >= 0)) return false // no distance is negative, or below NaN
+    val k = if (r >= Int.MaxValue) Int.MaxValue else r.toInt // ⌊r⌋
+    scan(i, j, k) <= k
+  }
+
+  /** `dist(i, j)` if it is at most `k`, else some value above `k`. A pair
+    * whose lengths differ by more than `k` is answered at once (the distance
+    * is at least the difference), and the scan stops once `score` minus the
+    * text units left exceeds `k`, because the DP's last row moves by at
+    * most 1 per text unit. `k = Int.MaxValue` never stops.
+    */
+  private def scan(i: Int, j: Int, k: Int): Int = {
     var p = i; var t = j
     if (start(j + 1) - start(j) < start(i + 1) - start(i)) { p = j; t = i }
     val m = start(p + 1) - start(p)
-    if (peq == null || m > MaxPattern) return EditDistance(words(i), words(j))
     val ts = start(t); val te = start(t + 1)
+    if (te - ts - m > k) return te - ts - m
+    if (peq == null || m > MaxPattern) return EditDistance(words(i), words(j))
     if (m == 0) return te - ts
     val base = row(p)
     val last = 1L << (m - 1)
@@ -313,46 +335,9 @@ final class BitParallelEdit(words: Array[String]) {
       pv = (mh << 1) | ~(xv | ph1)
       mv = ph1 & xv
       x += 1
+      if (score - (te - x) > k) return score
     }
     score
-  }
-
-  /** Whether `dist(i, j) <= r`, on `dist`'s scan with two cut-offs against
-    * `⌊r⌋`: a pair whose lengths differ by more is rejected at once (the
-    * distance is at least the difference), and the scan stops once `score`
-    * minus the text units left exceeds it, because the DP's last row moves
-    * by at most 1 per text unit. The scan is a copy of `dist`'s, kept apart
-    * like the Minkowski kernels' loops.
-    */
-  def within(i: Int, j: Int, r: Double): Boolean = {
-    if (!(r >= 0)) return false // no distance is negative, or below NaN
-    val k = if (r >= Int.MaxValue) Int.MaxValue else r.toInt // ⌊r⌋
-    var p = i; var t = j
-    if (start(j + 1) - start(j) < start(i + 1) - start(i)) { p = j; t = i }
-    val m = start(p + 1) - start(p)
-    val ts = start(t); val te = start(t + 1)
-    if (te - ts - m > k) return false
-    if (peq == null || m > MaxPattern) return EditDistance(words(i), words(j)) <= k
-    if (m == 0) return true // the distance is te - ts, at most k
-    val base = row(p)
-    val last = 1L << (m - 1)
-    var pv = -1L; var mv = 0L; var score = m
-    var x = ts
-    while (x < te) {
-      val eq = peq(base + codes(x))
-      val xv = eq | mv
-      val xh = (((eq & pv) + pv) ^ pv) | eq
-      val ph = mv | ~(xh | pv)
-      val mh = pv & xh
-      if ((ph & last) != 0) score += 1
-      else if ((mh & last) != 0) score -= 1
-      val ph1 = (ph << 1) | 1L
-      pv = (mh << 1) | ~(xv | ph1)
-      mv = ph1 & xv
-      x += 1
-      if (score - (te - x) > k) return false
-    }
-    score <= k
   }
 }
 

@@ -29,6 +29,22 @@ class BruteForceSpec extends AnyFunSuite {
     }
   }
 
+  test("the reference counts on dist, so a wrong within cannot reach it") {
+    // within answers the opposite of dist <= r; the linear-scan verifier
+    // follows it, the ground truth does not
+    val liar = new MetricSpace {
+      def n = space.n
+      def dist(i: Int, j: Int) = space.dist(i, j)
+      override def within(i: Int, j: Int, r: Double) = !space.within(i, j, r)
+      def roundingSlack = space.roundingSlack
+    }
+    for (p <- 0 until 20) {
+      val naive = (0 until space.n).count(i => i != p && space.dist(p, i) <= 12.0)
+      assert(BruteForce.exactCount(liar, p, 12.0) == naive)
+      assert(LinearScanCounter().count(liar, p, 12.0, Int.MaxValue) == space.n - 1 - naive)
+    }
+  }
+
   test("outliers = objects whose exact count is below k") {
     for ((r, k) <- Seq((8.0, 5), (12.0, 20))) {
       val expected = (0 until space.n).filter(p => BruteForce.exactCount(space, p, r) < k)

@@ -336,4 +336,5 @@ private final class SlowSpace(base: MetricSpace, burnNs: Long) extends MetricSpa
     while (System.nanoTime() < end) {}
     base.dist(i, j)
   }
+  def roundingSlack: Double = base.roundingSlack
 }

@@ -93,6 +93,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     val space = new MetricSpace {
       def n = base.n
       def dist(i: Int, j: Int) = { calls += ((i, j)); base.dist(i, j) }
+      def roundingSlack = base.roundingSlack
     }
     val g = randomGraph(200, 6, seed = 83)
     GreedyCounting.count(space, g, 5, 8.0, 1000, usePivotHop = false)

@@ -38,11 +38,9 @@ object MetricProps extends Properties("Metric") {
 
   for (m <- metrics) {
     property(s"${m.name}.withinMatchesDist") = Prop.forAll(rowPair) { case (a, b) =>
-      val d = m.dist(a, b)
-      Prop.forAll(radiiAround(d)) { r =>
-        val space = new VectorSpace(Array(a, b), m)
-        m.within(a, 0, b, 0, a.length, r) == (d <= r) && space.within(0, 1, r) == (space.dist(0, 1) <= r)
-      }
+      val space = new VectorSpace(Array(a, b), m)
+      val d = space.dist(0, 1)
+      Prop.forAll(radiiAround(d))(r => space.within(0, 1, r) == (d <= r))
     }
   }
 

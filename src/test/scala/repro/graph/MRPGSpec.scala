@@ -159,6 +159,7 @@ class MRPGSpec extends SparkSpec {
     val dp = new MetricSpace {
       val n: Int = words.length
       def dist(i: Int, j: Int): Double = EditDistance(words(i), words(j)).toDouble
+      def roundingSlack: Double = 0.0
     }
     val viaKernel = new CountingSpace(new StringSpace(words))
     val viaDp = new CountingSpace(dp)

@@ -160,6 +160,7 @@ class NNDescentSpec extends SparkSpec {
     def counting(counter: () => Unit) = new repro.core.MetricSpace {
       def n = base.n
       def dist(i: Int, j: Int) = { counter(); base.dist(i, j) }
+      def roundingSlack = base.roundingSlack
     }
     NNDescent.build(counting(() => countPlain += 1), cfgKGraph(8), runner)
     NNDescent.build(counting(() => countPlus += 1), cfgPlus(8), runner)
@@ -237,4 +238,5 @@ private final class FailingSpace(base: MetricSpace, failAfter: Long) extends Met
     if (calls.incrementAndGet() > failAfter) throw new IllegalStateException("distance failed")
     base.dist(i, j)
   }
+  def roundingSlack: Double = base.roundingSlack
 }
