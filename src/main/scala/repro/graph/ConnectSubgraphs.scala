@@ -25,27 +25,32 @@ object ConnectSubgraphs {
   val AnnMaxHops = 10
   val StartPivots = 5 // |V_piv|, "a small constant"
 
-  /** Mutates `adj`; returns the number of links added. */
+  /** Links added, and the vertices left unreached when the guard (`n`
+    * rounds) stopped the search. Each round links and reaches its target,
+    * so that count reads 0 on every input; it is reported, not assumed.
+    */
+  final case class Result(linksAdded: Long, unreached: Int)
+
+  /** Mutates `adj`. */
   def run(
       space: MetricSpace,
-      adj: Array[mutable.LinkedHashSet[Int]],
+      adj: AdjacencyStore,
       isPivot: Array[Boolean],
       isExact: Array[Boolean],
       seed: Long,
-  ): Long = {
-    val n = adj.length
+  ): Result = {
+    val n = adj.n
     val rng = new Random(seed)
     var added = 0L
 
     // ---- reverse AKNN phase --------------------------------------------
-    val snapshot = adj.map(_.toArray)
+    val snapshot = adj.csr
     var v = 0
     while (v < n) {
-      val out = snapshot(v)
-      var i = 0
-      while (i < out.length) {
-        val u = out(i)
-        if (!isExact(u) && !adj(u).contains(v)) { adj(u) += v; added += 1 }
+      var i = snapshot.off(v)
+      while (i < snapshot.off(v + 1)) {
+        val u = snapshot.ids(i)
+        if (!isExact(u) && adj.add(u, v)) added += 1
         i += 1
       }
       v += 1
@@ -53,17 +58,26 @@ object ConnectSubgraphs {
 
     // ---- BFS with ANN phase --------------------------------------------
     val visited = new java.util.BitSet(n)
-    val queue = new java.util.ArrayDeque[Integer]()
+    val queue = new Array[Int](n) // a vertex is enqueued once over all BFSes
     var reached = 0
 
     def bfsFrom(s: Int): Unit = {
       if (visited.get(s)) return
       visited.set(s); reached += 1
-      queue.add(s)
-      while (!queue.isEmpty) {
-        val x = queue.poll().intValue()
-        adj(x).foreach { w =>
-          if (!visited.get(w)) { visited.set(w); reached += 1; queue.add(w) }
+      var head = 0
+      var tail = 0
+      queue(tail) = s; tail += 1
+      while (head < tail) {
+        val x = queue(head)
+        head += 1
+        val row = adj.slots(x)
+        var i = 0
+        while (i < adj.end(x)) {
+          val w = row(i)
+          if (w != AdjacencyStore.Gone && !visited.get(w)) {
+            visited.set(w); reached += 1; queue(tail) = w; tail += 1
+          }
+          i += 1
         }
       }
     }
@@ -95,12 +109,29 @@ object ConnectSubgraphs {
         if (d < bestD) { bestD = d; best = ann }
       }
       if (best >= 0 && best != target) {
-        if (!adj(target).contains(best)) { adj(target) += best; added += 1 }
-        if (!adj(best).contains(target)) { adj(best) += target; added += 1 }
+        if (adj.add(target, best)) added += 1
+        if (adj.add(best, target)) added += 1
       }
       bfsFrom(target)
     }
-    added
+    Result(added, n - reached)
+  }
+
+  /** Kept for perfbench's step replay; delete with ROADMAP item 1. Runs
+    * [[run]] on a store made from `adj` and writes the rows back in order;
+    * returns the number of links added.
+    */
+  def run(
+      space: MetricSpace,
+      adj: Array[mutable.LinkedHashSet[Int]],
+      isPivot: Array[Boolean],
+      isExact: Array[Boolean],
+      seed: Long,
+  ): Long = {
+    val store = AdjacencyStore.of(adj.map(_.toArray))
+    val res = run(space, store, isPivot, isExact, seed)
+    adj.indices.foreach { v => adj(v).clear(); adj(v) ++= store.row(v) }
+    res.linksAdded
   }
 
   /** Greedy ANN search (§5.2): walk from `start` toward `query` over the
@@ -108,7 +139,7 @@ object ConnectSubgraphs {
     */
   def greedyAnnSearch(
       space: MetricSpace,
-      adj: Array[mutable.LinkedHashSet[Int]],
+      adj: AdjacencyStore,
       start: Int,
       query: Int,
       maxHops: Int,
@@ -119,15 +150,17 @@ object ConnectSubgraphs {
     var improved = true
     while (improved && hops < maxHops) {
       improved = false
-      val edges = adj(cur).iterator
+      val row = adj.slots(cur)
       var best = cur
       var bestD = curD
-      while (edges.hasNext) {
-        val w = edges.next()
-        if (w != query) {
+      var i = 0
+      while (i < adj.end(cur)) {
+        val w = row(i)
+        if (w != AdjacencyStore.Gone && w != query) {
           val dw = space.dist(query, w)
           if (dw < bestD) { best = w; bestD = dw }
         }
+        i += 1
       }
       if (best != cur) { cur = best; curD = bestD; improved = true; hops += 1 }
     }

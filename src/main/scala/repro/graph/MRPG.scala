@@ -1,14 +1,17 @@
 package repro.graph
 
 import repro.core.{MetricSpace, ParRunner}
-import scala.collection.mutable
 
 /** MRPG builder (§5): NNDescent+ → Connect-SubGraphs → Remove-Detours →
   * Remove-Links, with per-step wall-clock times (Table 4).
   */
 object MRPG {
 
-  /** Wall-clock decomposition of one build (milliseconds). */
+  /** Wall-clock decomposition of one build (milliseconds), the links each
+    * step added or removed, and the two bounded loops' reports: the BFSes
+    * Remove-Detours' visit cap cut short, and the vertices Connect-SubGraphs
+    * left unreached. Both read 0 on the benchmark workloads.
+    */
   final case class BuildStats(
       nnDescentMs: Long,
       connectMs: Long,
@@ -18,6 +21,8 @@ object MRPG {
       linksAddedConnect: Long,
       linksAddedDetours: Long,
       linksRemoved: Long,
+      detourCapHits: Long,
+      connectUnreached: Int,
   ) {
     def totalMs: Long = nnDescentMs + connectMs + removeDetoursMs + removeLinksMs
   }
@@ -67,25 +72,26 @@ object MRPG {
 
     // adjacency: exact-list vertices link exactly their K' nearest, the rest
     // link their approximate K-NNs
-    val adj = new Array[mutable.LinkedHashSet[Int]](n)
+    val adj = new AdjacencyStore(n)
     var v = 0
     while (v < n) {
       val base = if (isExact(v)) aknn.exactLists(v) else aknn.nbrId(v)
-      adj(v) = mutable.LinkedHashSet.from(base.iterator.filter(_ != v))
+      var i = 0
+      while (i < base.length) { if (base(i) != v) adj.add(v, base(i)); i += 1 }
       v += 1
     }
 
-    val addedC = ConnectSubgraphs.run(space, adj, aknn.isPivot, isExact, seed ^ 0x5DEECE66DL)
+    val connect = ConnectSubgraphs.run(space, adj, aknn.isPivot, isExact, seed ^ 0x5DEECE66DL)
     val t2 = System.nanoTime()
 
-    val addedD = RemoveDetours.run(space, adj, aknn.isPivot, isExact, k, runner, seed + 101)
+    val detours = RemoveDetours.run(space, adj, aknn.isPivot, isExact, k, runner, seed + 101)
     val t3 = System.nanoTime()
 
     val removed = RemoveLinks.run(adj, aknn.isPivot, isExact)
     val t4 = System.nanoTime()
 
     val graph = new ProximityGraph(
-      adj.map(_.toArray),
+      adj.toRows,
       aknn.isPivot,
       aknn.exactLists,
       math.min(kPrime, n - 1),
@@ -96,9 +102,11 @@ object MRPG {
       removeDetoursMs = (t3 - t2) / 1000000L,
       removeLinksMs = (t4 - t3) / 1000000L,
       iterations = aknn.iterations,
-      linksAddedConnect = addedC,
-      linksAddedDetours = addedD,
+      linksAddedConnect = connect.linksAdded,
+      linksAddedDetours = detours.linksAdded,
       linksRemoved = removed,
+      detourCapHits = detours.capHits,
+      connectUnreached = connect.unreached,
     )
     (graph, stats)
   }

@@ -106,11 +106,6 @@ object NNDescent {
     */
   val Delta = 0.002
 
-  /** Per-vertex id lists in compressed sparse row form: row `v` is
-    * `ids(off(v) until off(v + 1))`.
-    */
-  private final case class Csr(off: Array[Int], ids: Array[Int])
-
   /** One iteration's join lists and worst-distance snapshot, shared by every
     * local-join chunk.
     */
@@ -224,13 +219,20 @@ object NNDescent {
     val len = until - from
     System.arraycopy(src, from, work, 0, len)
     if (len <= cap) return len
+    shuffle(work, len, rng)
+    cap
+  }
+
+  /** `rng.shuffle` of `a(0 until len)` in place, without boxing and with the
+    * same draws: `rng.nextInt(m)` for `m` = `len` down to 2.
+    */
+  private[graph] def shuffle(a: Array[Int], len: Int, rng: Random): Unit = {
     var m = len
     while (m >= 2) {
       val j = rng.nextInt(m)
-      val t = work(m - 1); work(m - 1) = work(j); work(j) = t
+      val t = a(m - 1); a(m - 1) = a(j); a(j) = t
       m -= 1
     }
-    cap
   }
 
   /** Splits every master list into its new and old entries, in list order,

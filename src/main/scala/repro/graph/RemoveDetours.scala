@@ -13,45 +13,137 @@ import scala.util.Random
   * ascending by distance to `p` and chain-linked `p -> A[0] -> A[1] -> ...`,
   * which makes the path from `p` through them monotonic (Definition 3).
   *
-  * The per-target BFS is read-only, so targets are fanned out through the
-  * [[ParRunner]] (generation-stamped scratch arrays keep each BFS
-  * allocation-free); link additions are applied on the driver.
+  * The per-target BFS is read-only, so targets are dealt out through
+  * [[ParRunner.mapIds]] over a CSR snapshot of the adjacency
+  * (generation-stamped, thread-local scratch arrays keep each BFS
+  * allocation-free); the chains are linked on the driver, in target order.
   */
 object RemoveDetours {
 
-  val MaxVisitsPerBfs = 4096 // safety bound, |A| is O(K^2) per the paper
+  /** Safety bound on the vertices one BFS expands from; |A| is O(K^2) per
+    * the paper. A BFS it cuts short counts in [[Result.capHits]].
+    */
+  val MaxVisitsPerBfs = 4096
 
-  /** Per-chunk scratch: generation stamps (one per BFS, one per target's
+  /** Links added, and the BFSes [[MaxVisitsPerBfs]] cut short: stopped with
+    * a vertex left in the queue whose hop was still below the BFS's limit.
+    */
+  final case class Result(linksAdded: Long, capHits: Long)
+
+  /** One thread's scratch: generation stamps (one per BFS, one per target's
     * set `A`) avoid clearing O(n) arrays between the O(n/K) targets. A BFS
     * enqueues each vertex once, so `queue(0 until tail)` lists its visits.
+    * The arrays grow to the largest `n` the thread has run on and are kept
+    * for its later targets.
     */
-  private final class Scratch(n: Int) {
-    val dp = new Array[Double](n)
-    val hop = new Array[Int](n)
-    val mono = new Array[Boolean](n)
-    val queue = new Array[Int](n)
+  private final class Scratch {
+    var dp = new Array[Double](0)
+    var hop = new Array[Int](0)
+    var mono = new Array[Boolean](0)
+    var queue = new Array[Int](0)
     var tail = 0
-    val a = new Array[Int](n) // A's ids, in the order found
+    var a = new Array[Int](0) // A's ids, in the order found
     var aSize = 0
-    private val visitGen = new Array[Int](n)
-    private val aGen = new Array[Int](n)
+    var pivs = new Array[Int](0) // the hop->=2 pivots of the 3-hop BFS
+    var tmp = new Array[Int](0) // the merge buffer of `sortByDist`
+    private var visitGen = new Array[Int](0)
+    private var aGen = new Array[Int](0)
     private var bfs = 0
     private var target = 0
 
-    def beginBfs(): Unit = { bfs += 1; tail = 0 }
+    /** Sizes the arrays for a graph of `n` vertices. */
+    def fit(n: Int): Unit = if (dp.length < n) {
+      dp = new Array[Double](n); hop = new Array[Int](n); mono = new Array[Boolean](n)
+      queue = new Array[Int](n); a = new Array[Int](n); pivs = new Array[Int](n); tmp = new Array[Int](n)
+      visitGen = new Array[Int](n); aGen = new Array[Int](n)
+      bfs = 0; target = 0
+    }
+
+    def beginBfs(): Unit = {
+      if (bfs == Int.MaxValue) { java.util.Arrays.fill(visitGen, 0); bfs = 0 }
+      bfs += 1; tail = 0
+    }
     def seen(v: Int): Boolean = visitGen(v) == bfs
     def enqueue(v: Int): Unit = { visitGen(v) = bfs; queue(tail) = v; tail += 1 }
 
-    /** Starts target `p`'s empty `A`, which `p` and `direct` never enter. */
-    def beginTarget(p: Int, direct: Array[Int]): Unit = {
+    /** Starts target `p`'s empty `A`, which `p` and `direct(from until
+      * until)` never enter.
+      */
+    def beginTarget(p: Int, direct: Array[Int], from: Int, until: Int): Unit = {
+      if (target == Int.MaxValue) { java.util.Arrays.fill(aGen, 0); target = 0 }
       target += 1; aSize = 0
       aGen(p) = target
-      direct.foreach(aGen(_) = target)
+      var i = from
+      while (i < until) { aGen(direct(i)) = target; i += 1 }
     }
     def addToA(v: Int): Unit = if (aGen(v) != target) { aGen(v) = target; a(aSize) = v; aSize += 1 }
   }
 
-  /** Mutates `adj`; returns the number of links added. */
+  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+
+  /** One target's chain `p :: A`, and the BFSes the cap cut short. */
+  private final case class Chain(ids: Array[Int], capHits: Int)
+
+  /** Mutates `adj`. */
+  def run(
+      space: MetricSpace,
+      adj: AdjacencyStore,
+      isPivot: Array[Boolean],
+      isExact: Array[Boolean],
+      k0: Int,
+      runner: ParRunner,
+      seed: Long,
+  ): Result = {
+    val n = adj.n
+    val k = math.max(2, k0)
+    val rng = new Random(seed)
+
+    // ---- pivot-weighted sample of |P'| = O(n/K) targets ----------------
+    // the first nTargets / 2 of the shuffled pivots, then the shuffled rest,
+    // each id once
+    val nTargets = math.max(1, n / k)
+    val pivotPool = Array.range(0, n).filter(v => isPivot(v) && !isExact(v))
+    NNDescent.shuffle(pivotPool, pivotPool.length, rng)
+    val restPool = Array.range(0, n).filter(v => !isExact(v))
+    NNDescent.shuffle(restPool, restPool.length, rng)
+    val targets = new Array[Int](nTargets)
+    var nPicked = 0
+    val picked = new Array[Boolean](n)
+    def pick(v: Int): Unit =
+      if (nPicked < nTargets && !picked(v)) { picked(v) = true; targets(nPicked) = v; nPicked += 1 }
+    var i = 0
+    while (i < math.min(nTargets / 2, pivotPool.length)) { pick(pivotPool(i)); i += 1 }
+    restPool.foreach(pick)
+
+    val maxA = k * k
+    val pivotSample = math.min(k, 10)
+
+    val chains = runner.mapIds(targets.take(nPicked), (space, adj.csr, isPivot, isExact, maxA, pivotSample)) {
+      case ((sp, g, piv, exact, cap, nPiv), p) => chainFor(sp, g, piv, exact, p, cap, nPiv)
+    }
+
+    // ---- chain-link on the driver --------------------------------------
+    var added = 0L
+    def link(a: Int, b: Int): Unit = {
+      if (a != b) {
+        if (!isExact(a) && adj.add(a, b)) added += 1
+        if (!isExact(b) && adj.add(b, a)) added += 1
+      }
+    }
+    var capHits = 0L
+    chains.foreach { chain =>
+      val ids = chain.ids
+      var i = 0
+      while (i + 1 < ids.length) { link(ids(i), ids(i + 1)); i += 1 }
+      capHits += chain.capHits
+    }
+    Result(added, capHits)
+  }
+
+  /** Kept for perfbench's step replay; delete with ROADMAP item 1. Runs
+    * [[run]] on a store made from `adj` and writes the rows back in order;
+    * returns the number of links added.
+    */
   def run(
       space: MetricSpace,
       adj: Array[mutable.LinkedHashSet[Int]],
@@ -61,44 +153,10 @@ object RemoveDetours {
       runner: ParRunner,
       seed: Long,
   ): Long = {
-    val n = adj.length
-    val k = math.max(2, k0)
-    val rng = new Random(seed)
-
-    // ---- pivot-weighted sample of |P'| = O(n/K) targets ----------------
-    val nTargets = math.max(1, n / k)
-    val pivotPool = rng.shuffle((0 until n).filter(v => isPivot(v) && !isExact(v)).toList)
-    val restPool = rng.shuffle((0 until n).filter(v => !isExact(v)).toList)
-    val targets =
-      (pivotPool.take(nTargets / 2) ++ restPool).distinct.take(nTargets).toArray
-
-    val adjArr = adj.map(_.toArray)
-    val maxA = k * k
-    val pivotSample = math.min(k, 10)
-
-    val chains: Seq[Array[Array[Int]]] =
-      runner.runWithData(
-        targets.length,
-        (space, adjArr, isPivot, isExact, targets, maxA, pivotSample),
-      ) { (data, s, e) =>
-        val (sp, g, piv, exact, tg, cap, nPiv) = data
-        val scratch = new Scratch(g.length)
-        (s until e).map(i => chainFor(sp, g, piv, exact, tg(i), cap, nPiv, scratch)).toArray
-      }
-
-    // ---- chain-link on the driver --------------------------------------
-    var added = 0L
-    def link(a: Int, b: Int): Unit = {
-      if (a != b) {
-        if (!isExact(a) && !adj(a).contains(b)) { adj(a) += b; added += 1 }
-        if (!isExact(b) && !adj(b).contains(a)) { adj(b) += a; added += 1 }
-      }
-    }
-    chains.flatten.foreach { chain =>
-      var i = 0
-      while (i + 1 < chain.length) { link(chain(i), chain(i + 1)); i += 1 }
-    }
-    added
+    val store = AdjacencyStore.of(adj.map(_.toArray))
+    val res = run(space, store, isPivot, isExact, k0, runner, seed)
+    adj.indices.foreach { v => adj(v).clear(); adj(v) ++= store.row(v) }
+    res.linksAdded
   }
 
   /** The chain `p :: A` for one target (`A` ascending by distance to `p`,
@@ -107,42 +165,88 @@ object RemoveDetours {
     */
   private def chainFor(
       space: MetricSpace,
-      adj: Array[Array[Int]],
+      adj: Csr,
       isPivot: Array[Boolean],
       isExact: Array[Boolean],
       p: Int,
       maxA: Int,
       pivotSample: Int,
-      sc: Scratch,
-  ): Array[Int] = {
-    sc.beginTarget(p, adj(p))
-    val dp = sc.dp
-    val byDist: Ordering[Int] = (x, y) => java.lang.Double.compare(dp(x), dp(y))
+  ): Chain = {
+    val sc = scratch.get()
+    sc.fit(adj.off.length - 1)
+    sc.beginTarget(p, adj.ids, adj.off(p), adj.off(p + 1))
 
-    getNonMonotonic(space, adj, p, p, 3, sc)
+    var capHits = getNonMonotonic(space, adj, p, p, 3, sc)
     // pivots "with small distances to p": found at hop >= 2 of the BFS,
     // excluding exact-list objects (Alg. 5 line 5 conditions); read off the
     // queue, in a stable sort, before the 2-hop BFSes reuse it
-    val pivs = sc.queue.take(sc.tail)
-      .filter(w => sc.hop(w) >= 2 && isPivot(w) && !isExact(w))
-      .sorted(byDist)
-      .take(pivotSample)
-    pivs.foreach(pv => getNonMonotonic(space, adj, p, pv, 2, sc))
+    var nPivs = 0
+    var i = 0
+    while (i < sc.tail) {
+      val w = sc.queue(i)
+      if (sc.hop(w) >= 2 && isPivot(w) && !isExact(w)) { sc.pivs(nPivs) = w; nPivs += 1 }
+      i += 1
+    }
+    sortByDist(sc.pivs, nPivs, sc.dp, sc.tmp)
+    i = 0
+    while (i < math.min(nPivs, pivotSample)) {
+      capHits += getNonMonotonic(space, adj, p, sc.pivs(i), 2, sc)
+      i += 1
+    }
 
-    p +: sc.a.take(sc.aSize).sorted(byDist.orElse(Ordering.Int)).take(maxA)
+    // ties by id: sort the ids, then stably by distance
+    java.util.Arrays.sort(sc.a, 0, sc.aSize)
+    sortByDist(sc.a, sc.aSize, sc.dp, sc.tmp)
+    val len = math.min(sc.aSize, maxA)
+    val chain = new Array[Int](1 + len)
+    chain(0) = p
+    System.arraycopy(sc.a, 0, chain, 1, len)
+    Chain(chain, capHits)
+  }
+
+  /** Stable sort of `ids(0 until len)` ascending by `dp` (bottom-up merge
+    * sort through `tmp`).
+    */
+  private def sortByDist(ids: Array[Int], len: Int, dp: Array[Double], tmp: Array[Int]): Unit = {
+    var src = ids
+    var dst = tmp
+    var width = 1
+    while (width < len) {
+      var lo = 0
+      while (lo < len) {
+        val mid = math.min(lo + width, len)
+        val hi = math.min(lo + 2 * width, len)
+        var i = lo
+        var j = mid
+        var o = lo
+        while (o < hi) {
+          if (j >= hi || (i < mid && java.lang.Double.compare(dp(src(i)), dp(src(j))) <= 0)) {
+            dst(o) = src(i); i += 1
+          } else {
+            dst(o) = src(j); j += 1
+          }
+          o += 1
+        }
+        lo = hi
+      }
+      val t = src; src = dst; dst = t
+      width *= 2
+    }
+    if (src ne ids) System.arraycopy(src, 0, ids, 0, len)
   }
 
   /** Hop-limited BFS from `start`, distances measured from `p`. Adds the
-    * objects it found with no monotonic discovered path to `A`.
+    * objects it found with no monotonic discovered path to `A`; returns 1
+    * if [[MaxVisitsPerBfs]] cut it short, else 0.
     */
   private def getNonMonotonic(
       space: MetricSpace,
-      adj: Array[Array[Int]],
+      adj: Csr,
       p: Int,
       start: Int,
       maxHops: Int,
       sc: Scratch,
-  ): Unit = {
+  ): Int = {
     sc.beginBfs()
     sc.enqueue(start)
     sc.dp(start) = if (start == p) 0.0 else space.dist(p, start)
@@ -157,10 +261,10 @@ object RemoveDetours {
       if (hu < maxHops) {
         val du = sc.dp(u)
         val mu = sc.mono(u)
-        val edges = adj(u)
-        var i = 0
-        while (i < edges.length) {
-          val w = edges(i)
+        var i = adj.off(u)
+        val end = adj.off(u + 1)
+        while (i < end) {
+          val w = adj.ids(i)
           if (!sc.seen(w)) {
             sc.enqueue(w)
             val dw = if (w == p) 0.0 else space.dist(p, w)
@@ -175,6 +279,9 @@ object RemoveDetours {
       }
     }
 
-    for (i <- 0 until sc.tail) if (!sc.mono(sc.queue(i))) sc.addToA(sc.queue(i))
+    var i = 0
+    while (i < sc.tail) { if (!sc.mono(sc.queue(i))) sc.addToA(sc.queue(i)); i += 1 }
+    // BFS order is by hop, so the head decides whether anything was left to expand
+    if (head < sc.tail && sc.hop(sc.queue(head)) < maxHops) 1 else 0
   }
 }

@@ -16,33 +16,53 @@ import scala.collection.mutable
   */
 object RemoveLinks {
 
-  /** Mutates `adj`; returns the number of links removed (counting each
-    * undirected link once).
+  /** Mutates `adj`, visiting the non-pivots in id order (removals change
+    * the degrees later vertices see); returns the number of links removed
+    * (counting each undirected link once).
     */
-  def run(
-      adj: Array[mutable.LinkedHashSet[Int]],
-      isPivot: Array[Boolean],
-      isExact: Array[Boolean],
-  ): Long = {
-    val n = adj.length
+  def run(adj: AdjacencyStore, isPivot: Array[Boolean], isExact: Array[Boolean]): Long = {
+    val n = adj.n
     var removed = 0L
+    // inPivot(c) == stamp iff c is in the current pivot's row
+    val inPivot = new Array[Int](n)
+    var stamp = 0
+    var pivotNbrs = new Array[Int](0)
+    var common = new Array[Int](0)
     var p = 0
     while (p < n) {
       if (!isPivot(p) && !isExact(p)) {
-        val pivotNbrs = adj(p).iterator.filter(isPivot(_)).toArray
+        if (pivotNbrs.length < adj.end(p)) {
+          pivotNbrs = new Array[Int](adj.end(p)); common = new Array[Int](adj.end(p))
+        }
+        var nPiv = 0
+        var s = 0
+        while (s < adj.end(p)) {
+          val w = adj.slots(p)(s)
+          if (w != AdjacencyStore.Gone && isPivot(w)) { pivotNbrs(nPiv) = w; nPiv += 1 }
+          s += 1
+        }
         var i = 0
-        while (i < pivotNbrs.length) {
+        while (i < nPiv) {
           val piv = pivotNbrs(i)
-          // common objects of p and the pivot that are themselves non-pivot
-          val common = adj(p).iterator
-            .filter(c => c != piv && !isPivot(c) && !isExact(c) && adj(piv).contains(c))
-            .toArray
+          stamp += 1
+          s = 0
+          while (s < adj.end(piv)) { val w = adj.slots(piv)(s); if (w != AdjacencyStore.Gone) inPivot(w) = stamp; s += 1 }
+          // common objects of p and the pivot that are themselves non-pivot,
+          // in p's row order
+          var nCommon = 0
+          s = 0
+          while (s < adj.end(p)) {
+            val c = adj.slots(p)(s)
+            if (c != AdjacencyStore.Gone && c != piv && !isPivot(c) && !isExact(c) && inPivot(c) == stamp) {
+              common(nCommon) = c; nCommon += 1
+            }
+            s += 1
+          }
           var j = 0
-          while (j < common.length) {
+          while (j < nCommon) {
             val c = common(j)
-            if (adj(p).contains(c) && adj(p).size > 2 && adj(c).size > 2) {
-              adj(p) -= c
-              adj(c) -= p
+            if (adj.size(p) > 2 && adj.size(c) > 2 && adj.remove(p, c)) {
+              adj.remove(c, p)
               removed += 1
             }
             j += 1
@@ -52,6 +72,20 @@ object RemoveLinks {
       }
       p += 1
     }
+    removed
+  }
+
+  /** Kept for perfbench's step replay; delete with ROADMAP item 1. Runs
+    * [[run]] on a store made from `adj` and writes the rows back in order.
+    */
+  def run(
+      adj: Array[mutable.LinkedHashSet[Int]],
+      isPivot: Array[Boolean],
+      isExact: Array[Boolean],
+  ): Long = {
+    val store = AdjacencyStore.of(adj.map(_.toArray))
+    val removed = run(store, isPivot, isExact)
+    adj.indices.foreach { v => adj(v).clear(); adj(v) ++= store.row(v) }
     removed
   }
 }

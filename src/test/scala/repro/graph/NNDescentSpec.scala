@@ -226,6 +226,11 @@ class NNDescentSpec extends SparkSpec {
       assert(work.take(got).toSeq == expected, s"cap=$cap len=$len seed=$seed")
       if (len > cap) assert(expected == new Random(seed).shuffle(buf.toSeq).take(cap))
       assert(rng.nextInt() == expectedRng.nextInt(), s"RNG state, cap=$cap len=$len seed=$seed")
+      // the whole-list shuffle Remove-Detours draws its target pools with
+      val (whole, wholeRng, listRng) = (buf.clone(), new Random(seed), new Random(seed))
+      NNDescent.shuffle(whole, len, wholeRng)
+      assert(whole.toSeq == listRng.shuffle(buf.toList), s"shuffle, len=$len seed=$seed")
+      assert(wholeRng.nextInt() == listRng.nextInt(), s"shuffle RNG state, len=$len seed=$seed")
     }
   }
 }

@@ -63,9 +63,9 @@ class ReachabilitySpec extends AnyFunSuite {
     val cfg = NNDescentConfig(K = 8, vpInit = true, skipUnchanged = true, maxIters = 5, seed = 7)
     val aknn = NNDescent.build(space, cfg, runner)
     val undirected = {
-      val adj = Array.fill(space.n)(scala.collection.mutable.LinkedHashSet.empty[Int])
-      for (v <- 0 until space.n; u <- aknn.nbrId(v) if u != v) { adj(v) += u; adj(u) += v }
-      new ProximityGraph(adj.map(_.toArray), aknn.isPivot, null, 0)
+      val adj = new AdjacencyStore(space.n)
+      for (v <- 0 until space.n; u <- aknn.nbrId(v) if u != v) { adj.add(v, u); adj.add(u, v) }
+      new ProximityGraph(adj.toRows, aknn.isPivot, null, 0)
     }
     val cUndirected = coverage(undirected, pivotHop = true)
     val cFull = coverage(mrpg, pivotHop = true)
