@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{DODQuery, ExactCounter, LinearScanCounter, MetricSpace, ParRunner}
+import repro.core.{DODQuery, ExactCounter, LinearScanCounter, MetricSpace, ParRunner, Shuffle}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -49,7 +49,7 @@ object SNIF {
     val t0 = System.nanoTime()
     val n = space.n
     val rng = new Random(seed)
-    val order = rng.shuffle((0 until n).toList)
+    val order = Shuffle.range(n, rng)
     // members join a center a little inside r/2, so co-members' computed
     // distances stay within r, and centers are searched a little beyond 3r/2
     val slack = space.roundingSlack

@@ -19,10 +19,6 @@ object BruteForce {
     count
   }
 
-  /** Exact neighbor count of `p` (no cap). */
-  def exactCount(space: MetricSpace, p: Int, r: Double): Int =
-    countNeighbors(space, p, r, Int.MaxValue)
-
   /** All distance-based outliers (objects with fewer than `k` neighbors). */
   def outliers(space: MetricSpace, r: Double, k: Int): Array[Int] = {
     val out = Array.newBuilder[Int]

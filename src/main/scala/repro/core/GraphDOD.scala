@@ -9,7 +9,6 @@ import repro.graph.ProximityGraph
   */
 sealed trait ExactCounter extends Serializable {
   def count(space: MetricSpace, p: Int, r: Double, k: Int): Int
-  def name: String
   def sizeBytes: Long
 }
 
@@ -27,14 +26,12 @@ final case class LinearScanCounter() extends ExactCounter {
     }
     count
   }
-  def name = "linear-scan"
   def sizeBytes = 0L
 }
 
 final case class VPTreeCounter(tree: VPTree) extends ExactCounter {
   def count(space: MetricSpace, p: Int, r: Double, k: Int): Int =
     tree.rangeCount(space, p, r, k)
-  def name = "vp-tree"
   def sizeBytes: Long = tree.sizeBytes
 }
 

@@ -122,17 +122,7 @@ object ParRunner {
   val ShuffleSeed = 0x5EED1DL
 
   /** A Fisher–Yates permutation of `[0, n)`, seeded with [[ShuffleSeed]]. */
-  def permutation(n: Int): Array[Int] = {
-    val perm = Array.range(0, n)
-    val rng = new java.util.Random(ShuffleSeed)
-    var i = n - 1
-    while (i > 0) {
-      val j = rng.nextInt(i + 1)
-      val t = perm(i); perm(i) = perm(j); perm(j) = t
-      i -= 1
-    }
-    perm
-  }
+  def permutation(n: Int): Array[Int] = Shuffle.range(n, new scala.util.Random(ShuffleSeed))
 }
 
 /** Sequential in-process runner (deterministic; used by unit tests). Its

@@ -1,7 +1,6 @@
 package repro.data
 
 import org.apache.spark.sql.SparkSession
-import repro.SynthData
 import repro.core.{MetricSpace, StringSpace, VectorMetric, VectorSpace}
 
 /** One synthetic substitute for a paper dataset (see DESIGN.md for the
@@ -15,6 +14,15 @@ import repro.core.{MetricSpace, StringSpace, VectorMetric, VectorSpace}
   * @param vpVerify   use a VP-tree in Exact-Counting (paper: HEPMASS,
   *                   PAMAP2, Words — low intrinsic dimensionality)
   * @param paperRatio the paper's Table 2 outlier ratio [%], for reporting
+  * @param nClusters  dense clusters (for Words, dense root words)
+  * @param range      L1/L2/L4 centers and outliers are uniform in
+  *                   `[0, range]^dim`
+  * @param miniFrac   fraction of rows in sparse mini-clusters (for Words,
+  *                   the sparse-root fraction)
+  * @param nMini      number of sparse mini-clusters (for Words, the
+  *                   sparse-root count); 0 turns them off
+  *
+  * `SynthData` generates the rows from these fields.
   */
 final case class DatasetSpec(
     name: String,
@@ -38,28 +46,16 @@ final case class DatasetSpec(
 ) {
   def n(scale: Double): Int = math.max(200, (baseN * scale).toInt)
 
-  private def words: Long => String =
-    SynthData.editWords(nClusters, outlierFrac, seed, sparseFrac = miniFrac, nSparseRoots = nMini)
-
-  private def vectors: Long => Array[Double] = metric match {
-    case "Angular" =>
-      SynthData.angularVectors(dim, nClusters, sigma, outlierFrac, seed,
-        miniFrac = miniFrac, nMini = nMini, miniSigmaFactor = miniSigmaFactor)
-    case _ =>
-      SynthData.clusteredVectors(dim, nClusters, sigma, range, outlierFrac, seed,
-        miniFrac = miniFrac, nMini = nMini, miniSigmaFactor = miniSigmaFactor)
-  }
-
   /** The in-memory metric space, index == id (the paper's P is
     * memory-resident), tabulated from the generator on the calling thread:
     * no SparkSession, Spark SQL query or Spark job.
     */
   def space(scale: Double = 1.0): MetricSpace =
     if (metric == "Edit") {
-      val gen = words
+      val gen = SynthData.words(this)
       new StringSpace(Array.tabulate(n(scale))(gen(_)))
     } else {
-      val gen = vectors
+      val gen = SynthData.vectors(this)
       new VectorSpace(Array.tabulate(n(scale))(gen(_)), VectorMetric.byName(metric))
     }
 

@@ -1,5 +1,7 @@
 package repro.graph
 
+import scala.collection.mutable
+
 /** Per-vertex id lists in compressed sparse row form: row `v` is
   * `ids(off(v) until off(v + 1))`.
   */
@@ -116,5 +118,16 @@ object AdjacencyStore {
     var v = 0
     while (v < rows.length) { rows(v).foreach(store.add(v, _)); v += 1 }
     store
+  }
+
+  /** Kept for perfbench's step replay, which edits `LinkedHashSet` rows;
+    * delete with ROADMAP item 1. Runs `step` on a store made from `adj` and
+    * writes the rows back in order.
+    */
+  private[graph] def editSets(adj: Array[mutable.LinkedHashSet[Int]])(step: AdjacencyStore => Long): Long = {
+    val store = of(adj.map(_.toArray))
+    val res = step(store)
+    adj.indices.foreach { v => adj(v).clear(); adj(v) ++= store.row(v) }
+    res
   }
 }

@@ -117,9 +117,8 @@ object ConnectSubgraphs {
     Result(added, n - reached)
   }
 
-  /** Kept for perfbench's step replay; delete with ROADMAP item 1. Runs
-    * [[run]] on a store made from `adj` and writes the rows back in order;
-    * returns the number of links added.
+  /** Kept for perfbench (see [[AdjacencyStore.editSets]]): [[run]] on
+    * `LinkedHashSet` rows; returns the number of links added.
     */
   def run(
       space: MetricSpace,
@@ -127,12 +126,7 @@ object ConnectSubgraphs {
       isPivot: Array[Boolean],
       isExact: Array[Boolean],
       seed: Long,
-  ): Long = {
-    val store = AdjacencyStore.of(adj.map(_.toArray))
-    val res = run(space, store, isPivot, isExact, seed)
-    adj.indices.foreach { v => adj(v).clear(); adj(v) ++= store.row(v) }
-    res.linksAdded
-  }
+  ): Long = AdjacencyStore.editSets(adj)(run(space, _, isPivot, isExact, seed).linksAdded)
 
   /** Greedy ANN search (§5.2): walk from `start` toward `query` over the
     * links of `adj`, hop-limited, returning the closest vertex reached.

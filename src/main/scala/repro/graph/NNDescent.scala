@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.core.{BruteForce, MetricSpace, ParRunner, Shared, VPTree}
+import repro.core.{BruteForce, MetricSpace, ParRunner, Shared, Shuffle, VPTree}
 import scala.util.Random
 
 /** Configuration for [[NNDescent.build]].
@@ -219,20 +219,8 @@ object NNDescent {
     val len = until - from
     System.arraycopy(src, from, work, 0, len)
     if (len <= cap) return len
-    shuffle(work, len, rng)
+    Shuffle.inPlace(work, len, rng)
     cap
-  }
-
-  /** `rng.shuffle` of `a(0 until len)` in place, without boxing and with the
-    * same draws: `rng.nextInt(m)` for `m` = `len` down to 2.
-    */
-  private[graph] def shuffle(a: Array[Int], len: Int, rng: Random): Unit = {
-    var m = len
-    while (m >= 2) {
-      val j = rng.nextInt(m)
-      val t = a(m - 1); a(m - 1) = a(j); a(j) = t
-      m -= 1
-    }
   }
 
   /** Splits every master list into its new and old entries, in list order,

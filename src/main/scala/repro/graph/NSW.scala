@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.core.MetricSpace
+import repro.core.{MetricSpace, Shuffle}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -25,7 +25,7 @@ object NSW {
     val n = space.n
     val rng = new Random(seed)
     val adj = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    val order = rng.shuffle((0 until n).toList).toArray
+    val order = Shuffle.range(n, rng)
 
     var t = 0
     while (t < order.length) {

@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.core.{MetricSpace, ParRunner}
+import repro.core.{MetricSpace, ParRunner, Shuffle}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -103,9 +103,9 @@ object RemoveDetours {
     // each id once
     val nTargets = math.max(1, n / k)
     val pivotPool = Array.range(0, n).filter(v => isPivot(v) && !isExact(v))
-    NNDescent.shuffle(pivotPool, pivotPool.length, rng)
+    Shuffle.inPlace(pivotPool, pivotPool.length, rng)
     val restPool = Array.range(0, n).filter(v => !isExact(v))
-    NNDescent.shuffle(restPool, restPool.length, rng)
+    Shuffle.inPlace(restPool, restPool.length, rng)
     val targets = new Array[Int](nTargets)
     var nPicked = 0
     val picked = new Array[Boolean](n)
@@ -140,9 +140,8 @@ object RemoveDetours {
     Result(added, capHits)
   }
 
-  /** Kept for perfbench's step replay; delete with ROADMAP item 1. Runs
-    * [[run]] on a store made from `adj` and writes the rows back in order;
-    * returns the number of links added.
+  /** Kept for perfbench (see [[AdjacencyStore.editSets]]): [[run]] on
+    * `LinkedHashSet` rows; returns the number of links added.
     */
   def run(
       space: MetricSpace,
@@ -152,12 +151,7 @@ object RemoveDetours {
       k0: Int,
       runner: ParRunner,
       seed: Long,
-  ): Long = {
-    val store = AdjacencyStore.of(adj.map(_.toArray))
-    val res = run(space, store, isPivot, isExact, k0, runner, seed)
-    adj.indices.foreach { v => adj(v).clear(); adj(v) ++= store.row(v) }
-    res.linksAdded
-  }
+  ): Long = AdjacencyStore.editSets(adj)(run(space, _, isPivot, isExact, k0, runner, seed).linksAdded)
 
   /** The chain `p :: A` for one target (`A` ascending by distance to `p`,
     * ties by id). Every id in `A` was found by a BFS from this target, so

@@ -75,17 +75,12 @@ object RemoveLinks {
     removed
   }
 
-  /** Kept for perfbench's step replay; delete with ROADMAP item 1. Runs
-    * [[run]] on a store made from `adj` and writes the rows back in order.
+  /** Kept for perfbench (see [[AdjacencyStore.editSets]]): [[run]] on
+    * `LinkedHashSet` rows.
     */
   def run(
       adj: Array[mutable.LinkedHashSet[Int]],
       isPivot: Array[Boolean],
       isExact: Array[Boolean],
-  ): Long = {
-    val store = AdjacencyStore.of(adj.map(_.toArray))
-    val removed = run(store, isPivot, isExact)
-    adj.indices.foreach { v => adj(v).clear(); adj(v) ++= store.row(v) }
-    removed
-  }
+  ): Long = AdjacencyStore.editSets(adj)(run(_, isPivot, isExact))
 }

@@ -2,6 +2,7 @@ package repro.tables
 
 import org.apache.spark.sql.SparkSession
 import repro.baseline.DetectionResult
+import repro.core.StringSpace
 import repro.data.Datasets
 import repro.tables.DatasetState.{Algorithms, Counted, GraphNames}
 
@@ -12,10 +13,15 @@ import repro.tables.DatasetState.{Algorithms, Counted, GraphNames}
   */
 object Tables {
 
-  /** Table 1: dataset statistics (ours are the synthetic substitutes). */
+  /** Table 1: dataset statistics (ours are the synthetic substitutes); Words'
+    * dimension is its range of word lengths.
+    */
   def table1(spark: SparkSession, scale: Double = BenchContext.DefaultScale) = {
     val rows = BenchContext.allStates(spark, scale).map { st =>
-      val dim = if (st.spec.metric == "Edit") "1-45" else st.spec.dim.toString
+      val dim = st.countingSpace.base match {
+        case s: StringSpace => val lens = s.words.map(_.length); s"${lens.min}-${lens.max}"
+        case _ => st.spec.dim.toString
+      }
       Seq(st.spec.paperName, st.space.n.toString, dim, st.spec.metric)
     }
     ("Table 1: Datasets (synthetic substitutes)",

@@ -15,7 +15,7 @@ class BruteForceSpec extends AnyFunSuite {
       val p = rng.nextInt(space.n)
       val r = 2.0 + rng.nextDouble() * 20
       val naive = (0 until space.n).count(i => i != p && space.dist(p, i) <= r)
-      assert(BruteForce.exactCount(space, p, r) == naive)
+      assert(BruteForce.countNeighbors(space, p, r, Int.MaxValue) == naive)
     }
   }
 
@@ -25,7 +25,7 @@ class BruteForceSpec extends AnyFunSuite {
       val p = rng.nextInt(space.n)
       val cap = 1 + rng.nextInt(20)
       val got = BruteForce.countNeighbors(space, p, 15.0, cap)
-      assert(got == math.min(cap, BruteForce.exactCount(space, p, 15.0)))
+      assert(got == math.min(cap, BruteForce.countNeighbors(space, p, 15.0, Int.MaxValue)))
     }
   }
 
@@ -40,14 +40,14 @@ class BruteForceSpec extends AnyFunSuite {
     }
     for (p <- 0 until 20) {
       val naive = (0 until space.n).count(i => i != p && space.dist(p, i) <= 12.0)
-      assert(BruteForce.exactCount(liar, p, 12.0) == naive)
+      assert(BruteForce.countNeighbors(liar, p, 12.0, Int.MaxValue) == naive)
       assert(LinearScanCounter().count(liar, p, 12.0, Int.MaxValue) == space.n - 1 - naive)
     }
   }
 
   test("outliers = objects whose exact count is below k") {
     for ((r, k) <- Seq((8.0, 5), (12.0, 20))) {
-      val expected = (0 until space.n).filter(p => BruteForce.exactCount(space, p, r) < k)
+      val expected = (0 until space.n).filter(p => BruteForce.countNeighbors(space, p, r, Int.MaxValue) < k)
       assert(BruteForce.outliers(space, r, k).toSeq == expected)
     }
   }

@@ -273,7 +273,7 @@ class GraphDODSpec extends SparkSpec {
         shortcut <- Seq(true, false);
         fanOut <- Seq(new LocalRunner(4), new SparkRunner(spark, 4))
       ) {
-        val label = s"$name ${counter.name} shortcut=$shortcut ${fanOut.getClass.getSimpleName}"
+        val label = s"$name $counter shortcut=$shortcut ${fanOut.getClass.getSimpleName}"
         val expected = new CountingSpace(base)
         var candidates = 0
         for (p <- 0 until base.n) {

@@ -30,7 +30,7 @@ class VPTreeSpec extends AnyFunSuite {
       for (r <- radiiFor(space); _ <- 0 until 30) {
         val q = rng.nextInt(space.n)
         assert(
-          tree.rangeCount(space, q, r, Int.MaxValue) == BruteForce.exactCount(space, q, r),
+          tree.rangeCount(space, q, r, Int.MaxValue) == BruteForce.countNeighbors(space, q, r, Int.MaxValue),
           s"query $q radius $r")
       }
     }
@@ -42,7 +42,7 @@ class VPTreeSpec extends AnyFunSuite {
         val q = rng.nextInt(space.n)
         val cap = 1 + rng.nextInt(10)
         val got = tree.rangeCount(space, q, r, cap)
-        val full = BruteForce.exactCount(space, q, r)
+        val full = BruteForce.countNeighbors(space, q, r, Int.MaxValue)
         assert(got == math.min(cap, full), s"query $q radius $r cap $cap")
       }
     }
@@ -70,7 +70,7 @@ class VPTreeSpec extends AnyFunSuite {
     )
     for ((bound, t, q, neighbour) <- cases) {
       assert(space.within(q, neighbour, dmb), bound)
-      assert(t.rangeCount(space, q, dmb, Int.MaxValue) == BruteForce.exactCount(space, q, dmb), bound)
+      assert(t.rangeCount(space, q, dmb, Int.MaxValue) == BruteForce.countNeighbors(space, q, dmb, Int.MaxValue), bound)
     }
   }
 

@@ -1,4 +1,4 @@
-package repro
+package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -6,11 +6,12 @@ import org.scalatest.funsuite.AnyFunSuite
 class SynthDataSpec extends AnyFunSuite {
 
   private def vectors(seed: Long, miniFrac: Double, nMini: Int) =
-    SynthData.clusteredVectors(4, 3, 1.0, 50.0, 0.05, seed, miniFrac, nMini, miniSigmaFactor = 1.3)
+    SynthData.vectors(Datasets.deep.copy(dim = 4, nClusters = 3, sigma = 1.0, range = 50.0,
+      outlierFrac = 0.05, seed = seed, miniFrac = miniFrac, nMini = nMini, miniSigmaFactor = 1.3))
 
   test("clusteredVectors: mini-cluster population is present and sparser") {
-    val gen = SynthData.clusteredVectors(8, 5, 2.0, 100.0, 0.0,
-      seed = 5, miniFrac = 0.2, nMini = 3, miniSigmaFactor = 1.3)
+    val gen = SynthData.vectors(Datasets.deep.copy(dim = 8, nClusters = 5, sigma = 2.0, range = 100.0,
+      outlierFrac = 0.0, seed = 5, miniFrac = 0.2, nMini = 3, miniSigmaFactor = 1.3))
     val arrs = Array.tabulate(2000)(gen(_))
     assert(arrs.length == 2000 && arrs.forall(_.length == 8))
     // with outlierFrac 0 and miniFrac 0.2, both populations exist; the data
@@ -19,7 +20,8 @@ class SynthDataSpec extends AnyFunSuite {
   }
 
   test("editWords: sparse-root members carry more edits than dense-root members") {
-    val gen = SynthData.editWords(10, 0.0, seed = 6, sparseFrac = 0.5, nSparseRoots = 2)
+    val gen = SynthData.words(Datasets.words.copy(nClusters = 10, outlierFrac = 0.0, seed = 6,
+      miniFrac = 0.5, nMini = 2))
     val words = Array.tabulate(2000)(gen(_))
     assert(words.forall(w => w.nonEmpty && w.forall(c => c >= 'a' && c <= 'z')))
   }

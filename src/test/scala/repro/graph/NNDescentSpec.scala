@@ -4,7 +4,7 @@ import org.apache.spark.SparkException
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, CountingSpace, LocalRunner, MetricSpace, ParRunner, SparkRunner, VectorMetric, VectorSpace}
+import repro.core.{BruteForce, CountingSpace, LocalRunner, MetricSpace, ParRunner, Shuffle, SparkRunner, VectorMetric, VectorSpace}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -228,7 +228,7 @@ class NNDescentSpec extends SparkSpec {
       assert(rng.nextInt() == expectedRng.nextInt(), s"RNG state, cap=$cap len=$len seed=$seed")
       // the whole-list shuffle Remove-Detours draws its target pools with
       val (whole, wholeRng, listRng) = (buf.clone(), new Random(seed), new Random(seed))
-      NNDescent.shuffle(whole, len, wholeRng)
+      Shuffle.inPlace(whole, len, wholeRng)
       assert(whole.toSeq == listRng.shuffle(buf.toList), s"shuffle, len=$len seed=$seed")
       assert(wholeRng.nextInt() == listRng.nextInt(), s"shuffle RNG state, len=$len seed=$seed")
     }

@@ -1,6 +1,7 @@
 package repro.tables
 
 import repro.SparkSpec
+import repro.core.StringSpace
 import repro.data.Datasets
 
 /** Harness plumbing at a tiny scale (full-scale runs live in bench/). */
@@ -35,6 +36,9 @@ class TablesSpec extends SparkSpec {
     assert(headers.head == "Dataset")
     assert(rows.length == Datasets.all.length)
     assert(rows.map(_.last).toSet == Set("L2", "Angular", "L1", "L4", "Edit"))
+    val lens = BenchContext.state(spark, Datasets.words, tiny).countingSpace.base
+      .asInstanceOf[StringSpace].words.map(_.length)
+    assert(rows.find(_.head == "Words").get(2) == s"${lens.min}-${lens.max}")
   }
 
   test("table2 reports parseable outlier ratios") {
