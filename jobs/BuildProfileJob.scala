@@ -2,7 +2,7 @@ package repro.jobs
 
 import repro.core.{CountingSpace, LocalRunner, ParRunner, SparkRunner}
 import repro.data.Datasets
-import repro.graph.{KGraphBuilder, MRPG, NNDescent, NNDescentConfig, NSW}
+import repro.graph.{KGraphBuilder, MRPG, NSW}
 
 /** Profiling entrypoint: builds each proximity graph for one dataset and
   * prints wall time, distance evaluations and MRPG step decomposition.
@@ -32,15 +32,7 @@ object BuildProfileJob {
       println(f"$label%-12s ${ms}ms  dists=${(space.evaluations - c0) / 1e6}%.1fM  $res")
     }
 
-    prof("NNDescent") {
-      val cfg = NNDescentConfig(spec.graphK, vpInit = false, skipUnchanged = false, seed = spec.seed)
-      s"iters=${NNDescent.build(space, cfg, runner).iterations}"
-    }
-    prof("NNDescent+") {
-      val cfg = NNDescentConfig(spec.graphK, vpInit = true, skipUnchanged = true,
-        exactListSize = MRPG.KPrimeFactor * spec.graphK, exactCount = MRPG.defaultExactCount(space.n), seed = spec.seed)
-      s"iters=${NNDescent.build(space, cfg, runner).iterations}"
-    }
+    // KGraph is plain NNDescent; MRPG's line splits out its NNDescent+ run
     prof("KGraph") { KGraphBuilder.build(space, spec.graphK, runner, seed = spec.seed); "" }
     prof("MRPG") {
       val (_, st) = MRPG.build(space, spec.graphK, runner, seed = spec.seed)

@@ -76,11 +76,7 @@ object VPTree {
   final case class Leaf(ids: Array[Int]) extends Node
 
   /** Builds a VP-tree over all of `space`. Deterministic in `seed`. */
-  def build(space: MetricSpace, capacity: Int, seed: Long): VPTree =
-    build(space, Array.range(0, space.n), capacity, seed)
-
-  /** Builds a VP-tree over the given subset of object ids. */
-  def build(space: MetricSpace, ids: Array[Int], capacity: Int, seed: Long): VPTree = {
+  def build(space: MetricSpace, capacity: Int, seed: Long): VPTree = {
     require(capacity >= 1, "capacity must be >= 1")
     val rng = new Random(seed)
     val pivots = ArrayBuffer.empty[Int]
@@ -118,7 +114,7 @@ object VPTree {
       Internal(vp, mu, maxD, left, right)
     }
 
-    val root = rec(ids, isLeftChild = false)
+    val root = rec(Array.range(0, space.n), isLeftChild = false)
     new VPTree(root, pivots.distinct.toArray, groups.toArray, nodes)
   }
 }

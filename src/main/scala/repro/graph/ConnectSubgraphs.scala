@@ -44,12 +44,14 @@ object ConnectSubgraphs {
     var added = 0L
 
     // ---- reverse AKNN phase --------------------------------------------
-    val snapshot = adj.csr
+    // the phase only appends, so each row's first `before(v)` ids are the
+    // links it had when the phase began
+    val before = Array.tabulate(n)(adj.size)
     var v = 0
     while (v < n) {
-      var i = snapshot.off(v)
-      while (i < snapshot.off(v + 1)) {
-        val u = snapshot.ids(i)
+      var i = 0
+      while (i < before(v)) {
+        val u = adj.ids(v)(i)
         if (!isExact(u) && adj.add(u, v)) added += 1
         i += 1
       }
@@ -70,11 +72,11 @@ object ConnectSubgraphs {
       while (head < tail) {
         val x = queue(head)
         head += 1
-        val row = adj.slots(x)
+        val row = adj.ids(x)
         var i = 0
-        while (i < adj.end(x)) {
+        while (i < adj.size(x)) {
           val w = row(i)
-          if (w != AdjacencyStore.Gone && !visited.get(w)) {
+          if (!visited.get(w)) {
             visited.set(w); reached += 1; queue(tail) = w; tail += 1
           }
           i += 1
@@ -144,13 +146,13 @@ object ConnectSubgraphs {
     var improved = true
     while (improved && hops < maxHops) {
       improved = false
-      val row = adj.slots(cur)
+      val row = adj.ids(cur)
       var best = cur
       var bestD = curD
       var i = 0
-      while (i < adj.end(cur)) {
+      while (i < adj.size(cur)) {
         val w = row(i)
-        if (w != AdjacencyStore.Gone && w != query) {
+        if (w != query) {
           val dw = space.dist(query, w)
           if (dw < bestD) { best = w; bestD = dw }
         }

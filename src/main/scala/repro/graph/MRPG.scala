@@ -64,22 +64,13 @@ object MRPG {
     val aknn = NNDescent.build(space, cfg, runner)
     val t1 = System.nanoTime()
 
-    val isExact = new Array[Boolean](n)
-    if (aknn.exactLists != null) {
-      var v = 0
-      while (v < n) { if (aknn.exactLists(v) != null) isExact(v) = true; v += 1 }
-    }
+    val isExact = Array.tabulate(n)(v => aknn.exactLists != null && aknn.exactLists(v) != null)
 
     // adjacency: exact-list vertices link exactly their K' nearest, the rest
     // link their approximate K-NNs
-    val adj = new AdjacencyStore(n)
-    var v = 0
-    while (v < n) {
-      val base = if (isExact(v)) aknn.exactLists(v) else aknn.nbrId(v)
-      var i = 0
-      while (i < base.length) { if (base(i) != v) adj.add(v, base(i)); i += 1 }
-      v += 1
-    }
+    val adj = AdjacencyStore.of(Array.tabulate(n) { v =>
+      (if (isExact(v)) aknn.exactLists(v) else aknn.nbrId(v)).filter(_ != v)
+    })
 
     val connect = ConnectSubgraphs.run(space, adj, aknn.isPivot, isExact, seed ^ 0x5DEECE66DL)
     val t2 = System.nanoTime()

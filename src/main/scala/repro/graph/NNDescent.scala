@@ -106,6 +106,11 @@ object NNDescent {
     */
   val Delta = 0.002
 
+  /** Per-vertex id lists in compressed sparse row form: row `v` is
+    * `ids(off(v) until off(v + 1))`.
+    */
+  private final case class Csr(off: Array[Int], ids: Array[Int])
+
   /** One iteration's join lists and worst-distance snapshot, shared by every
     * local-join chunk.
     */

@@ -14,7 +14,7 @@ import scala.util.Random
   * which makes the path from `p` through them monotonic (Definition 3).
   *
   * The per-target BFS is read-only, so targets are dealt out through
-  * [[ParRunner.mapIds]] over a CSR snapshot of the adjacency
+  * [[ParRunner.mapIds]] over a copy of the adjacency's rows
   * (generation-stamped, thread-local scratch arrays keep each BFS
   * allocation-free); the chains are linked on the driver, in target order.
   */
@@ -66,15 +66,15 @@ object RemoveDetours {
     def seen(v: Int): Boolean = visitGen(v) == bfs
     def enqueue(v: Int): Unit = { visitGen(v) = bfs; queue(tail) = v; tail += 1 }
 
-    /** Starts target `p`'s empty `A`, which `p` and `direct(from until
-      * until)` never enter.
+    /** Starts target `p`'s empty `A`, which `p` and its `direct` links
+      * never enter.
       */
-    def beginTarget(p: Int, direct: Array[Int], from: Int, until: Int): Unit = {
+    def beginTarget(p: Int, direct: Array[Int]): Unit = {
       if (target == Int.MaxValue) { java.util.Arrays.fill(aGen, 0); target = 0 }
       target += 1; aSize = 0
       aGen(p) = target
-      var i = from
-      while (i < until) { aGen(direct(i)) = target; i += 1 }
+      var i = 0
+      while (i < direct.length) { aGen(direct(i)) = target; i += 1 }
     }
     def addToA(v: Int): Unit = if (aGen(v) != target) { aGen(v) = target; a(aSize) = v; aSize += 1 }
   }
@@ -118,7 +118,7 @@ object RemoveDetours {
     val maxA = k * k
     val pivotSample = math.min(k, 10)
 
-    val chains = runner.mapIds(targets.take(nPicked), (space, adj.csr, isPivot, isExact, maxA, pivotSample)) {
+    val chains = runner.mapIds(targets.take(nPicked), (space, adj.toRows, isPivot, isExact, maxA, pivotSample)) {
       case ((sp, g, piv, exact, cap, nPiv), p) => chainFor(sp, g, piv, exact, p, cap, nPiv)
     }
 
@@ -159,7 +159,7 @@ object RemoveDetours {
     */
   private def chainFor(
       space: MetricSpace,
-      adj: Csr,
+      adj: Array[Array[Int]],
       isPivot: Array[Boolean],
       isExact: Array[Boolean],
       p: Int,
@@ -167,8 +167,8 @@ object RemoveDetours {
       pivotSample: Int,
   ): Chain = {
     val sc = scratch.get()
-    sc.fit(adj.off.length - 1)
-    sc.beginTarget(p, adj.ids, adj.off(p), adj.off(p + 1))
+    sc.fit(adj.length)
+    sc.beginTarget(p, adj(p))
 
     var capHits = getNonMonotonic(space, adj, p, p, 3, sc)
     // pivots "with small distances to p": found at hop >= 2 of the BFS,
@@ -235,7 +235,7 @@ object RemoveDetours {
     */
   private def getNonMonotonic(
       space: MetricSpace,
-      adj: Csr,
+      adj: Array[Array[Int]],
       p: Int,
       start: Int,
       maxHops: Int,
@@ -255,10 +255,10 @@ object RemoveDetours {
       if (hu < maxHops) {
         val du = sc.dp(u)
         val mu = sc.mono(u)
-        var i = adj.off(u)
-        val end = adj.off(u + 1)
-        while (i < end) {
-          val w = adj.ids(i)
+        val row = adj(u)
+        var i = 0
+        while (i < row.length) {
+          val w = row(i)
           if (!sc.seen(w)) {
             sc.enqueue(w)
             val dw = if (w == p) 0.0 else space.dist(p, w)

@@ -31,14 +31,14 @@ object RemoveLinks {
     var p = 0
     while (p < n) {
       if (!isPivot(p) && !isExact(p)) {
-        if (pivotNbrs.length < adj.end(p)) {
-          pivotNbrs = new Array[Int](adj.end(p)); common = new Array[Int](adj.end(p))
+        if (pivotNbrs.length < adj.size(p)) {
+          pivotNbrs = new Array[Int](adj.size(p)); common = new Array[Int](adj.size(p))
         }
         var nPiv = 0
         var s = 0
-        while (s < adj.end(p)) {
-          val w = adj.slots(p)(s)
-          if (w != AdjacencyStore.Gone && isPivot(w)) { pivotNbrs(nPiv) = w; nPiv += 1 }
+        while (s < adj.size(p)) {
+          val w = adj.ids(p)(s)
+          if (isPivot(w)) { pivotNbrs(nPiv) = w; nPiv += 1 }
           s += 1
         }
         var i = 0
@@ -46,14 +46,14 @@ object RemoveLinks {
           val piv = pivotNbrs(i)
           stamp += 1
           s = 0
-          while (s < adj.end(piv)) { val w = adj.slots(piv)(s); if (w != AdjacencyStore.Gone) inPivot(w) = stamp; s += 1 }
+          while (s < adj.size(piv)) { inPivot(adj.ids(piv)(s)) = stamp; s += 1 }
           // common objects of p and the pivot that are themselves non-pivot,
           // in p's row order
           var nCommon = 0
           s = 0
-          while (s < adj.end(p)) {
-            val c = adj.slots(p)(s)
-            if (c != AdjacencyStore.Gone && c != piv && !isPivot(c) && !isExact(c) && inPivot(c) == stamp) {
+          while (s < adj.size(p)) {
+            val c = adj.ids(p)(s)
+            if (c != piv && !isPivot(c) && !isExact(c) && inPivot(c) == stamp) {
               common(nCommon) = c; nCommon += 1
             }
             s += 1

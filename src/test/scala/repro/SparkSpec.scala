@@ -9,11 +9,12 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * The driver heap is set by `Test / javaOptions` in build.sbt:
+  * SPARK_DRIVER_MEM if set, else half of the host's memory, clamped to
+  * 2-8 GiB. Broadcast joins are off so that [[repro.core.SqlDOD]], whose
+  * joins are the only ones the tests run, plans its distance self-join as a
+  * partitioned cartesian product instead of broadcasting the whole table to
+  * every task.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -56,10 +57,10 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output that names the heap and master the run used.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
+      s"maxHeap=${Runtime.getRuntime.maxMemory >> 20}m " +
       s"master=${s.sparkContext.master} " +
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )

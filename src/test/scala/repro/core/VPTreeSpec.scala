@@ -155,19 +155,6 @@ class VPTreeSpec extends AnyFunSuite {
     assert(tree.rangeCount(space, 0, 0.1, Int.MaxValue) == 49)
   }
 
-  test("subset build only contains the subset") {
-    val space = TestSpaces.clustered(200, 4, VectorMetric.L2, seed = 49)
-    val ids = Array.range(0, 100)
-    val tree = VPTree.build(space, ids, capacity = 8, seed = 13)
-    // counts must never exceed the subset's brute-force count
-    val rng = new Random(50)
-    for (_ <- 0 until 30) {
-      val q = rng.nextInt(100)
-      val expected = ids.count(i => i != q && space.dist(q, i) <= 8.0)
-      assert(tree.rangeCount(space, q, 8.0, Int.MaxValue) == expected)
-    }
-  }
-
   test("sizeBytes is positive and grows with n") {
     val small = VPTree.build(TestSpaces.uniform(100, 4, VectorMetric.L2, seed = 51), 8, 1)
     val large = VPTree.build(TestSpaces.uniform(1000, 4, VectorMetric.L2, seed = 52), 8, 1)

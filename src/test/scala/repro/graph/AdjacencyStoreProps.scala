@@ -32,11 +32,10 @@ object AdjacencyStoreProps extends Properties("AdjacencyStore") {
       else store.contains(v, u) == sets(v).contains(u)
     }
     val rows = store.toRows
-    val csr = store.csr
     sameAnswers && (0 until Rows).forall { v =>
       val expected = sets(v).toSeq
       store.row(v).toSeq == expected && rows(v).toSeq == expected && store.size(v) == expected.size &&
-        csr.ids.slice(csr.off(v), csr.off(v + 1)).toSeq == expected &&
+        store.ids(v).take(store.size(v)).toSeq == expected && // the row the steps read in place
         (0 until Ids).forall(u => store.contains(v, u) == sets(v).contains(u))
     }
   }
