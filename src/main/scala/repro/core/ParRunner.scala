@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.SparkContext
+import org.apache.spark.{SparkContext, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
@@ -12,11 +12,11 @@ import scala.reflect.ClassTag
   * The paper parallelizes NNDescent's local joins, Remove-Detours' BFS and
   * Algorithm 1 across OpenMP threads ("each thread independently evaluates
   * assigned objects"). Here a "thread" is a chunk: [[SparkRunner]] runs one
-  * Spark task per chunk, so a call of several chunks is one Spark job;
-  * [[LocalRunner]] runs the chunks inline, which keeps unit tests fast and
-  * serves as the reference the Spark runner must match. Both return the
-  * chunk results in chunk order, so driver-side merges see the same
-  * sequence — and build the same graph — under either runner.
+  * Spark task per chunk, so a call of several chunks is one Spark job, one
+  * `runJob`; [[LocalRunner]] runs the chunks inline, which keeps unit tests
+  * fast and serves as the reference the Spark runner must match. Both
+  * return the chunk results in chunk order, so driver-side merges see the
+  * same sequence — and build the same graph — under either runner.
   *
   * The chunks read their state through a [[Shared]] handle: [[runShared]]
   * fans out over a handle made beforehand, and [[runWithData]] shares its
@@ -146,9 +146,16 @@ object LocalRunner {
   }
 }
 
-/** Spark-backed runner: one task per chunk, the results collected in chunk
-  * order; a single chunk runs on the driver. `parts <= 0` means the
-  * session's default parallelism. A shared handle is a broadcast: a
+/** Spark-backed runner: a call of several chunks is one
+  * `SparkContext.runJob` with one task per chunk, whose result handler files
+  * each task's result under its chunk's index, so the results come back in
+  * chunk order whatever order the tasks finish in; a single chunk runs on
+  * the driver. The job is launched directly rather than through
+  * `parallelize(...).map(...).collect()`: Spark's closure cleaner reads and
+  * parses the class file of every closure's declaring class on every job,
+  * and `collect()` adds two closures declared in `RDD` and `SparkContext`,
+  * which made an empty job cost about 1.5-2x as much. `parts <= 0` means
+  * the session's default parallelism. A shared handle is a broadcast: a
   * [[share]] handle's lives until its release, also when a chunk fails.
   *
   * [[shareFor]] keeps one broadcast per SparkContext, whichever runner made
@@ -163,8 +170,16 @@ final class SparkRunner(@transient spark: SparkSession, parts: Int = 0) extends 
 
   def runShared[D, T: ClassTag](n: Int, handle: Shared[D])(f: (D, Int, Int) => T): Seq[T] = {
     val rs = ranges(n)
-    if (rs.size <= 1) rs.map { case (s, e) => f(handle.value, s, e) }
-    else spark.sparkContext.parallelize(rs, rs.size).map { case (s, e) => f(handle.value, s, e) }.collect().toSeq
+    if (rs.size <= 1) return rs.map { case (s, e) => f(handle.value, s, e) }
+    val sc = spark.sparkContext
+    val out = new Array[T](rs.size)
+    // one chunk per slice, so partition i is chunk i
+    sc.runJob(
+      sc.parallelize(rs, rs.size),
+      (_: TaskContext, chunk: Iterator[(Int, Int)]) => { val (s, e) = chunk.next(); f(handle.value, s, e) },
+      rs.indices,
+      (i: Int, t: T) => out(i) = t)
+    out.toSeq
   }
 
   def share[D: ClassTag](data: D): Shared[D] = new SparkRunner.Broadcasted(spark.sparkContext.broadcast(data))

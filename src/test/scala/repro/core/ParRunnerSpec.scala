@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import org.apache.spark.{SparkException, SparkTestHooks}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
@@ -10,6 +11,8 @@ import repro.SparkSpec
   * returns results aligned with its ids, shared handles live until their
   * release, keyed handles live until another key replaces them and no
   * handle on them is held, and a failing chunk frees its call's broadcast.
+  * Under Spark a fan-out is one job, and its results come back in chunk
+  * order even when a later chunk finishes first.
   */
 class ParRunnerSpec extends SparkSpec {
 
@@ -50,6 +53,45 @@ class ParRunnerSpec extends SparkSpec {
       val local = new LocalRunner(parts).runWithData(n, ())((_, s, e) => (s, e))
       assert(viaSpark == local, s"n=$n parts=$parts")
     }
+  }
+
+  test("SparkRunner returns results in chunk order when a later chunk finishes first") {
+    import ParRunnerSpec.{awaitLast, finished, holdFirst, releaseFirst}
+    // chunk 0 waits until the last chunk is done, which needs both to run at once
+    assume(spark.sparkContext.defaultParallelism >= 2)
+    val runner = new SparkRunner(spark, 4)
+    val h = runner.share(())
+    try {
+      holdFirst()
+      val viaSpark = runner.runShared(100, h) { (_, s, e) =>
+        if (s == 0) { awaitLast(); finished.add(s) }
+        if (e == 100) { finished.add(s); releaseFirst() }
+        (s, e)
+      }
+      assert(finished.toArray.toSeq == Seq(75, 0)) // the tasks did finish out of order
+      assert(viaSpark == new LocalRunner(4).runWithData(100, ())((_, s, e) => (s, e)))
+    } finally h.release()
+
+    // mapIds: hold the first id dealt to chunk 0 until the last id dealt to the last chunk
+    val n = 400
+    val dealt = ParRunner.permutation(n)
+    val (first, last) = (dealt.head, dealt.last)
+    holdFirst()
+    val ids = Array.range(0, n)
+    val out = runner.mapIds(ids, ()) { (_, id) =>
+      if (id == first) { awaitLast(); finished.add(id) }
+      if (id == last) { finished.add(id); releaseFirst() }
+      id * 7
+    }
+    assert(finished.toArray.toSeq == Seq(last, first))
+    assert(out.toSeq == ids.map(_ * 7).toSeq)
+  }
+
+  test("a multi-chunk runWithData is exactly one Spark job") {
+    val runner = new SparkRunner(spark, 4)
+    val (res, jobs) = countingJobs(runner.runWithData(100, Array.range(0, 100))((d, s, e) => d.slice(s, e).sum))
+    assert(jobs == 1)
+    assert(res.size == 4 && res.sum == (0 until 100).sum)
   }
 
   test("mapIds returns results aligned with the ids under both runners") {
@@ -184,4 +226,21 @@ class ParRunnerSpec extends SparkSpec {
     eventually(timeout(10.seconds))(assert(!broadcastLive(data)))
     assert(runner.runWithData(100, data)((d, s, e) => (s until e).map(d(_)).sum).sum == data.sum)
   }
+}
+
+object ParRunnerSpec {
+
+  /** The order in which the held and the releasing chunk finished.
+    * Local-mode tasks run in the test's JVM, so they reach this object
+    * itself, not a serialized copy.
+    */
+  val finished = new ConcurrentLinkedQueue[Int]
+  @volatile private var gate = new CountDownLatch(1)
+
+  /** Arms a new gate and clears [[finished]]. */
+  def holdFirst(): Unit = { finished.clear(); gate = new CountDownLatch(1) }
+
+  def releaseFirst(): Unit = gate.countDown()
+
+  def awaitLast(): Unit = assert(gate.await(60, TimeUnit.SECONDS), "the last chunk never ran")
 }
