@@ -20,9 +20,7 @@ object ScanDOD {
   def run(runner: ParRunner, space: MetricSpace, r: Double, k: Int, counter: ExactCounter): DetectionResult = {
     DODQuery.check(r, k)
     val t0 = System.nanoTime()
-    val out = runner.select(Array.range(0, space.n), (space, counter)) { case ((sp, c), p) =>
-      c.count(sp, p, r, k) < k
-    }
+    val out = runner.select(Array.range(0, space.n), space, counter)((sp, c, p) => c.count(sp, p, r, k) < k)
     DetectionResult(out, (System.nanoTime() - t0) / 1000000L, counter.sizeBytes)
   }
 }
@@ -80,8 +78,8 @@ object SNIF {
 
     // parallel counting for objects in small clusters
     val pending = (0 until n).filter(p => memberArr(clusterOf(p)).length <= k).toArray
-    val out = runner.select(pending, (space, centerArr, memberArr, clusterOf)) {
-      case ((sp, cts, mem, cOf), p) =>
+    val out = runner.select(pending, space, (centerArr, memberArr, clusterOf)) {
+      case (sp, (cts, mem, cOf), p) =>
         var count = mem(cOf(p)).length - 1 // co-members are neighbors
         var c = 0
         while (count < k && c < cts.length) {
@@ -144,9 +142,7 @@ object Dolphin {
     val indexBytes = indexIds.length * 8L
 
     val candidates = indexIds.filter(q => counts(q) < k).toArray
-    val out = runner.select(candidates, space) { (sp, q) =>
-      LinearScanCounter().count(sp, q, r, k) < k
-    }
+    val out = runner.select(candidates, space, ())((sp, _, q) => LinearScanCounter().count(sp, q, r, k) < k)
     DetectionResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
   }
 }

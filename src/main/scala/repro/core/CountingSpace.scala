@@ -7,15 +7,13 @@ import java.util.concurrent.atomic.LongAdder
   * way to compare algorithms at reduced scale (Spark job overhead would
   * otherwise floor the sub-second runs).
   *
-  * Every fan-out passes the space to its chunks through [[ParRunner]]: in
-  * a call's data (one broadcast per call) or behind a [[Shared]] handle
-  * (one broadcast per NNDescent+ build, and one per graph for
-  * `GraphDOD.run`, kept across its queries). [[LocalRunner]] hands it over
-  * as is. Under [[SparkRunner]] the count is complete only in `local[*]`
-  * mode, where a broadcast value is shared by reference inside the one
-  * JVM, so task-side evaluations land in the same adder; on a cluster each
-  * executor would count into its own copy. Callers read [[evaluations]]
-  * before/after a run.
+  * Driver-side code counts here call by call. A [[ParRunner]] fan-out's
+  * chunks do not: each evaluates on the unwrapped space through its own
+  * [[ChunkCount]] and returns that count with its result, and the driver
+  * adds the chunks' sum to the caller's space once per fan-out
+  * ([[CountingSpace.add]]). So the count is complete under any master,
+  * also when the chunks read a serialized copy of the space. Callers read
+  * [[evaluations]] before/after a run.
   *
   * A `within` test is one evaluation, like the `dist` it answers for, even
   * when the base space stops it early.
@@ -29,4 +27,38 @@ final class CountingSpace(val base: MetricSpace) extends MetricSpace {
   override def roundingSlack: Double = base.roundingSlack
 
   def evaluations: Long = adder.sum()
+}
+
+object CountingSpace {
+
+  /** The space under every [[CountingSpace]] that wraps `space`. */
+  def unwrap(space: MetricSpace): MetricSpace = space match {
+    case c: CountingSpace => unwrap(c.base)
+    case s => s
+  }
+
+  /** Adds `evaluations`, made on `unwrap(space)`, to every
+    * [[CountingSpace]] that wraps `space`.
+    */
+  def add(space: MetricSpace, evaluations: Long): Unit = space match {
+    case c: CountingSpace => c.adder.add(evaluations); add(c.base, evaluations)
+    case _ =>
+  }
+}
+
+/** One chunk's view of a space: it evaluates on `unwrap(space)` and counts
+  * in a plain field, as one thread runs a chunk. A fan-out returns
+  * [[evaluations]] with the chunk's result, for the driver to add to the
+  * caller's space.
+  */
+final class ChunkCount(space: MetricSpace) extends MetricSpace {
+  private val base = CountingSpace.unwrap(space)
+  private var count = 0L
+
+  def n: Int = base.n
+  def dist(i: Int, j: Int): Double = { count += 1; base.dist(i, j) }
+  override def within(i: Int, j: Int, r: Double): Boolean = { count += 1; base.within(i, j, r) }
+  override def roundingSlack: Double = base.roundingSlack
+
+  def evaluations: Long = count
 }

@@ -61,6 +61,8 @@ object DODQuery {
   * @param verifyMs       verification's share of the wall-clock [ms]
   * @param maxChunkMs     busy time of the slowest chunk [ms]
   * @param meanChunkMs    mean busy time of a chunk [ms]
+  * @param evaluations    distance evaluations the run made (Table 5b's
+  *                       cost), also added to the caller's space
   */
 final case class DODResult(
     outliers: Array[Int],
@@ -71,6 +73,7 @@ final case class DODResult(
     verifyMs: Long,
     maxChunkMs: Double,
     meanChunkMs: Double,
+    evaluations: Long,
 ) {
   def totalMs: Long = filterMs + verifyMs
 }
@@ -90,10 +93,10 @@ object GraphDOD {
   val VerifiedOutlier = 4: Byte
   val FalsePositive = 5: Byte
 
-  /** One chunk's outcomes, in dealt order, and the nanoseconds it spent
-    * filtering and verifying.
+  /** One chunk's outcomes, in dealt order, the nanoseconds it spent
+    * filtering and verifying, and its distance evaluations.
     */
-  private final case class ChunkOutcomes(outcomes: Array[Byte], filterNs: Long, verifyNs: Long)
+  private final case class ChunkOutcomes(outcomes: Array[Byte], filterNs: Long, verifyNs: Long, evaluations: Long)
 
   /** One object's filtering verdict (§4 filtering phase + §5.5 shortcut). */
   def filterVerdict(
@@ -126,7 +129,9 @@ object GraphDOD {
     * same graph reads the payload shared by the first. Under
     * [[SparkRunner]] it stays broadcast until a run on another key, or
     * until the context stops; space and graph must not change once
-    * detected on. Rejects invalid queries ([[DODQuery.check]]).
+    * detected on. Each chunk counts its evaluations ([[ChunkCount]]); the
+    * run adds their sum to `space` and reports it. Rejects invalid queries
+    * ([[DODQuery.check]]).
     */
   def run(
       runner: ParRunner,
@@ -143,7 +148,8 @@ object GraphDOD {
     val t0 = System.nanoTime()
     val payload = runner.shareFor(Seq(space, g, counter))((space, g, counter, ParRunner.permutation(n)))
     val order = payload.value._4
-    val chunks = try runner.runShared(n, payload) { case ((sp, gg, ec, ord), s, e) =>
+    val chunks = try runner.runShared(n, payload) { case ((shared, gg, ec, ord), s, e) =>
+      val sp = new ChunkCount(shared)
       val outcomes = new Array[Byte](e - s)
       var verifyNs = 0L
       val c0 = System.nanoTime()
@@ -159,9 +165,11 @@ object GraphDOD {
         outcomes(i - s) = o
         i += 1
       }
-      ChunkOutcomes(outcomes, System.nanoTime() - c0 - verifyNs, verifyNs)
+      ChunkOutcomes(outcomes, System.nanoTime() - c0 - verifyNs, verifyNs, sp.evaluations)
     } finally payload.release()
     val wallMs = (System.nanoTime() - t0) / 1000000L
+    val evaluations = chunks.map(_.evaluations).sum
+    CountingSpace.add(space, evaluations)
 
     val outcome = new Array[Byte](n)
     var pos = 0
@@ -182,6 +190,7 @@ object GraphDOD {
       verifyMs = wallMs - filterMs,
       maxChunkMs = chunkMs.maxOption.getOrElse(0.0),
       meanChunkMs = if (chunkMs.isEmpty) 0.0 else chunkMs.sum / chunkMs.size,
+      evaluations = evaluations,
     )
   }
 

@@ -27,10 +27,12 @@ import scala.reflect.ClassTag
   * reads).
   *
   * `f` must not mutate the shared value, and must reach shared state only
-  * through it: under Spark, whatever else `f` captures is a serialized copy
-  * (a copied [[CountingSpace]] would count nothing). Per-chunk results are
-  * merged by the caller on the driver (the paper's iteration-synchronous
-  * model).
+  * through it: under Spark, whatever else `f` captures is a serialized copy.
+  * Per-chunk results are merged by the caller on the driver (the paper's
+  * iteration-synchronous model). A chunk that evaluates distances does so
+  * through its own [[ChunkCount]] and returns the count with its result;
+  * the driver adds the sum to the caller's space ([[CountingSpace.add]]),
+  * so counts hold whether the chunks read the caller's values or copies.
   */
 trait ParRunner extends Serializable {
 
@@ -76,26 +78,41 @@ trait ParRunner extends Serializable {
     (0 until n by step).map(s => (s, math.min(n, s + step)))
   }
 
-  /** `f(data, id)` for every id of `ids`, returned aligned with `ids`. The
-    * ids are dealt to chunks in a seeded random order — the paper's random
-    * assignment of objects to threads (§4), which balances load when the
-    * per-object cost clusters by id.
+  /** `f(counted, data, id)` for every id of `ids`, returned aligned with
+    * `ids`, where `counted` is the chunk's [[ChunkCount]] over
+    * `shared.value`. The ids are dealt to chunks in a seeded random order —
+    * the paper's random assignment of objects to threads (§4), which
+    * balances load when the per-object cost clusters by id. The chunks'
+    * evaluations are added to `space`, which `shared` shares, once the call
+    * returns.
     */
-  final def mapIds[D: ClassTag, T: ClassTag](ids: Array[Int], data: D)(f: (D, Int) => T): Array[T] = {
+  final def mapIds[D: ClassTag, T: ClassTag](
+      ids: Array[Int],
+      space: MetricSpace,
+      shared: Shared[MetricSpace],
+      data: D,
+  )(f: (MetricSpace, D, Int) => T): Array[T] = {
     val perm = ParRunner.permutation(ids.length)
     val dealt = perm.map(i => ids(i))
-    val chunkResults = runWithData(dealt.length, (data, dealt)) { case ((d, order), s, e) =>
-      Array.tabulate(e - s)(i => f(d, order(s + i)))
+    val chunkResults = runWithData(dealt.length, (shared, data, dealt)) { case ((sh, d, order), s, e) =>
+      val counted = new ChunkCount(sh.value)
+      val res = Array.tabulate(e - s)(i => f(counted, d, order(s + i)))
+      (res, counted.evaluations)
     }
+    CountingSpace.add(space, chunkResults.map(_._2).sum)
     val out = new Array[T](ids.length)
     var pos = 0
-    chunkResults.foreach(_.foreach { t => out(perm(pos)) = t; pos += 1 })
+    chunkResults.foreach(_._1.foreach { t => out(perm(pos)) = t; pos += 1 })
     out
   }
 
-  /** The ids of `ids` (in their order) for which `pred(data, id)` holds. */
-  final def select[D: ClassTag](ids: Array[Int], data: D)(pred: (D, Int) => Boolean): Array[Int] = {
-    val keep = mapIds(ids, data)(pred)
+  /** The ids of `ids` (in their order) for which `pred(counted, data, id)`
+    * holds: [[mapIds]] over `space`, shared for this call.
+    */
+  final def select[D: ClassTag](ids: Array[Int], space: MetricSpace, data: D)(
+      pred: (MetricSpace, D, Int) => Boolean): Array[Int] = {
+    val shared = share(space)
+    val keep = try mapIds(ids, space, shared, data)(pred) finally shared.release()
     ids.indices.collect { case i if keep(i) => ids(i) }.toArray
   }
 }

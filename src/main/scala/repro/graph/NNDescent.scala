@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.core.{BruteForce, MetricSpace, ParRunner, Shared, Shuffle, VPTree}
+import repro.core.{BruteForce, ChunkCount, CountingSpace, MetricSpace, ParRunner, Shared, Shuffle, VPTree}
 import scala.util.Random
 
 /** Configuration for [[NNDescent.build]].
@@ -117,9 +117,16 @@ object NNDescent {
   private final case class JoinLists(joinNew: Csr, joinOld: Csr, worst: Array[Double], k: Int)
 
   /** One chunk's improving candidates: `ids/ds(off(i) until off(i + 1))`
-    * are the candidates for `targets(i)`, ascending by distance.
+    * are the candidates for `targets(i)`, ascending by distance. The chunk
+    * made `evaluations` distance evaluations.
     */
-  private final case class Candidates(targets: Array[Int], off: Array[Int], ids: Array[Int], ds: Array[Double])
+  private final case class Candidates(
+      targets: Array[Int],
+      off: Array[Int],
+      ids: Array[Int],
+      ds: Array[Double],
+      evaluations: Long,
+  )
 
   /** Builds the AKNN graph. Deterministic in `cfg.seed` for a fixed runner
     * chunking (sampling happens on the driver; executors only evaluate
@@ -128,6 +135,20 @@ object NNDescent {
     * targets.
     */
   def build(space: MetricSpace, cfg: NNDescentConfig, runner: ParRunner): AKnnResult = {
+    val shared = runner.share(space)
+    try build(space, shared, cfg, runner)
+    finally shared.release()
+  }
+
+  /** [[build]] over `shared`, a handle on `space` that the caller made and
+    * releases.
+    */
+  private[graph] def build(
+      space: MetricSpace,
+      shared: Shared[MetricSpace],
+      cfg: NNDescentConfig,
+      runner: ParRunner,
+  ): AKnnResult = {
     val n = space.n
     val k = math.min(cfg.K, n - 1)
     val rng = new Random(cfg.seed)
@@ -138,35 +159,32 @@ object NNDescent {
     if (cfg.vpInit) initByVpTree(space, lists, isPivot, k, rng)
     fillRandom(space, lists, k, rng) // cover objects the partitioning missed
 
-    val shared = runner.share(space)
-    try {
-      // ---- iterative AKNN updates --------------------------------------
-      var iter = 0
-      var converged = false
-      val updatedPrev = Array.fill(n)(true)
-      while (iter < cfg.maxIters && !converged) {
-        val inserts = runIteration(shared, lists, updatedPrev, cfg, rng, runner)
-        iter += 1
-        if (inserts < Delta * n * k) converged = true
-      }
-      val ids = Array.tabulate(n)(lists.idsOf)
-      val ds = Array.tabulate(n)(lists.distsOf)
+    // ---- iterative AKNN updates ------------------------------------------
+    var iter = 0
+    var converged = false
+    val updatedPrev = Array.fill(n)(true)
+    while (iter < cfg.maxIters && !converged) {
+      val inserts = runIteration(space, shared, lists, updatedPrev, cfg, rng, runner)
+      iter += 1
+      if (inserts < Delta * n * k) converged = true
+    }
+    val ids = Array.tabulate(n)(lists.idsOf)
+    val ds = Array.tabulate(n)(lists.distsOf)
 
-      // ---- exact K'-NN retrieval (NNDescent+ third stage) --------------
-      val exactLists: Array[Array[Int]] =
-        if (cfg.exactListSize > 0 && cfg.exactCount > 0) {
-          val m = math.min(cfg.exactCount, n)
-          val spread = ds.map(_.sum)
-          val targets = (0 until n).sortBy(v => -spread(v)).take(m).toArray
-          val kk = math.min(cfg.exactListSize, n - 1)
-          val knn = runner.mapIds(targets, (shared, kk)) { case ((sp, kp), v) => BruteForce.knn(sp.value, v, kp) }
-          val out = new Array[Array[Int]](n)
-          targets.indices.foreach(i => out(targets(i)) = knn(i))
-          out
-        } else null
+    // ---- exact K'-NN retrieval (NNDescent+ third stage) ------------------
+    val exactLists: Array[Array[Int]] =
+      if (cfg.exactListSize > 0 && cfg.exactCount > 0) {
+        val m = math.min(cfg.exactCount, n)
+        val spread = ds.map(_.sum)
+        val targets = (0 until n).sortBy(v => -spread(v)).take(m).toArray
+        val kk = math.min(cfg.exactListSize, n - 1)
+        val knn = runner.mapIds(targets, space, shared, kk)((sp, kp, v) => BruteForce.knn(sp, v, kp))
+        val out = new Array[Array[Int]](n)
+        targets.indices.foreach(i => out(targets(i)) = knn(i))
+        out
+      } else null
 
-      AKnnResult(ids, ds, isPivot, exactLists, iter)
-    } finally shared.release()
+    AKnnResult(ids, ds, isPivot, exactLists, iter)
   }
 
   /** Algorithm 3: repeated VP-tree ball partitioning; left leaf groups seed
@@ -292,13 +310,15 @@ object NNDescent {
   /** One local-join iteration: the driver samples the join lists (including
     * reverse neighbors), executors evaluate candidate pairs against a
     * snapshot of each vertex's current worst distance, and the driver merges
-    * the proposals. Returns the number of successful inserts.
+    * the proposals and adds the chunks' evaluations to `space`. Returns the
+    * number of successful inserts.
     *
     * Per vertex the driver draws the forward-new, reverse-new and
     * reverse-old samples, in that order; the forward old list is taken
     * whole. Each join list keeps the first occurrence of every id.
     */
   private def runIteration(
+      space: MetricSpace,
       shared: Shared[MetricSpace],
       lists: NNLists,
       updatedPrev: Array[Boolean],
@@ -366,8 +386,9 @@ object NNDescent {
     )
 
     val proposals = runner.runWithData(n, (shared, join)) { case ((sp, jl), s, e) =>
-      localJoinChunk(sp.value, jl, s, e)
+      localJoinChunk(new ChunkCount(sp.value), jl, s, e)
     }
+    CountingSpace.add(space, proposals.map(_.evaluations).sum)
 
     // merge on the driver, chunk by chunk in chunk order
     val updatedNow = new Array[Boolean](n)
@@ -396,7 +417,7 @@ object NNDescent {
     * per-target lists. Runs as one [[ParRunner]] chunk (a Spark task under
     * the SparkRunner), reading the shared state only through its arguments.
     */
-  private def localJoinChunk(space: MetricSpace, join: JoinLists, s: Int, e: Int): Candidates = {
+  private def localJoinChunk(space: ChunkCount, join: JoinLists, s: Int, e: Int): Candidates = {
     val n = space.n
     val worst = join.worst
     val cand = new NNLists(n, join.k)
@@ -446,6 +467,6 @@ object NNDescent {
       }
       v += 1
     }
-    Candidates(targets, off, ids, ds)
+    Candidates(targets, off, ids, ds, space.evaluations)
   }
 }

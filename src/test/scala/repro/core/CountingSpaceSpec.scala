@@ -1,8 +1,12 @@
 package repro.core
 
 import repro.{SparkSpec, TestSpaces}
+import repro.baseline.{DetectionResult, Dolphin, SNIF, ScanDOD}
+import repro.graph.{KGraphBuilder, MRPG, ProximityGraph}
 
-/** Distance-evaluation accounting, including through the Spark runner. */
+/** Distance-evaluation accounting, including through the Spark runner and
+  * through chunks that read serialized copies ([[CopyingRunner]]).
+  */
 class CountingSpaceSpec extends SparkSpec {
 
   test("counts driver-side evaluations exactly") {
@@ -56,5 +60,87 @@ class CountingSpaceSpec extends SparkSpec {
     assert(csGraph.evaluations < csNested.evaluations,
       s"graph ${csGraph.evaluations} vs nested ${csNested.evaluations}")
   }
-}
 
+  test("ChunkCount counts in its own field on the unwrapped space; add reaches every wrapper") {
+    val base = TestSpaces.clustered(50, 4, VectorMetric.L2, seed = 12)
+    val inner = new CountingSpace(base)
+    val outer = new CountingSpace(inner)
+    assert(CountingSpace.unwrap(outer) eq base)
+    val chunk = new ChunkCount(outer)
+    assert(chunk.dist(0, 1) == base.dist(0, 1))
+    assert(chunk.within(2, 3, 1.0) == base.within(2, 3, 1.0))
+    assert(chunk.evaluations == 2L && chunk.roundingSlack == base.roundingSlack)
+    assert(inner.evaluations == 0L && outer.evaluations == 0L)
+    CountingSpace.add(outer, chunk.evaluations)
+    assert(inner.evaluations == 2L && outer.evaluations == 2L)
+    CountingSpace.add(base, 5L) // a space that counts nothing ignores it
+  }
+
+  // ---- chunks that read copies count as LocalRunner's do ------------------
+
+  private val vectors = TestSpaces.clustered(300, 8, VectorMetric.L2, seed = 13, outlierFrac = 0.04)
+  private val words = TestSpaces.strings(200, seed = 14)
+
+  /** `run`'s result and evaluations under LocalRunner and under
+    * CopyingRunner, each on a fresh CountingSpace over `base`.
+    */
+  private def bothRunners[A](base: MetricSpace)(run: (ParRunner, CountingSpace) => A): Seq[(A, Long)] =
+    Seq(new LocalRunner(4), new CopyingRunner(4)).map { runner =>
+      val cs = new CountingSpace(base)
+      (run(runner, cs), cs.evaluations)
+    }
+
+  private def sameGraph(a: ProximityGraph, b: ProximityGraph): Boolean = {
+    def sameRows(x: Array[Array[Int]], y: Array[Array[Int]]): Boolean =
+      (x == null && y == null) || (x != null && y != null && x.length == y.length &&
+        x.indices.forall(i => java.util.Arrays.equals(x(i), y(i))))
+    a.exactK == b.exactK && java.util.Arrays.equals(a.isPivot, b.isPivot) &&
+      sameRows(a.adj, b.adj) && sameRows(a.exactLists, b.exactLists)
+  }
+
+  test("copied chunks: MRPG and KGraph builds count and build as under LocalRunner") {
+    for (base <- Seq(vectors, words)) {
+      val Seq((mrpgLocal, mrpgLocalDists), (mrpgCopied, mrpgCopiedDists)) =
+        bothRunners(base)((runner, cs) => MRPG.build(cs, 8, runner, seed = 3, maxIters = 4)._1)
+      assert(sameGraph(mrpgLocal, mrpgCopied))
+      assert(mrpgCopiedDists == mrpgLocalDists)
+      val Seq((kgLocal, kgLocalDists), (kgCopied, kgCopiedDists)) =
+        bothRunners(base)((runner, cs) => KGraphBuilder.build(cs, 8, runner, seed = 3, maxIters = 4))
+      assert(sameGraph(kgLocal, kgCopied))
+      assert(kgCopiedDists == kgLocalDists)
+    }
+  }
+
+  test("copied chunks: GraphDOD.run counts, reports and detects as under LocalRunner") {
+    for ((base, r, k) <- Seq((vectors, 9.0, 10), (words, 4.0, 8))) {
+      val (g, _) = MRPG.build(base, 8, new LocalRunner(4), seed = 3, maxIters = 4)
+      for (counter <- Seq(LinearScanCounter(), VPTreeCounter(VPTree.build(base, 16, seed = 3)))) {
+        val Seq((local, localDists), (copied, copiedDists)) =
+          bothRunners(base)((runner, cs) => GraphDOD.run(runner, cs, g, r, k, counter = counter))
+        assert(copied.outliers.toSeq == local.outliers.toSeq, counter)
+        assert(copied.outliers.toSeq == BruteForce.outliers(base, r, k).toSeq, counter)
+        assert(copied.candidates == local.candidates, counter)
+        assert(copiedDists == localDists, counter)
+        assert(copied.evaluations == copiedDists && local.evaluations == localDists, counter)
+      }
+    }
+  }
+
+  test("copied chunks: ScanDOD, SNIF and DOLPHIN count and detect as under LocalRunner") {
+    for ((base, r, k) <- Seq((vectors, 9.0, 10), (words, 4.0, 8))) {
+      val tree = VPTree.build(base, 16, seed = 3)
+      val detectors: Seq[(String, (ParRunner, CountingSpace) => DetectionResult)] = Seq(
+        "Nested-loop" -> ((runner, cs) => ScanDOD.run(runner, cs, r, k, LinearScanCounter())),
+        "VP-tree" -> ((runner, cs) => ScanDOD.run(runner, cs, r, k, VPTreeCounter(tree))),
+        "SNIF" -> ((runner, cs) => SNIF.run(runner, cs, r, k)),
+        "DOLPHIN" -> ((runner, cs) => Dolphin.run(runner, cs, r, k)),
+      )
+      for ((name, detect) <- detectors) {
+        val Seq((local, localDists), (copied, copiedDists)) = bothRunners(base)(detect)
+        assert(copied.outliers.toSeq == local.outliers.toSeq, name)
+        assert(copied.outliers.toSeq == BruteForce.outliers(base, r, k).toSeq, name)
+        assert(copiedDists == localDists, name)
+      }
+    }
+  }
+}

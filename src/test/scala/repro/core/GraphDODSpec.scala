@@ -284,6 +284,7 @@ class GraphDODSpec extends SparkSpec {
         val res = GraphDOD.run(fanOut, cs, g, r, k, useExactShortcut = shortcut, counter = counter)
         if (!shortcut) assert(candidates > 0, label) // the exact lists may decide every outlier
         assert(cs.evaluations == expected.evaluations, label)
+        assert(res.evaluations == cs.evaluations, label)
         assert(res.candidates == candidates, label)
         assert(res.outliers.toSeq == truth.toSeq, label)
       }
@@ -309,6 +310,8 @@ class GraphDODSpec extends SparkSpec {
         val cs = new CountingSpace(base)
         val res = GraphDOD.run(runner, cs, g, r, k, counter = counter)
         assert(res.outliers.toSeq == BruteForce.outliers(base, r, k).toSeq, s"${spec.name} r=$r k=$k")
+        // the run reports the evaluations it added to the fresh space
+        assert(res.evaluations == cs.evaluations, s"${spec.name} r=$r k=$k")
         cs.evaluations
       }
     }.toMap

@@ -4,7 +4,8 @@ import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
 import org.apache.spark.{SparkException, SparkTestHooks}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
-import repro.SparkSpec
+import repro.{SparkSpec, TestSpaces}
+import scala.reflect.ClassTag
 
 /** Range fan-out correctness: local and Spark runners agree (chunk results
   * in the same order), chunking covers [0, n) exactly once, the id fan-out
@@ -15,6 +16,15 @@ import repro.SparkSpec
   * order even when a later chunk finishes first.
   */
 class ParRunnerSpec extends SparkSpec {
+
+  private val space = TestSpaces.uniform(10, 2, VectorMetric.L2)
+
+  /** `runner.mapIds` over [[space]], shared for the call. */
+  private def mapIds[D: ClassTag, T: ClassTag](runner: ParRunner, ids: Array[Int], data: D)(f: (D, Int) => T): Array[T] = {
+    val shared = runner.share[MetricSpace](space)
+    try runner.mapIds(ids, space, shared, data)((_, d, id) => f(d, id))
+    finally shared.release()
+  }
 
   private def sumOfSquares(runner: ParRunner, n: Int): Long =
     runner.runWithData(n, ())((_, s, e) => (s until e).map(i => i.toLong * i).sum).sum
@@ -78,7 +88,7 @@ class ParRunnerSpec extends SparkSpec {
     val (first, last) = (dealt.head, dealt.last)
     holdFirst()
     val ids = Array.range(0, n)
-    val out = runner.mapIds(ids, ()) { (_, id) =>
+    val out = mapIds(runner, ids, ()) { (_, id) =>
       if (id == first) { awaitLast(); finished.add(id) }
       if (id == last) { finished.add(id); releaseFirst() }
       id * 7
@@ -97,15 +107,15 @@ class ParRunnerSpec extends SparkSpec {
   test("mapIds returns results aligned with the ids under both runners") {
     val ids = Array.tabulate(301)(i => (i * 7) % 301)
     for (runner <- Seq(new LocalRunner(5), new SparkRunner(spark, 5))) {
-      assert(runner.mapIds(ids, 3)((m, id) => id * m).toSeq == ids.map(_ * 3).toSeq)
-      assert(runner.select(ids, ())((_, id) => id % 2 == 0).toSeq == ids.filter(_ % 2 == 0).toSeq)
+      assert(mapIds(runner, ids, 3)((m, id) => id * m).toSeq == ids.map(_ * 3).toSeq)
+      assert(runner.select(ids, space, ())((_, _, id) => id % 2 == 0).toSeq == ids.filter(_ % 2 == 0).toSeq)
     }
   }
 
   test("mapIds deals the ids to chunks in a fixed random order") {
     def dealtOrder(): Seq[Int] = {
       val seen = scala.collection.mutable.ArrayBuffer.empty[Int]
-      new LocalRunner(4).mapIds(Array.range(0, 1000), ())((_, id) => { seen += id; () })
+      mapIds(new LocalRunner(4), Array.range(0, 1000), ())((_, id) => { seen += id; () })
       seen.toSeq
     }
     val order = dealtOrder()
@@ -138,7 +148,7 @@ class ParRunnerSpec extends SparkSpec {
       val res = runner.runWithData(100, h)((d, s, e) => (s until e).map(d.value(_)).sum).sum
       assert(res == data.sum)
     }
-    assert(runner.mapIds(Array.range(0, 100), (h, 2)) { case ((d, m), id) => d.value(id) * m }.toSeq ==
+    assert(mapIds(runner, Array.range(0, 100), (h, 2)) { case ((d, m), id) => d.value(id) * m }.toSeq ==
       data.map(_ * 2).toSeq)
     h.release()
     eventually(timeout(10.seconds))(assert(!broadcastLive(data)))

@@ -1,8 +1,9 @@
 package repro.graph
 
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, CountingSpace, EditDistance, GraphDOD, LocalRunner, MetricSpace,
-  SparkRunner, StringSpace, VectorMetric}
+import repro.core.{BruteForce, CountingSpace, EditDistance, GraphDOD, LocalRunner, MetricSpace, ParRunner,
+  Shared, SparkRunner, StringSpace, VectorMetric}
+import scala.reflect.ClassTag
 
 /** The full MRPG pipeline: the three §5 properties, connectivity, stats. */
 class MRPGSpec extends SparkSpec {
@@ -98,6 +99,27 @@ class MRPGSpec extends SparkSpec {
     assert(a.isPivot.sameElements(b.isPivot))
     assert((0 until ss.n).forall(v => same(a.exactLists(v), b.exactLists(v))))
     assert((0 until ss.n).forall(v => same(a.adj(v), b.adj(v))))
+  }
+
+  test("a build shares the space once, for NNDescent+ and Remove-Detours") {
+    val local = new LocalRunner(4)
+    val shared = scala.collection.mutable.ArrayBuffer.empty[Any]
+    val recording = new ParRunner {
+      protected def maxChunks: Int = 4
+      def runShared[D, T: ClassTag](n: Int, handle: Shared[D])(f: (D, Int, Int) => T): Seq[T] =
+        local.runShared(n, handle)(f)
+      def share[D: ClassTag](data: D): Shared[D] = { shared += data; local.share(data) }
+      def shareFor[D: ClassTag](key: Seq[AnyRef])(make: => D): Shared[D] = share(make)
+    }
+    def isSpace(v: Any): Boolean = v.asInstanceOf[AnyRef] eq space
+    def holdsSpace(v: Any): Boolean = isSpace(v) || (v match {
+      case p: Product => p.productIterator.exists(holdsSpace)
+      case _ => false
+    })
+    val (g, _) = MRPG.build(space, 8, recording, seed = 5, maxIters = 5)
+    assert((0 until space.n).forall(v => g.adj(v).sameElements(graph.adj(v))))
+    assert(shared.count(isSpace) == 1)
+    assert(!shared.exists(v => !isSpace(v) && holdsSpace(v)), "a call's data carries the space again")
   }
 
   test("exact-list vertices' adjacency equals their exact list") {
