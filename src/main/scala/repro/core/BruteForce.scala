@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.graph.NNLists
+
 /** Ground-truth helpers: O(n^2) neighbor counting with the same early
   * termination every evaluated algorithm uses. Counting compares
   * `dist <= r`, not `within`, so the reference every exactness check
@@ -32,58 +34,19 @@ object BruteForce {
 
   /** Exact K nearest neighbors of `p` (excluding itself), ascending by
     * distance; ties broken by id for determinism. Evaluates all `n - 1`
-    * distances and keeps the best `k` in a bounded max-heap ordered by
-    * `(java.lang.Double.compare(dist), id)` — the order of sorting the
-    * `(dist, id)` tuples — which is heap-sorted ascending at the end.
+    * distances into one [[NNLists]] row of capacity `min(k, n - 1)`: ids
+    * arrive ascending, an equal distance goes after the entries it ties,
+    * and a full row rejects a distance equal to its worst, so the row holds
+    * the first `k` ids in `(dist, id)` order.
     */
   def knn(space: MetricSpace, p: Int, k: Int): Array[Int] = {
     val n = space.n
-    val cap = math.max(0, math.min(k, n - 1))
-    val ids = new Array[Int](cap)
-    val ds = new Array[Double](cap)
-
-    // entry a orders after entry b
-    def after(a: Int, b: Int): Boolean = {
-      val c = java.lang.Double.compare(ds(a), ds(b))
-      c > 0 || (c == 0 && ids(a) > ids(b))
-    }
-    def swap(a: Int, b: Int): Unit = {
-      val t = ids(a); ids(a) = ids(b); ids(b) = t
-      val d = ds(a); ds(a) = ds(b); ds(b) = d
-    }
-    def siftDown(from: Int, size: Int): Unit = {
-      var i = from
-      var done = false
-      while (!done) {
-        val l = 2 * i + 1
-        if (l >= size) done = true
-        else {
-          val c = if (l + 1 < size && after(l + 1, l)) l + 1 else l
-          if (after(c, i)) { swap(c, i); i = c } else done = true
-        }
-      }
-    }
-
-    var size = 0
+    val row = new NNLists(1, math.max(0, math.min(k, n - 1)))
     var i = 0
     while (i < n) {
-      if (i != p) {
-        val d = space.dist(p, i)
-        if (size < cap) {
-          ids(size) = i; ds(size) = d
-          var c = size
-          size += 1
-          while (c > 0 && after(c, (c - 1) / 2)) { swap(c, (c - 1) / 2); c = (c - 1) / 2 }
-        } else if (cap > 0 && java.lang.Double.compare(d, ds(0)) < 0) {
-          // ids arrive ascending, so an equal distance never displaces the top
-          ids(0) = i; ds(0) = d
-          siftDown(0, size)
-        }
-      }
+      if (i != p) row.insert(0, i, space.dist(p, i))
       i += 1
     }
-    var end = size - 1
-    while (end > 0) { swap(0, end); siftDown(0, end); end -= 1 }
-    ids
+    row.idsOf(0)
   }
 }

@@ -44,8 +44,9 @@ final case class AKnnResult(
   * distance, in flat row-major arrays: row `r` is
   * `ids/ds(r * cap until r * cap + size(r))`. With `flagged`, it also keeps
   * NNDescent's per-entry "new" flags aligned with the sorted entries (the
-  * driver-side master lists). The master lists and the local join's per-chunk
-  * candidate lists share this one insert rule.
+  * driver-side master lists). It is the program's one bounded K-NN list: the
+  * master lists, the local join's per-chunk candidate lists and the exact
+  * K'-NN lists ([[repro.core.BruteForce.knn]]) share its insert rule.
   */
 final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) {
   val ids = new Array[Int](rows * cap)
@@ -71,11 +72,12 @@ final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) {
   }
 
   /** Sorted insert into row `r` (flagged new), after any entries of equal
-    * distance; rejects duplicates and non-improving distances.
+    * distance; rejects duplicates and, in a full row, any distance not below
+    * the worst (NaN included).
     */
   def insert(r: Int, id: Int, d: Double): Boolean = {
     val sz = sizes(r)
-    if (sz == cap && d >= worst(r)) return false
+    if (sz == cap && !(d < worst(r))) return false
     if (contains(r, id)) return false
     val base = r * cap
     var pos = base + sz
@@ -94,6 +96,13 @@ final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) {
   def distsOf(r: Int): Array[Double] = java.util.Arrays.copyOfRange(ds, r * cap, r * cap + sizes(r))
 }
 
+/** NNDescent's local join [Dong et al., WWW'11] with the NNDescent+
+  * extensions of §5.1. The driver keeps the master lists in one flagged
+  * [[NNLists]]. Each iteration it reads the join lists from them in place
+  * (reverse lists first, then each vertex's own row at its turn), samples
+  * them, and fans the local join out; the chunks' candidate lists and the
+  * exact K'-NN lists are [[NNLists]] rows too.
+  */
 object NNDescent {
 
   /** Sample rate: each iteration joins `Rho * K` new and old neighbors per
@@ -150,7 +159,7 @@ object NNDescent {
       runner: ParRunner,
   ): AKnnResult = {
     val n = space.n
-    val k = math.min(cfg.K, n - 1)
+    val k = math.max(0, math.min(cfg.K, n - 1))
     val rng = new Random(cfg.seed)
     val lists = new NNLists(n, k, flagged = true)
     val isPivot = new Array[Boolean](n)
@@ -246,64 +255,28 @@ object NNDescent {
     cap
   }
 
-  /** Splits every master list into its new and old entries, in list order,
-    * with the NNDescent+ skip: an unchanged object's entry is not added to
-    * the similar-object (old) list.
+  /** The reverse join list of every vertex, read from the master lists: row
+    * `u` holds every `v` whose list has `u` at an entry `i` with `keep(i)`,
+    * by ascending `v`.
     */
-  private def splitForward(lists: NNLists, updatedPrev: Array[Boolean], skipUnchanged: Boolean): (Csr, Csr) = {
+  private def reverse(lists: NNLists, keep: Int => Boolean): Csr = {
     val n = lists.rows
-    val k = lists.cap
-    val newOff = new Array[Int](n + 1)
-    val oldOff = new Array[Int](n + 1)
-    def isOld(i: Int): Boolean = !skipUnchanged || updatedPrev(lists.ids(i))
-    var v = 0
-    while (v < n) {
-      var i = v * k
-      val end = i + lists.size(v)
-      while (i < end) {
-        if (lists.isNew(i)) newOff(v + 1) += 1 else if (isOld(i)) oldOff(v + 1) += 1
-        i += 1
-      }
-      newOff(v + 1) += newOff(v); oldOff(v + 1) += oldOff(v)
-      v += 1
-    }
-    val newIds = new Array[Int](newOff(n))
-    val oldIds = new Array[Int](oldOff(n))
-    v = 0
-    while (v < n) {
-      var a = newOff(v); var b = oldOff(v)
-      var i = v * k
-      val end = i + lists.size(v)
-      while (i < end) {
-        if (lists.isNew(i)) { newIds(a) = lists.ids(i); a += 1 }
-        else if (isOld(i)) { oldIds(b) = lists.ids(i); b += 1 }
-        i += 1
-      }
-      v += 1
-    }
-    (Csr(newOff, newIds), Csr(oldOff, oldIds))
-  }
-
-  /** Reverse lists: row `u` holds every `v` with `u` in row `v`, by
-    * ascending `v`.
-    */
-  private def reverse(fwd: Csr, n: Int): Csr = {
     val off = new Array[Int](n + 1)
-    fwd.ids.foreach(u => off(u + 1) += 1)
+    def scan(visit: (Int, Int) => Unit): Unit = {
+      var v = 0
+      while (v < n) {
+        var i = v * lists.cap
+        val end = i + lists.size(v)
+        while (i < end) { if (keep(i)) visit(v, lists.ids(i)); i += 1 }
+        v += 1
+      }
+    }
+    scan((_, u) => off(u + 1) += 1)
     var u = 0
     while (u < n) { off(u + 1) += off(u); u += 1 }
     val next = java.util.Arrays.copyOf(off, n)
-    val ids = new Array[Int](fwd.ids.length)
-    var v = 0
-    while (v < n) {
-      var i = fwd.off(v)
-      while (i < fwd.off(v + 1)) {
-        val t = fwd.ids(i)
-        ids(next(t)) = v; next(t) += 1
-        i += 1
-      }
-      v += 1
-    }
+    val ids = new Array[Int](off(n))
+    scan { (v, u) => ids(next(u)) = v; next(u) += 1 }
     Csr(off, ids)
   }
 
@@ -313,6 +286,10 @@ object NNDescent {
     * the proposals and adds the chunks' evaluations to `space`. Returns the
     * number of successful inserts.
     *
+    * The reverse lists are read from the master lists up front; vertex
+    * `v`'s forward entries are read from its own row at its turn, before its
+    * flags are cleared. An entry is old when it is not new and, under
+    * `skipUnchanged`, its id's list changed in the previous iteration.
     * Per vertex the driver draws the forward-new, reverse-new and
     * reverse-old samples, in that order; the forward old list is taken
     * whole. Each join list keeps the first occurrence of every id.
@@ -330,19 +307,21 @@ object NNDescent {
     val k = lists.cap
     val sampleK = math.max(1, (Rho * k).toInt)
 
-    val (fwdNew, fwdOld) = splitForward(lists, updatedPrev, cfg.skipUnchanged)
-    val revNew = reverse(fwdNew, n)
-    val revOld = reverse(fwdOld, n)
+    def isOld(i: Int): Boolean = !lists.isNew(i) && (!cfg.skipUnchanged || updatedPrev(lists.ids(i)))
+    val revNew = reverse(lists, lists.isNew(_))
+    val revOld = reverse(lists, isOld)
 
+    val fwdNew = new Array[Int](k) // row v's forward entries
+    val fwdOld = new Array[Int](k)
     val work = new Array[Int](n) // no row repeats an id, so none is longer than n
     val stamp = new Array[Int](n) // generation stamps: the ids already in the list being built
     var gen = 0
 
-    /** Appends the sample of row `v` of `src` to `out` from `at`, skipping
-      * ids stamped `gen`; returns the new end.
+    /** Appends the sample of `src(from until until)` to `out` from `at`,
+      * skipping ids stamped `gen`; returns the new end.
       */
-    def addSample(src: Csr, v: Int, cap: Int, out: Array[Int], at: Int): Int = {
-      val len = sample(src.ids, src.off(v), src.off(v + 1), cap, rng, work)
+    def addSample(src: Array[Int], from: Int, until: Int, cap: Int, out: Array[Int], at: Int): Int = {
+      val len = sample(src, from, until, cap, rng, work)
       var end = at
       var i = 0
       while (i < len) {
@@ -353,28 +332,37 @@ object NNDescent {
       end
     }
 
-    // a join list is a subset of its forward and reverse rows
+    // a join list is a subset of its forward and reverse rows, and the
+    // forward rows hold as many entries as the reverse rows
     val newOff = new Array[Int](n + 1)
-    val newIds = new Array[Int](fwdNew.ids.length + revNew.ids.length)
+    val newIds = new Array[Int](2 * revNew.ids.length)
     val oldOff = new Array[Int](n + 1)
-    val oldIds = new Array[Int](fwdOld.ids.length + revOld.ids.length)
+    val oldIds = new Array[Int](2 * revOld.ids.length)
     val worst = new Array[Double](n)
     var v = 0
     while (v < n) {
+      val row = v * k
+      val end = row + lists.size(v)
+      var nNew = 0; var nOld = 0
+      var i = row
+      while (i < end) {
+        if (lists.isNew(i)) { fwdNew(nNew) = lists.ids(i); nNew += 1 }
+        else if (isOld(i)) { fwdOld(nOld) = lists.ids(i); nOld += 1 }
+        i += 1
+      }
       gen += 1
-      val fwdNewEnd = addSample(fwdNew, v, sampleK, newIds, newOff(v))
-      newOff(v + 1) = addSample(revNew, v, sampleK, newIds, fwdNewEnd)
+      val fwdNewEnd = addSample(fwdNew, 0, nNew, sampleK, newIds, newOff(v))
+      newOff(v + 1) = addSample(revNew.ids, revNew.off(v), revNew.off(v + 1), sampleK, newIds, fwdNewEnd)
       // clear the "new" flags of the forward entries that join this round;
       // membership is read from the stamps before the old list reuses them
-      var i = v * k
-      val end = i + lists.size(v)
+      i = row
       while (i < end) {
         if (lists.isNew(i) && stamp(lists.ids(i)) == gen) lists.isNew(i) = false
         i += 1
       }
       gen += 1
-      val fwdOldEnd = addSample(fwdOld, v, Int.MaxValue, oldIds, oldOff(v)) // taken whole
-      oldOff(v + 1) = addSample(revOld, v, sampleK, oldIds, fwdOldEnd)
+      val fwdOldEnd = addSample(fwdOld, 0, nOld, Int.MaxValue, oldIds, oldOff(v)) // taken whole
+      oldOff(v + 1) = addSample(revOld.ids, revOld.off(v), revOld.off(v + 1), sampleK, oldIds, fwdOldEnd)
       worst(v) = lists.worst(v)
       v += 1
     }

@@ -79,7 +79,8 @@ class BruteForceSpec extends AnyFunSuite {
     val strings = TestSpaces.strings(60, seed = 76) // integer distances
     val duplicates = new VectorSpace(Array.tabulate(40)(i => Array((i % 4).toDouble, 1.0)), VectorMetric.L2)
     val grid = new VectorSpace(Array.tabulate(49)(i => Array((i % 7).toDouble, (i / 7).toDouble)), VectorMetric.L1)
-    for ((name, s) <- Seq("strings" -> strings, "duplicates" -> duplicates, "L1 grid" -> grid)) {
+    val single = TestSpaces.uniform(1, 3, VectorMetric.L2, seed = 77) // a zero-capacity row
+    for ((name, s) <- Seq("strings" -> strings, "duplicates" -> duplicates, "L1 grid" -> grid, "one object" -> single)) {
       val n = s.n
       for (p <- Seq(0, n / 2, n - 1); k <- Seq(0, 1, 5, n - 2, n - 1, n + 3)) {
         val expected = (0 until n).filter(_ != p).sortBy(i => (s.dist(p, i), i)).take(k).toArray

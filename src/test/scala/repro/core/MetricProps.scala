@@ -141,7 +141,7 @@ object NNListProps extends Properties("NNList") {
 
   property("zeroCapacityAdmitsNothing") = Prop.forAll(inserts) { ops =>
     val l = new NNLists(Rows, 0)
-    ops.forall { case (r, id, d) => !l.insert(r, id, d) } &&
+    (ops :+ ((1, 0, Double.NaN))).forall { case (r, id, d) => !l.insert(r, id, d) } &&
       (0 until Rows).forall(r => l.size(r) == 0 && l.worst(r) == Double.NegativeInfinity)
   }
 }

@@ -204,7 +204,11 @@ class NNDescentSpec extends SparkSpec {
     test(s"$name: builds bit-identically to the reference implementation") {
       val space = mkSpace()
       for {
-        (cfgName, cfg) <- Seq("KGraph" -> cfgKGraph(10), "NNDescent+" -> cfgPlus(10))
+        (cfgName, cfg) <- Seq(
+          "KGraph" -> cfgKGraph(10),
+          "KGraph with skipUnchanged" -> cfgKGraph(10).copy(skipUnchanged = true),
+          "NNDescent+" -> cfgPlus(10),
+        )
         (runnerName, r) <- Seq("LocalRunner(4)" -> new LocalRunner(4), "SparkRunner(4)" -> new SparkRunner(spark, 4))
       } assertSameAsReference(space, cfg.copy(exactListSize = 30, exactCount = 40), r,
         s"$cfgName / $runnerName")
