@@ -10,7 +10,11 @@ trait MetricSpace extends Serializable {
   /** Number of objects. */
   def n: Int
 
-  /** Metric distance between objects `i` and `j` (symmetric, triangle ineq.). */
+  /** Metric distance between objects `i` and `j` (triangle inequality up to
+    * [[roundingSlack]]). Deterministic and symmetric bit for bit:
+    * `dist(i, j)` and `dist(j, i)` return the same `Double` on every call,
+    * so a build may evaluate a pair once and use it in both directions.
+    */
   def dist(i: Int, j: Int): Double
 
   /** Whether `dist(i, j) <= r`: the test every detection-time decision

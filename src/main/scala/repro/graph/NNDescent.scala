@@ -198,6 +198,12 @@ object NNDescent {
 
   /** Algorithm 3: repeated VP-tree ball partitioning; left leaf groups seed
     * exact local K-NNs, vantage points of small partitions become pivots.
+    *
+    * Each unordered pair of a group is evaluated once and inserted into both
+    * rows (`dist` is symmetric bit for bit). Row `group(a)` still receives
+    * `group(0 until a)` and then `group(a + 1 until size)`, in that order,
+    * and a round's groups are disjoint, so every list is as if each ordered
+    * pair had been evaluated.
     */
   private def initByVpTree(
       space: MetricSpace,
@@ -215,9 +221,12 @@ object NNDescent {
         var i = 0
         while (i < group.length) {
           val p = group(i)
-          var j = 0
+          var j = i + 1
           while (j < group.length) {
-            if (j != i) lists.insert(p, group(j), space.dist(p, group(j)))
+            val q = group(j)
+            val d = space.dist(p, q)
+            lists.insert(p, q, d)
+            lists.insert(q, p, d)
             j += 1
           }
           i += 1

@@ -30,11 +30,13 @@ object RemoveDetours {
     */
   final case class Result(linksAdded: Long, capHits: Long)
 
-  /** One thread's scratch: generation stamps (one per BFS, one per target's
-    * set `A`) avoid clearing O(n) arrays between the O(n/K) targets. A BFS
-    * enqueues each vertex once, so `queue(0 until tail)` lists its visits.
-    * The arrays grow to the largest `n` the thread has run on and are kept
-    * for its later targets.
+  /** One thread's scratch: generation stamps (one per BFS, one per target
+    * for its set `A` and its distance memo) avoid clearing O(n) arrays
+    * between the O(n/K) targets. A BFS enqueues each vertex once, so
+    * `queue(0 until tail)` lists its visits. `dp(v)` holds `dist(p, v)` for
+    * the current target `p` once `v` is stamped, so a target's BFSes
+    * evaluate each distance once. The arrays grow to the largest `n` the
+    * thread has run on and are kept for its later targets.
     */
   private final class Scratch {
     var dp = new Array[Double](0)
@@ -48,6 +50,7 @@ object RemoveDetours {
     var tmp = new Array[Int](0) // the merge buffer of `sortByDist`
     private var visitGen = new Array[Int](0)
     private var aGen = new Array[Int](0)
+    private var dpGen = new Array[Int](0)
     private var bfs = 0
     private var target = 0
 
@@ -55,7 +58,7 @@ object RemoveDetours {
     def fit(n: Int): Unit = if (dp.length < n) {
       dp = new Array[Double](n); hop = new Array[Int](n); mono = new Array[Boolean](n)
       queue = new Array[Int](n); a = new Array[Int](n); pivs = new Array[Int](n); tmp = new Array[Int](n)
-      visitGen = new Array[Int](n); aGen = new Array[Int](n)
+      visitGen = new Array[Int](n); aGen = new Array[Int](n); dpGen = new Array[Int](n)
       bfs = 0; target = 0
     }
 
@@ -70,13 +73,24 @@ object RemoveDetours {
       * never enter.
       */
     def beginTarget(p: Int, direct: Array[Int]): Unit = {
-      if (target == Int.MaxValue) { java.util.Arrays.fill(aGen, 0); target = 0 }
+      if (target == Int.MaxValue) { java.util.Arrays.fill(aGen, 0); java.util.Arrays.fill(dpGen, 0); target = 0 }
       target += 1; aSize = 0
       aGen(p) = target
       var i = 0
       while (i < direct.length) { aGen(direct(i)) = target; i += 1 }
     }
     def addToA(v: Int): Unit = if (aGen(v) != target) { aGen(v) = target; a(aSize) = v; aSize += 1 }
+
+    /** `dist(p, v)` for the current target `p`, evaluated on `v`'s first
+      * call for this target and read from `dp` after (0 for `v == p`).
+      */
+    def distTo(space: MetricSpace, p: Int, v: Int): Double = {
+      if (dpGen(v) != target) {
+        dp(v) = if (v == p) 0.0 else space.dist(p, v)
+        dpGen(v) = target
+      }
+      dp(v)
+    }
   }
 
   private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
@@ -261,7 +275,7 @@ object RemoveDetours {
   ): Int = {
     sc.beginBfs()
     sc.enqueue(start)
-    sc.dp(start) = if (start == p) 0.0 else space.dist(p, start)
+    sc.distTo(space, p, start)
     sc.mono(start) = true
     sc.hop(start) = 0
     var head = 0
@@ -279,8 +293,7 @@ object RemoveDetours {
           val w = row(i)
           if (!sc.seen(w)) {
             sc.enqueue(w)
-            val dw = if (w == p) 0.0 else space.dist(p, w)
-            sc.dp(w) = dw
+            val dw = sc.distTo(space, p, w)
             sc.mono(w) = mu && du <= dw
             sc.hop(w) = hu + 1
           } else if (!sc.mono(w) && mu && du <= sc.dp(w)) {

@@ -111,6 +111,31 @@ class MetricSpec extends AnyFunSuite {
     }
   }
 
+  /** Every ordered pair of `space` gives the same bits both ways. */
+  private def assertBitSymmetric(space: MetricSpace, clue: String): Unit =
+    for (i <- 0 until space.n; j <- 0 until space.n) {
+      val (dij, dji) = (space.dist(i, j), space.dist(j, i))
+      assert(java.lang.Double.doubleToRawLongBits(dij) == java.lang.Double.doubleToRawLongBits(dji),
+        s"$clue: dist($i, $j) = $dij, dist($j, $i) = $dji")
+    }
+
+  test("VectorSpace.dist is symmetric bit for bit, a zero vector included") {
+    val rng = new Random(20)
+    // mixed signs and magnitudes, so rounding differs from term to term
+    val pts = Array.fill(40)(Array.fill(7)((rng.nextDouble() - 0.5) * math.pow(10, rng.nextInt(7) - 3))) ++
+      Array(Array.fill(7)(0.0), Array.fill(7)(1e-300), Array.tabulate(7)(i => if (i == 3) -2.5 else 0.0))
+    for (m <- metrics) assertBitSymmetric(new VectorSpace(pts, m), m.name)
+  }
+
+  test("StringSpace.dist is symmetric bit for bit: empty words and words past 64 units") {
+    val rng = new Random(21)
+    def w(len: Int): String = new String(Array.fill(len)(('a' + rng.nextInt(3)).toChar))
+    // equal lengths (either word may be the pattern), 0, 64 and 65 units, and
+    // pairs whose shorter word exceeds 64 units (the DP fallback)
+    val words = Seq(0, 0, 1, 5, 5, 5, 12, 63, 64, 64, 65, 65, 70, 90, 130).map(w).toArray
+    assertBitSymmetric(new StringSpace(words), "edit distance")
+  }
+
   test("VectorSpace serializes one flat copy of its rows and keeps its distances") {
     val vs = TestSpaces.clustered(500, 16, VectorMetric.L2, seed = 18)
     val bos = new java.io.ByteArrayOutputStream

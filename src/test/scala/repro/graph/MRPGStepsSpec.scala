@@ -2,7 +2,7 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestSpaces
-import repro.core.{BruteForce, GreedyCounting, LocalRunner, VectorMetric, VectorSpace}
+import repro.core.{BruteForce, GreedyCounting, LocalRunner, MetricSpace, VectorMetric, VectorSpace}
 import scala.collection.mutable
 
 /** Unit tests for the individual MRPG construction steps (§5.2–§5.4). */
@@ -138,6 +138,18 @@ class MRPGStepsSpec extends AnyFunSuite {
     assert(res.linksAdded <= 2L * 200 * 5 * 5)
   }
 
+  test("RemoveDetours evaluates each (target, object) distance once") {
+    val (space, isPivot, isExact, rows) = glued
+    val connected = AdjacencyStore.of(rows)
+    ConnectSubgraphs.run(space, connected, isPivot, isExact, seed = 11)
+    val recording = new RecordingSpace(space)
+    val res = RemoveDetours.run(recording, connected, isPivot, isExact, 6, runner, seed = 12)
+    val pairs = recording.pairs
+    assert(res.linksAdded > 0 && pairs.nonEmpty)
+    val repeats = pairs.size - pairs.distinct.size
+    assert(repeats == 0, s"$repeats of ${pairs.size} evaluations repeat an ordered pair")
+  }
+
   // ---- Remove-Links ------------------------------------------------------
   test("RemoveLinks removes the link between two non-pivots sharing a pivot") {
     // p1=0, p2=1 non-pivots, pivot=2; triangle 0-1-2 (paper's Example 4),
@@ -271,4 +283,15 @@ class MRPGStepsSpec extends AnyFunSuite {
     assert(removed > 0 && removed == RemoveLinks.run(store, isPivot, isExact))
     assertSameRows(viaSets, store)
   }
+}
+
+/** Records every `(i, j)` it evaluates, in call order (`within` goes
+  * through `dist`). For sequential runners only.
+  */
+private final class RecordingSpace(base: MetricSpace) extends MetricSpace {
+  val pairs = mutable.ArrayBuffer.empty[(Int, Int)]
+
+  def n: Int = base.n
+  def dist(i: Int, j: Int): Double = { pairs += ((i, j)); base.dist(i, j) }
+  def roundingSlack: Double = base.roundingSlack
 }

@@ -138,12 +138,16 @@ object NNDescentReference {
       val tree = VPTree.build(space, capacity, rng.nextLong())
       tree.pivots.foreach(isPivot(_) = true)
       tree.leftLeafGroups.foreach { group =>
+        // each unordered pair once, into both lists
         var i = 0
         while (i < group.length) {
           val p = group(i)
-          var j = 0
+          var j = i + 1
           while (j < group.length) {
-            if (j != i) buckets(p).insert(group(j), space.dist(p, group(j)))
+            val q = group(j)
+            val d = space.dist(p, q)
+            buckets(p).insert(q, d)
+            buckets(q).insert(p, d)
             j += 1
           }
           i += 1
