@@ -32,7 +32,7 @@ object ScanDOD {
   * inequality, so clusters with more than `k` members are all inliers; the
   * rest count neighbors only against clusters whose center lies within
   * `3r/2` (no neighbor can live farther). Both bounds are widened by the
-  * space's `roundingSlack`, so rounding cannot break either rule. The
+  * space's rounding slacks, so rounding cannot break either rule. The
   * counting pass fans out through the [[ParRunner]].
   */
 object SNIF {
@@ -51,8 +51,9 @@ object SNIF {
     // members join a center a little inside r/2, so co-members' computed
     // distances stay within r, and centers are searched a little beyond 3r/2
     val slack = space.roundingSlack
-    val joinR = r / 2 * (1 - slack)
-    val searchR = 1.5 * r * (1 + slack)
+    val absolute = space.absoluteSlack
+    val joinR = r / 2 * (1 - slack) - absolute / 2
+    val searchR = 1.5 * r * (1 + slack) + absolute
 
     // sequential cluster formation (order-dependent, as in the paper)
     val centers = mutable.ArrayBuffer.empty[Int]

@@ -25,6 +25,7 @@ final class CountingSpace(val base: MetricSpace) extends MetricSpace {
   def dist(i: Int, j: Int): Double = { adder.increment(); base.dist(i, j) }
   override def within(i: Int, j: Int, r: Double): Boolean = { adder.increment(); base.within(i, j, r) }
   override def roundingSlack: Double = base.roundingSlack
+  override def absoluteSlack: Double = base.absoluteSlack
 
   def evaluations: Long = adder.sum()
 }
@@ -59,6 +60,7 @@ final class ChunkCount(space: MetricSpace) extends MetricSpace {
   def dist(i: Int, j: Int): Double = { count += 1; base.dist(i, j) }
   override def within(i: Int, j: Int, r: Double): Boolean = { count += 1; base.within(i, j, r) }
   override def roundingSlack: Double = base.roundingSlack
+  override def absoluteSlack: Double = base.absoluteSlack
 
   def evaluations: Long = count
 }

@@ -30,6 +30,14 @@ trait MetricSpace extends Serializable {
     * leaves every bound as it is; a wrapper states its base space's.
     */
   def roundingSlack: Double
+
+  /** Absolute slack that the same rules add on top of [[roundingSlack]]'s:
+    * it covers a rounding error that does not shrink with the distance, for
+    * a rule that combines up to three computed distances. 0 (the default)
+    * for a space whose errors are relative; a wrapper states its base
+    * space's.
+    */
+  def absoluteSlack: Double = 0.0
 }
 
 /** Distance functions over dense vectors. L1/L2/L4 are Minkowski norms; the
@@ -194,6 +202,18 @@ final class VectorSpace private (data: Array[Double], val n: Int, val metric: Ve
     * practical dimension.
     */
   def roundingSlack: Double = 1e-9
+
+  /** Angular distances near 0 and 1 go through `acos` where it is
+    * ill-conditioned: a cosine off by a relative `e` moves the angle by up
+    * to `sqrt(2e)` radians, whatever the angle. The cosine's relative error
+    * is at most `(2 * dim + 3)` unit roundoffs (a dot product and two
+    * norms), so one computed distance is off by at most
+    * `sqrt((2 * dim + 3) * ulp(1)) / pi`; the slack is twice that for each
+    * of a rule's three distances. 0 for the Minkowski metrics, whose errors
+    * are relative.
+    */
+  override val absoluteSlack: Double =
+    if (metric == VectorMetric.Angular) 6 * math.sqrt((2.0 * dim + 3) * Math.ulp(1.0)) / math.Pi else 0.0
 }
 
 object VectorSpace {

@@ -29,6 +29,7 @@ final class VPTree private[core] (
     */
   def rangeCount(space: MetricSpace, q: Int, r: Double, cap: Int): Int = {
     val slack = space.roundingSlack
+    val absolute = space.absoluteSlack
     var count = 0
     def visit(node: VPTree.Node): Unit = {
       if (count >= cap) return
@@ -43,8 +44,8 @@ final class VPTree private[core] (
         case VPTree.Internal(vp, mu, maxD, left, right) =>
           val d = space.dist(q, vp)
           // the triangle-inequality bounds take r widened by the space's
-          // rounding slack, so rounding never prunes a computed neighbour
-          val rr = r * (1 + slack) + slack * (d + maxD)
+          // rounding slacks, so rounding never prunes a computed neighbour
+          val rr = r * (1 + slack) + slack * (d + maxD) + absolute
           // lower bound of any object under this node is d - maxD
           if (d - maxD > rr) return
           if (vp != q && d <= r) count += 1

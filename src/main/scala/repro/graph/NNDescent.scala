@@ -42,13 +42,15 @@ final case class AKnnResult(
 
 /** `rows` bounded nearest-neighbor lists of capacity `cap`, each ascending by
   * distance, in flat row-major arrays: row `r` is
-  * `ids/ds(r * cap until r * cap + size(r))`. With `flagged`, it also keeps
-  * NNDescent's per-entry "new" flags aligned with the sorted entries (the
-  * driver-side master lists). It is the program's one bounded K-NN list: the
-  * master lists, the local join's per-chunk candidate lists and the exact
-  * K'-NN lists ([[repro.core.BruteForce.knn]]) share its insert rule.
+  * `ids/ds(r * cap until r * cap + size(r))`. With `flagged`, it also keeps a
+  * per-entry flag aligned with the sorted entries, set by [[insert]]: in the
+  * driver-side master lists it is NNDescent's "new" flag; in a local-join
+  * chunk's lists, [[seed]]ed from the master lists, it marks the entries the
+  * chunk added. It is the program's one bounded K-NN list: the master lists,
+  * the local join's per-chunk candidate lists and the exact K'-NN lists
+  * ([[repro.core.BruteForce.knn]]) share its insert rule.
   */
-final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) {
+final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) extends Serializable {
   val ids = new Array[Int](rows * cap)
   val ds = new Array[Double](rows * cap)
   val isNew: Array[Boolean] = if (flagged) new Array[Boolean](rows * cap) else null
@@ -92,6 +94,16 @@ final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) {
     true
   }
 
+  /** Copies the rows of `from`, a list of the same shape, with every entry
+    * unflagged.
+    */
+  def seed(from: NNLists): Unit = {
+    System.arraycopy(from.ids, 0, ids, 0, ids.length)
+    System.arraycopy(from.ds, 0, ds, 0, ds.length)
+    System.arraycopy(from.sizes, 0, sizes, 0, rows)
+    if (isNew != null) java.util.Arrays.fill(isNew, false)
+  }
+
   def idsOf(r: Int): Array[Int] = java.util.Arrays.copyOfRange(ids, r * cap, r * cap + sizes(r))
   def distsOf(r: Int): Array[Double] = java.util.Arrays.copyOfRange(ds, r * cap, r * cap + sizes(r))
 }
@@ -100,8 +112,8 @@ final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) {
   * extensions of §5.1. The driver keeps the master lists in one flagged
   * [[NNLists]]. Each iteration it reads the join lists from them in place
   * (reverse lists first, then each vertex's own row at its turn), samples
-  * them, and fans the local join out; the chunks' candidate lists and the
-  * exact K'-NN lists are [[NNLists]] rows too.
+  * them, and fans the local join out; each chunk joins on its own copy of
+  * the master lists, and the exact K'-NN lists are [[NNLists]] rows too.
   */
 object NNDescent {
 
@@ -118,16 +130,18 @@ object NNDescent {
   /** Per-vertex id lists in compressed sparse row form: row `v` is
     * `ids(off(v) until off(v + 1))`.
     */
-  private final case class Csr(off: Array[Int], ids: Array[Int])
+  private[graph] final case class Csr(off: Array[Int], ids: Array[Int])
 
-  /** One iteration's join lists and worst-distance snapshot, shared by every
-    * local-join chunk.
+  /** One iteration's join lists and the master lists they were read from,
+    * shared by every local-join chunk. The driver changes `master` only when
+    * the local join has returned.
     */
-  private final case class JoinLists(joinNew: Csr, joinOld: Csr, worst: Array[Double], k: Int)
+  private[graph] final case class JoinLists(joinNew: Csr, joinOld: Csr, master: NNLists)
 
-  /** One chunk's improving candidates: `ids/ds(off(i) until off(i + 1))`
-    * are the candidates for `targets(i)`, ascending by distance. The chunk
-    * made `evaluations` distance evaluations.
+  /** One chunk's improving candidates, the entries it added that survive in
+    * its rows: `ids/ds(off(i) until off(i + 1))` are those of `targets(i)`,
+    * in row order (ascending by distance). The chunk made `evaluations`
+    * distance evaluations.
     */
   private final case class Candidates(
       targets: Array[Int],
@@ -137,11 +151,12 @@ object NNDescent {
       evaluations: Long,
   )
 
-  /** Builds the AKNN graph. Deterministic in `cfg.seed` for a fixed runner
-    * chunking (sampling happens on the driver; executors only evaluate
-    * distances). The space is shared with the runner once per build, so the
-    * local-join and exact K'-NN fan-outs ship only their join lists and
-    * targets.
+  /** Builds the AKNN graph. Deterministic in `cfg.seed`, and independent of
+    * the runner's chunking (sampling happens on the driver; executors only
+    * evaluate distances); the evaluation count depends on the chunking,
+    * because each chunk reuses the distances it knows. The space is shared
+    * with the runner once per build, so the local-join and exact K'-NN
+    * fan-outs ship only their join and master lists, and targets.
     */
   def build(space: MetricSpace, cfg: NNDescentConfig, runner: ParRunner): AKnnResult = {
     val shared = runner.share(space)
@@ -290,10 +305,11 @@ object NNDescent {
   }
 
   /** One local-join iteration: the driver samples the join lists (including
-    * reverse neighbors), executors evaluate candidate pairs against a
-    * snapshot of each vertex's current worst distance, and the driver merges
-    * the proposals and adds the chunks' evaluations to `space`. Returns the
-    * number of successful inserts.
+    * reverse neighbors) and ships them with the master lists; each chunk
+    * joins its vertices' lists on a copy of the master lists
+    * ([[localJoinChunk]]), and the driver merges the entries the chunks
+    * added, chunk by chunk in chunk order, and adds the chunks' evaluations
+    * to `space`. Returns the number of successful inserts.
     *
     * The reverse lists are read from the master lists up front; vertex
     * `v`'s forward entries are read from its own row at its turn, before its
@@ -347,7 +363,6 @@ object NNDescent {
     val newIds = new Array[Int](2 * revNew.ids.length)
     val oldOff = new Array[Int](n + 1)
     val oldIds = new Array[Int](2 * revOld.ids.length)
-    val worst = new Array[Double](n)
     var v = 0
     while (v < n) {
       val row = v * k
@@ -372,14 +387,12 @@ object NNDescent {
       gen += 1
       val fwdOldEnd = addSample(fwdOld, 0, nOld, Int.MaxValue, oldIds, oldOff(v)) // taken whole
       oldOff(v + 1) = addSample(revOld.ids, revOld.off(v), revOld.off(v + 1), sampleK, oldIds, fwdOldEnd)
-      worst(v) = lists.worst(v)
       v += 1
     }
     val join = JoinLists(
       Csr(newOff, java.util.Arrays.copyOf(newIds, newOff(n))),
       Csr(oldOff, java.util.Arrays.copyOf(oldIds, oldOff(n))),
-      worst,
-      k,
+      lists,
     )
 
     val proposals = runner.runWithData(n, (shared, join)) { case ((sp, jl), s, e) =>
@@ -409,21 +422,56 @@ object NNDescent {
     inserts
   }
 
-  /** Pure per-chunk local join: evaluates new×new and new×old pairs of each
-    * vertex's join lists, accumulating improving candidates into bounded
-    * per-target lists. Runs as one [[ParRunner]] chunk (a Spark task under
-    * the SparkRunner), reading the shared state only through its arguments.
+  /** Pure per-chunk local join: evaluates the new×new and new×old pairs of
+    * each vertex's join lists and offers each pair to both endpoints' rows
+    * of a copy of the master lists. Runs as one [[ParRunner]] chunk (a Spark
+    * task under the SparkRunner), reading the shared state only through its
+    * arguments.
+    *
+    * Known distances are reused (`dist` is deterministic and symmetric bit
+    * for bit). For each outer element `a`, the ids of `a`'s master row are
+    * stamped with their distances, and so is each partner `b` once `a`'s
+    * partner loop has evaluated it. A pair already offered in the loop is
+    * skipped; for a partner in `a`'s master row only `a` is offered to `b`'s
+    * row, as `b` is in `a`'s row or was evicted from it.
+    *
+    * The chunk returns only the entries it added that survive in its rows,
+    * in row order. Merged into the master lists after those of the chunks
+    * before it, this gives the master lists that merging each of the chunk's
+    * best candidates per row would: an entry the chunk dropped was beaten by
+    * `K` distinct ids, each already in the master row or returned before it,
+    * so the driver's insert would reject it too.
     */
   private def localJoinChunk(space: ChunkCount, join: JoinLists, s: Int, e: Int): Candidates = {
     val n = space.n
-    val worst = join.worst
-    val cand = new NNLists(n, join.k)
+    val master = join.master
+    val k = master.cap
+    val cand = new NNLists(n, k, flagged = true)
+    cand.seed(master)
+    // per outer element `a`: stamp(b) is 2 * gen when b is in a's master row,
+    // 2 * gen + 1 once the pair was offered in a's partner loop; known(b) is
+    // dist(a, b) in both cases
+    val stamp = new Array[Int](n)
+    val known = new Array[Double](n)
+    var gen = 0
 
-    def consider(a: Int, b: Int): Unit = {
-      if (a == b) return
-      val d = space.dist(a, b)
-      if (d < worst(a)) cand.insert(a, b, d)
-      if (d < worst(b)) cand.insert(b, a, d)
+    // a row that is not full has worst Double.MaxValue, so no infinite or NaN
+    // distance enters it, nor through the merge the master lists
+    def offer(t: Int, u: Int, d: Double): Unit = if (d < cand.worst(t)) cand.insert(t, u, d)
+
+    def pairs(a: Int, partners: Array[Int], from: Int, until: Int): Unit = {
+      var j = from
+      while (j < until) {
+        val b = partners(j)
+        val st = stamp(b)
+        if (st == 2 * gen) { offer(b, a, known(b)); stamp(b) = st + 1 }
+        else if (st != 2 * gen + 1 && b != a) {
+          val d = space.dist(a, b)
+          offer(a, b, d); offer(b, a, d)
+          stamp(b) = 2 * gen + 1; known(b) = d
+        }
+        j += 1
+      }
     }
 
     val nw = join.joinNew
@@ -432,10 +480,13 @@ object NNDescent {
     while (v < e) {
       var i = nw.off(v)
       while (i < nw.off(v + 1)) {
-        var j = i + 1
-        while (j < nw.off(v + 1)) { consider(nw.ids(i), nw.ids(j)); j += 1 }
-        var t = od.off(v)
-        while (t < od.off(v + 1)) { consider(nw.ids(i), od.ids(t)); t += 1 }
+        val a = nw.ids(i)
+        gen += 1
+        var r = a * k
+        val end = r + master.size(a)
+        while (r < end) { stamp(master.ids(r)) = 2 * gen; known(master.ids(r)) = master.ds(r); r += 1 }
+        pairs(a, nw.ids, i + 1, nw.off(v + 1))
+        pairs(a, od.ids, od.off(v), od.off(v + 1))
         i += 1
       }
       v += 1
@@ -444,24 +495,28 @@ object NNDescent {
     var rows = 0; var total = 0
     v = 0
     while (v < n) {
-      if (cand.size(v) > 0) { rows += 1; total += cand.size(v) }
+      var i = v * k
+      val end = i + cand.size(v)
+      val before = total
+      while (i < end) { if (cand.isNew(i)) total += 1; i += 1 }
+      if (total > before) rows += 1
       v += 1
     }
     val targets = new Array[Int](rows)
     val off = new Array[Int](rows + 1)
     val ids = new Array[Int](total)
     val ds = new Array[Double](total)
-    var t = 0
+    var t = 0; var at = 0
     v = 0
     while (v < n) {
-      val sz = cand.size(v)
-      if (sz > 0) {
-        targets(t) = v
-        System.arraycopy(cand.ids, v * cand.cap, ids, off(t), sz)
-        System.arraycopy(cand.ds, v * cand.cap, ds, off(t), sz)
-        off(t + 1) = off(t) + sz
-        t += 1
+      var i = v * k
+      val end = i + cand.size(v)
+      val before = at
+      while (i < end) {
+        if (cand.isNew(i)) { ids(at) = cand.ids(i); ds(at) = cand.ds(i); at += 1 }
+        i += 1
       }
+      if (at > before) { targets(t) = v; off(t + 1) = at; t += 1 }
       v += 1
     }
     Candidates(targets, off, ids, ds, space.evaluations)

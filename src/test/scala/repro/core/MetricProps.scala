@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
+import repro.baseline.{SNIF, ScanDOD}
 import repro.graph.NNLists
 
 /** ScalaCheck property suites (run by sbt's ScalaCheck framework directly). */
@@ -43,6 +44,49 @@ object MetricProps extends Properties("Metric") {
       Prop.forAll(radiiAround(d))(r => space.within(0, 1, r) == (d <= r))
     }
   }
+
+  /** Near-duplicate directions: up to 29 perturbations (1e-6 to 1e-9 per
+    * coordinate) of two random vectors, and one far vector. Their angular
+    * distances sit at the scale of `acos`'s rounding error near 0 (about
+    * 1e-8), where computed distances can break the triangle inequality the
+    * VP-tree and SNIF prune by.
+    */
+  private val nearDuplicates: Gen[VectorSpace] = for {
+    dim <- Gen.chooseNum(2, 12)
+    n <- Gen.chooseNum(4, 30)
+    scale <- Gen.oneOf(1e-6, 1e-7, 1e-8, 1e-9)
+    seed <- Gen.long
+  } yield {
+    val rng = new scala.util.Random(seed)
+    val centers = Array.fill(2, dim)(rng.nextGaussian())
+    new VectorSpace(Array.tabulate(n) { i =>
+      if (i == n - 1) Array.fill(dim)(rng.nextGaussian())
+      else centers(rng.nextInt(2)).map(_ + rng.nextGaussian() * scale * rng.nextInt(4))
+    }, VectorMetric.Angular)
+  }
+
+  property("Angular.prunedCountsMatchBruteForceOnNearDuplicates") =
+    Prop.forAll(nearDuplicates, Gen.long) { (space, seed) =>
+      val rng = new scala.util.Random(seed)
+      val n = space.n
+      // radii at acos's error scale, and computed distances with their
+      // neighbouring doubles, so some neighbours tie r exactly
+      val ds = Seq.fill(6)(space.dist(rng.nextInt(n), rng.nextInt(n)))
+      val radii = Seq(0.0, 1e-9, 5e-9, 1e-8, 2e-8, 5e-8) ++
+        ds.flatMap(d => Seq(d, Math.nextUp(d), Math.nextDown(d))).filter(_ >= 0)
+      val counters = Seq(LinearScanCounter(), VPTreeCounter(VPTree.build(space, 1, seed)),
+        VPTreeCounter(VPTree.build(space, 3, seed + 1)))
+      val runner = new LocalRunner(2)
+      radii.forall { r =>
+        Seq(1, 2, n / 2, n).forall { k =>
+          val truth = BruteForce.outliers(space, r, k)
+          counters.forall { c =>
+            (0 until n).forall(p => c.count(space, p, r, k) == BruteForce.countNeighbors(space, p, r, k)) &&
+              ScanDOD.run(runner, space, r, k, c).outliers.sameElements(truth)
+          } && SNIF.run(runner, space, r, k, seed).outliers.sameElements(truth)
+        }
+      }
+    }
 
   private val word: Gen[String] =
     Gen.chooseNum(0, 8).flatMap(n => Gen.listOfN(n, Gen.choose('a', 'c')).map(_.mkString))
@@ -137,6 +181,26 @@ object NNListProps extends Properties("NNList") {
   property("rejectsDuplicates") = Prop.forAll(Gen.chooseNum(1, 8)) { cap =>
     val l = new NNLists(Rows, cap)
     l.insert(1, 1, 5.0) && !l.insert(1, 1, 7.0) && l.size(1) == 1 && l.size(0) == 0
+  }
+
+  property("seedCopiesRowsUnflagged") = Prop.forAll(inserts, inserts, Gen.chooseNum(1, 8)) { (before, after, cap) =>
+    // as in real use, an id always comes with the same distance to a row
+    def dist(r: Int, id: Int): Double = ((id * 37 + r * 11) % 23).toDouble
+    val master = new NNLists(Rows, cap, flagged = true)
+    before.foreach { case (r, id, _) => master.insert(r, id, dist(r, id)) }
+    val copy = new NNLists(Rows, cap, flagged = true)
+    copy.insert(0, 99, 0.0) // overwritten by the seed
+    copy.seed(master)
+    val seeded = (0 until Rows).forall { r =>
+      copy.idsOf(r).sameElements(master.idsOf(r)) && copy.distsOf(r).sameElements(master.distsOf(r))
+    } && !copy.isNew.exists(identity)
+    // afterwards a row flags exactly the ids its own inserts added
+    after.foreach { case (r, id, _) => copy.insert(r, id, dist(r, id)) }
+    seeded && (0 until Rows).forall { r =>
+      (0 until copy.size(r)).forall { i =>
+        copy.isNew(r * cap + i) == !master.idsOf(r).contains(copy.ids(r * cap + i))
+      }
+    }
   }
 
   property("zeroCapacityAdmitsNothing") = Prop.forAll(inserts) { ops =>

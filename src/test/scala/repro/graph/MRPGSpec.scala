@@ -101,6 +101,32 @@ class MRPGSpec extends SparkSpec {
     assert((0 until ss.n).forall(v => same(a.adj(v), b.adj(v))))
   }
 
+  test("graphs do not depend on the chunk count") {
+    // each local-join chunk reuses the distances it knows, so the evaluation
+    // counts may differ with the chunk count; the graphs may not
+    def same(x: ProximityGraph, y: ProximityGraph): Boolean = {
+      def rows(a: Array[Array[Int]], b: Array[Array[Int]]) =
+        (a == null && b == null) ||
+          (a != null && b != null && a.length == b.length && a.indices.forall(v => java.util.Arrays.equals(a(v), b(v))))
+      rows(x.adj, y.adj) && x.isPivot.sameElements(y.isPivot) && rows(x.exactLists, y.exactLists) && x.exactK == y.exactK
+    }
+    for ((name, s) <- Seq(
+      "L2" -> TestSpaces.clustered(500, 6, VectorMetric.L2, seed = 58),
+      "tie-heavy strings" -> TestSpaces.strings(400, seed = 59),
+    )) {
+      def builds(p: Int): (ProximityGraph, ProximityGraph) = {
+        val r = new LocalRunner(p)
+        (MRPG.build(s, 8, r, seed = 14, maxIters = 5)._1, KGraphBuilder.build(s, 8, r, seed = 14, maxIters = 5))
+      }
+      val (mrpg, kgraph) = builds(1)
+      for (p <- Seq(2, 3, 4, 8, 16)) {
+        val (m, kg) = builds(p)
+        assert(same(m, mrpg), s"$name: MRPG under LocalRunner($p)")
+        assert(same(kg, kgraph), s"$name: KGraph under LocalRunner($p)")
+      }
+    }
+  }
+
   test("a build shares the space once, for NNDescent+ and Remove-Detours") {
     val local = new LocalRunner(4)
     val shared = scala.collection.mutable.ArrayBuffer.empty[Any]

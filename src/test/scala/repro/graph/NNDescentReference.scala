@@ -6,9 +6,11 @@ import scala.util.Random
 
 /** Test-only reference: `NNDescent.build` as it was on boxed per-vertex
   * lists (`NNList`, `ArrayBuffer` join lists, `Random.shuffle`, a
-  * `HashMap` per local-join chunk) and a sorting `BruteForce.knn`. The flat
-  * implementation must build bit-identical results with the same number of
-  * distance evaluations.
+  * `HashMap` per local-join chunk) and a sorting `BruteForce.knn`, with the
+  * flat version's local-join rules (lists seeded from the master lists,
+  * known distances read, only surviving additions returned) written on
+  * hash maps and sets. The flat implementation must build bit-identical
+  * results with the same number of distance evaluations.
   */
 object NNDescentReference {
 
@@ -172,9 +174,9 @@ object NNDescentReference {
   }
 
   /** One local-join iteration: the driver samples the join lists (including
-    * reverse neighbors), executors evaluate candidate pairs against a
-    * snapshot of each vertex's current worst distance, and the driver merges
-    * the proposals. Returns the number of successful inserts.
+    * reverse neighbors), executors join them on copies of the master lists,
+    * and the driver merges the entries they added. Returns the number of
+    * successful inserts.
     */
   private def runIteration(
       space: MetricSpace,
@@ -221,14 +223,12 @@ object NNDescentReference {
 
     val joinNew = new Array[Array[Int]](n)
     val joinOld = new Array[Array[Int]](n)
-    val worst = new Array[Double](n)
     v = 0
     while (v < n) {
       val sNew = sample(fwdNew(v), sampleK) ++ sample(revNew(v), sampleK)
       val sOld = fwdOld(v).toSeq ++ sample(revOld(v), sampleK)
       joinNew(v) = sNew.distinct.toArray
       joinOld(v) = sOld.distinct.toArray
-      worst(v) = buckets(v).worst
       v += 1
     }
 
@@ -246,7 +246,7 @@ object NNDescentReference {
     }
 
     val proposals =
-      runner.runWithData(n, (space, joinNew, joinOld, worst, k)) { (data, s, e) =>
+      runner.runWithData(n, (space, joinNew, joinOld, buckets, k)) { (data, s, e) =>
         localJoinChunk(data, s, e)
       }
 
@@ -270,24 +270,31 @@ object NNDescentReference {
   }
 
   /** Pure per-chunk local join: evaluates new×new and new×old pairs of each
-    * vertex's join lists, accumulating improving candidates into bounded
-    * per-target lists. Runs as one [[ParRunner]] chunk (a Spark task under
-    * the SparkRunner), reading the shared state only through `data`.
+    * vertex's join lists and offers each pair to both endpoints' copies of
+    * their master lists, made on first use. Runs as one [[ParRunner]] chunk
+    * (a Spark task under the SparkRunner), reading the shared state only
+    * through `data`. For each outer element `a`, a pair already offered in
+    * `a`'s partner loop is skipped, and a partner in `a`'s master row is not
+    * evaluated: only `a` is offered to its list. Returns, per list, the
+    * entries the chunk added that survive, in list order.
     */
   private def localJoinChunk(
-      data: (MetricSpace, Array[Array[Int]], Array[Array[Int]], Array[Double], Int),
+      data: (MetricSpace, Array[Array[Int]], Array[Array[Int]], Array[NNList], Int),
       s: Int,
       e: Int,
   ): Array[(Int, Array[Int], Array[Double])] = {
-    val (space, joinNew, joinOld, worst, k) = data
+    val (space, joinNew, joinOld, master, k) = data
     val cand = mutable.HashMap.empty[Int, NNList]
 
-    def consider(a: Int, b: Int): Unit = {
-      if (a == b) return
-      val d = space.dist(a, b)
-      if (d < worst(a)) cand.getOrElseUpdate(a, new NNList(k)).insert(b, d)
-      if (d < worst(b)) cand.getOrElseUpdate(b, new NNList(k)).insert(a, d)
-    }
+    // the flags mark the entries this chunk added
+    def list(t: Int): NNList = cand.getOrElseUpdate(t, {
+      val l = new NNList(k, flagged = true)
+      Array.copy(master(t).ids, 0, l.ids, 0, master(t).size)
+      Array.copy(master(t).ds, 0, l.ds, 0, master(t).size)
+      l.size = master(t).size
+      l
+    })
+    def offer(t: Int, u: Int, d: Double): Unit = if (d < list(t).worst) list(t).insert(u, d)
 
     var v = s
     while (v < e) {
@@ -295,16 +302,25 @@ object NNDescentReference {
       val ol = joinOld(v)
       var i = 0
       while (i < nl.length) {
-        var j = i + 1
-        while (j < nl.length) { consider(nl(i), nl(j)); j += 1 }
-        var t = 0
-        while (t < ol.length) { consider(nl(i), ol(t)); t += 1 }
+        val a = nl(i)
+        val m = master(a)
+        val inMasterRow = (0 until m.size).map(x => m.ids(x) -> m.ds(x)).toMap
+        val offered = mutable.HashSet.empty[Int]
+        (nl.drop(i + 1) ++ ol).foreach { b =>
+          if (b != a && offered.add(b)) inMasterRow.get(b) match {
+            case Some(d) => offer(b, a, d)
+            case None =>
+              val d = space.dist(a, b)
+              offer(a, b, d); offer(b, a, d)
+          }
+        }
         i += 1
       }
       v += 1
     }
     cand.iterator.map { case (t, lst) =>
-      (t, lst.ids.take(lst.size), lst.ds.take(lst.size))
+      val added = (0 until lst.size).filter(lst.isNew(_))
+      (t, added.map(lst.ids(_)).toArray, added.map(lst.ds(_)).toArray)
     }.toArray
   }
 }

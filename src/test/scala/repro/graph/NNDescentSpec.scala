@@ -4,8 +4,10 @@ import org.apache.spark.SparkException
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, CountingSpace, LocalRunner, MetricSpace, ParRunner, Shuffle, SparkRunner, VectorMetric, VectorSpace}
+import repro.core.{BruteForce, CountingSpace, LocalRunner, MetricSpace, ParRunner, Shared, Shuffle, SparkRunner, VectorMetric,
+  VectorSpace}
 import scala.collection.mutable
+import scala.reflect.ClassTag
 import scala.util.Random
 
 /** AKNN graph quality and the NNDescent+ extensions. */
@@ -169,6 +171,36 @@ class NNDescentSpec extends SparkSpec {
       s"NNDescent+ used $countPlus evals vs NNDescent $countPlain")
   }
 
+  test("no local-join chunk evaluates a pair it can read from the master row or its partner loop") {
+    val recording = new RecordingSpace(TestSpaces.clustered(600, 8, VectorMetric.L2, seed = 73))
+    var (evaluated, read) = (0L, 0L)
+    // each local-join chunk's evaluations, in call order, walked against its
+    // partner loops: outer element `a` = joinNew(v)(i), partners
+    // joinNew(v)(i + 1 ..) ++ joinOld(v)
+    val runner = new WatchingRunner(4, recording)({
+      case ((_, join: NNDescent.JoinLists), s, e, evals) =>
+        def row(c: NNDescent.Csr, v: Int) = c.ids.slice(c.off(v), c.off(v + 1))
+        var at = 0
+        for (v <- s until e; nw = row(join.joinNew, v); (a, i) <- nw.zipWithIndex) {
+          val inMasterRow = join.master.idsOf(a).toSet
+          val loop = mutable.HashSet.empty[Int]
+          for (b <- nw.drop(i + 1) ++ row(join.joinOld, v) if b != a) {
+            if (at < evals.length && evals(at) == ((a, b))) {
+              assert(!inMasterRow(b), s"chunk [$s, $e) evaluates ($a, $b), but $b is in $a's master row")
+              assert(!loop(b), s"chunk [$s, $e) evaluates ($a, $b) twice in $a's partner loop")
+              at += 1
+              evaluated += 1
+            } else read += 1
+            loop += b
+          }
+        }
+        assert(at == evals.length, s"chunk [$s, $e): an evaluation outside the partner loops")
+      case _ =>
+    })
+    NNDescent.build(recording, cfgPlus(10), runner)
+    assert(evaluated > 0 && read > 0, s"$evaluated evaluated, $read read")
+  }
+
   // ---- the flat implementation against the boxed reference ---------------
 
   private def sameRows(x: Array[Array[Int]], y: Array[Array[Int]]): Boolean =
@@ -237,6 +269,27 @@ class NNDescentSpec extends SparkSpec {
       assert(wholeRng.nextInt() == listRng.nextInt(), s"shuffle RNG state, len=$len seed=$seed")
     }
   }
+}
+
+/** Runs `parts` chunks in order, like [[LocalRunner]], and hands each chunk's
+  * shared value, range and the evaluations it made on `recording` to
+  * `onChunk`, before the caller sees the chunk's result.
+  */
+private final class WatchingRunner(parts: Int, recording: RecordingSpace)(
+    onChunk: (Any, Int, Int, IndexedSeq[(Int, Int)]) => Unit) extends ParRunner {
+  private val local = new LocalRunner(parts)
+  protected def maxChunks: Int = parts
+
+  def runShared[D, T: ClassTag](n: Int, handle: Shared[D])(f: (D, Int, Int) => T): Seq[T] =
+    ranges(n).map { case (s, e) =>
+      val from = recording.pairs.length
+      val t = f(handle.value, s, e)
+      onChunk(handle.value, s, e, recording.pairs.slice(from, recording.pairs.length).toIndexedSeq)
+      t
+    }
+
+  def share[D: ClassTag](data: D): Shared[D] = local.share(data)
+  def shareFor[D: ClassTag](key: Seq[AnyRef])(make: => D): Shared[D] = local.share(make)
 }
 
 /** Throws once it has made `failAfter` distance evaluations. */
