@@ -78,25 +78,27 @@ trait ParRunner extends Serializable {
     (0 until n by step).map(s => (s, math.min(n, s + step)))
   }
 
-  /** `f(counted, data, id)` for every id of `ids`, returned aligned with
-    * `ids`, where `counted` is the chunk's [[ChunkCount]] over
-    * `shared.value`. The ids are dealt to chunks in a seeded random order —
-    * the paper's random assignment of objects to threads (§4), which
-    * balances load when the per-object cost clusters by id. The chunks'
-    * evaluations are added to `space`, which `shared` shares, once the call
-    * returns.
+  /** `g(id)` for every id of `ids`, returned aligned with `ids`, where each
+    * chunk makes its own `g = f(counted, data)` once, before its first id:
+    * `counted` is the chunk's [[ChunkCount]] over `shared.value`, and `g`
+    * may keep per-chunk scratch. The ids are dealt to chunks in a seeded
+    * random order — the paper's random assignment of objects to threads
+    * (§4), which balances load when the per-object cost clusters by id. The
+    * chunks' evaluations are added to `space`, which `shared` shares, once
+    * the call returns.
     */
   final def mapIds[D: ClassTag, T: ClassTag](
       ids: Array[Int],
       space: MetricSpace,
       shared: Shared[MetricSpace],
       data: D,
-  )(f: (MetricSpace, D, Int) => T): Array[T] = {
+  )(f: (MetricSpace, D) => Int => T): Array[T] = {
     val perm = ParRunner.permutation(ids.length)
     val dealt = perm.map(i => ids(i))
     val chunkResults = runWithData(dealt.length, (shared, data, dealt)) { case ((sh, d, order), s, e) =>
       val counted = new ChunkCount(sh.value)
-      val res = Array.tabulate(e - s)(i => f(counted, d, order(s + i)))
+      val g = f(counted, d)
+      val res = Array.tabulate(e - s)(i => g(order(s + i)))
       (res, counted.evaluations)
     }
     CountingSpace.add(space, chunkResults.map(_._2).sum)
@@ -112,7 +114,7 @@ trait ParRunner extends Serializable {
   final def select[D: ClassTag](ids: Array[Int], space: MetricSpace, data: D)(
       pred: (MetricSpace, D, Int) => Boolean): Array[Int] = {
     val shared = share(space)
-    val keep = try mapIds(ids, space, shared, data)(pred) finally shared.release()
+    val keep = try mapIds(ids, space, shared, data)((sp, d) => pred(sp, d, _)) finally shared.release()
     ids.indices.collect { case i if keep(i) => ids(i) }.toArray
   }
 }

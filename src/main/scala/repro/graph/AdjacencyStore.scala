@@ -2,9 +2,10 @@ package repro.graph
 
 import scala.collection.mutable
 
-/** MRPG's adjacency while Connect-SubGraphs, Remove-Detours and Remove-Links
-  * edit it: one dense `Int` row per vertex, holding each id at most once, in
-  * the order the ids were added.
+/** A proximity graph's adjacency while it is built: NSW's insertions, and
+  * MRPG's Connect-SubGraphs, Remove-Detours and Remove-Links edit it. One
+  * dense `Int` row per vertex, holding each id at most once, in the order the
+  * ids were added.
   *
   * [[add]] appends an id its row does not hold. [[remove]] shifts the ids
   * after it one slot left, so the ids left keep their order and a re-added

@@ -44,14 +44,13 @@ object ConnectSubgraphs {
     var added = 0L
 
     // ---- reverse AKNN phase --------------------------------------------
-    // the phase only appends, so each row's first `before(v)` ids are the
-    // links it had when the phase began
-    val before = Array.tabulate(n)(adj.size)
+    // over a snapshot of the links each row had when the phase began
+    val aknn = adj.toRows
     var v = 0
     while (v < n) {
       var i = 0
-      while (i < before(v)) {
-        val u = adj.ids(v)(i)
+      while (i < aknn(v).length) {
+        val u = aknn(v)(i)
         if (!isExact(u) && adj.add(u, v)) added += 1
         i += 1
       }
@@ -106,7 +105,7 @@ object ConnectSubgraphs {
       var best = -1
       var bestD = Double.MaxValue
       starts.foreach { s =>
-        val ann = greedyAnnSearch(space, adj, s, target, AnnMaxHops)
+        val ann = greedyAnnSearch(adj, s, target, AnnMaxHops)(space.dist(target, _))
         val d = space.dist(ann, target)
         if (d < bestD) { bestD = d; best = ann }
       }
@@ -131,17 +130,16 @@ object ConnectSubgraphs {
   ): Long = AdjacencyStore.editSets(adj)(run(space, _, isPivot, isExact, seed).linksAdded)
 
   /** Greedy ANN search (§5.2): walk from `start` toward `query` over the
-    * links of `adj`, hop-limited, returning the closest vertex reached.
+    * links of `adj`, at most `maxHops` hops, returning the closest vertex
+    * reached. Each hop moves to the current vertex's closest neighbour (the
+    * first in row order among equals) while that one is strictly closer;
+    * `query` itself is never stepped onto. `dist(v)` is `v`'s distance to
+    * `query`: Connect-SubGraphs evaluates it each time, NSW's insertion
+    * reads it through a memo.
     */
-  def greedyAnnSearch(
-      space: MetricSpace,
-      adj: AdjacencyStore,
-      start: Int,
-      query: Int,
-      maxHops: Int,
-  ): Int = {
+  def greedyAnnSearch(adj: AdjacencyStore, start: Int, query: Int, maxHops: Int)(dist: Int => Double): Int = {
     var cur = start
-    var curD = space.dist(query, cur)
+    var curD = dist(cur)
     var hops = 0
     var improved = true
     while (improved && hops < maxHops) {
@@ -153,7 +151,7 @@ object ConnectSubgraphs {
       while (i < adj.size(cur)) {
         val w = row(i)
         if (w != query) {
-          val dw = space.dist(query, w)
+          val dw = dist(w)
           if (dw < bestD) { best = w; bestD = dw }
         }
         i += 1

@@ -26,7 +26,6 @@ final case class NNDescentConfig(
 /** Result of the (approximate) K-NN graph construction.
   *
   * @param nbrId      per-vertex neighbor ids, ascending by distance
-  * @param nbrDist    matching distances
   * @param isPivot    VP-tree pivots (all-false when `vpInit` is off)
   * @param exactLists exact K'-NN lists for the `m` selected objects
   *                   (`null` elsewhere / when disabled)
@@ -34,7 +33,6 @@ final case class NNDescentConfig(
   */
 final case class AKnnResult(
     nbrId: Array[Array[Int]],
-    nbrDist: Array[Array[Double]],
     isPivot: Array[Boolean],
     exactLists: Array[Array[Int]],
     iterations: Int,
@@ -42,18 +40,19 @@ final case class AKnnResult(
 
 /** `rows` bounded nearest-neighbor lists of capacity `cap`, each ascending by
   * distance, in flat row-major arrays: row `r` is
-  * `ids/ds(r * cap until r * cap + size(r))`. With `flagged`, it also keeps a
-  * per-entry flag aligned with the sorted entries, set by [[insert]]: in the
-  * driver-side master lists it is NNDescent's "new" flag; in a local-join
-  * chunk's lists, [[seed]]ed from the master lists, it marks the entries the
-  * chunk added. It is the program's one bounded K-NN list: the master lists,
-  * the local join's per-chunk candidate lists and the exact K'-NN lists
-  * ([[repro.core.BruteForce.knn]]) share its insert rule.
+  * `ids/ds/isNew(r * cap until r * cap + size(r))`. The per-entry flag
+  * `isNew` is set by [[insert]]: in the driver-side master lists it is
+  * NNDescent's "new" flag; in a local-join chunk's lists, [[seed]]ed from
+  * the master lists, it marks the entries the chunk added. It is the
+  * program's one bounded K-NN list: the master lists, the local join's
+  * per-chunk candidate lists and the exact K'-NN lists
+  * ([[repro.core.BruteForce.knn]], which ignores the flags) share its insert
+  * rule.
   */
-final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) extends Serializable {
+final class NNLists(val rows: Int, val cap: Int) extends Serializable {
   val ids = new Array[Int](rows * cap)
   val ds = new Array[Double](rows * cap)
-  val isNew: Array[Boolean] = if (flagged) new Array[Boolean](rows * cap) else null
+  val isNew = new Array[Boolean](rows * cap)
   private val sizes = new Array[Int](rows)
 
   def size(r: Int): Int = sizes(r)
@@ -85,12 +84,10 @@ final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) exten
     var pos = base + sz
     if (sz == cap) pos -= 1 else sizes(r) = sz + 1
     while (pos > base && ds(pos - 1) > d) {
-      ids(pos) = ids(pos - 1); ds(pos) = ds(pos - 1)
-      if (isNew != null) isNew(pos) = isNew(pos - 1)
+      ids(pos) = ids(pos - 1); ds(pos) = ds(pos - 1); isNew(pos) = isNew(pos - 1)
       pos -= 1
     }
-    ids(pos) = id; ds(pos) = d
-    if (isNew != null) isNew(pos) = true
+    ids(pos) = id; ds(pos) = d; isNew(pos) = true
     true
   }
 
@@ -101,15 +98,14 @@ final class NNLists(val rows: Int, val cap: Int, flagged: Boolean = false) exten
     System.arraycopy(from.ids, 0, ids, 0, ids.length)
     System.arraycopy(from.ds, 0, ds, 0, ds.length)
     System.arraycopy(from.sizes, 0, sizes, 0, rows)
-    if (isNew != null) java.util.Arrays.fill(isNew, false)
+    java.util.Arrays.fill(isNew, false)
   }
 
   def idsOf(r: Int): Array[Int] = java.util.Arrays.copyOfRange(ids, r * cap, r * cap + sizes(r))
-  def distsOf(r: Int): Array[Double] = java.util.Arrays.copyOfRange(ds, r * cap, r * cap + sizes(r))
 }
 
 /** NNDescent's local join [Dong et al., WWW'11] with the NNDescent+
-  * extensions of §5.1. The driver keeps the master lists in one flagged
+  * extensions of §5.1. The driver keeps the master lists in one
   * [[NNLists]]. Each iteration it reads the join lists from them in place
   * (reverse lists first, then each vertex's own row at its turn), samples
   * them, and fans the local join out; each chunk joins on its own copy of
@@ -176,7 +172,7 @@ object NNDescent {
     val n = space.n
     val k = math.max(0, math.min(cfg.K, n - 1))
     val rng = new Random(cfg.seed)
-    val lists = new NNLists(n, k, flagged = true)
+    val lists = new NNLists(n, k)
     val isPivot = new Array[Boolean](n)
 
     // ---- initialization -------------------------------------------------
@@ -193,22 +189,27 @@ object NNDescent {
       if (inserts < Delta * n * k) converged = true
     }
     val ids = Array.tabulate(n)(lists.idsOf)
-    val ds = Array.tabulate(n)(lists.distsOf)
 
     // ---- exact K'-NN retrieval (NNDescent+ third stage) ------------------
     val exactLists: Array[Array[Int]] =
       if (cfg.exactListSize > 0 && cfg.exactCount > 0) {
         val m = math.min(cfg.exactCount, n)
-        val spread = ds.map(_.sum)
+        // each master row's distances, summed in row order
+        val spread = Array.tabulate(n) { v =>
+          var sum = 0.0
+          var i = v * k
+          while (i < v * k + lists.size(v)) { sum += lists.ds(i); i += 1 }
+          sum
+        }
         val targets = (0 until n).sortBy(v => -spread(v)).take(m).toArray
         val kk = math.min(cfg.exactListSize, n - 1)
-        val knn = runner.mapIds(targets, space, shared, kk)((sp, kp, v) => BruteForce.knn(sp, v, kp))
+        val knn = runner.mapIds(targets, space, shared, kk)((sp, kp) => BruteForce.knn(sp, _, kp))
         val out = new Array[Array[Int]](n)
         targets.indices.foreach(i => out(targets(i)) = knn(i))
         out
       } else null
 
-    AKnnResult(ids, ds, isPivot, exactLists, iter)
+    AKnnResult(ids, isPivot, exactLists, iter)
   }
 
   /** Algorithm 3: repeated VP-tree ball partitioning; left leaf groups seed
@@ -446,7 +447,7 @@ object NNDescent {
     val n = space.n
     val master = join.master
     val k = master.cap
-    val cand = new NNLists(n, k, flagged = true)
+    val cand = new NNLists(n, k)
     cand.seed(master)
     // per outer element `a`: stamp(b) is 2 * gen when b is in a's master row,
     // 2 * gen + 1 once the pair was offered in a's partner loop; known(b) is

@@ -10,7 +10,8 @@ import scala.util.Random
   * object runs `f` greedy searches from random entry points (the number of
   * searches tracks the link count, as in the original construction),
   * collects every evaluated vertex, and links bidirectionally to the `f`
-  * closest.
+  * closest. The links go into an [[AdjacencyStore]], and each search is
+  * [[ConnectSubgraphs.greedyAnnSearch]] without a hop limit.
   * The construction is inherently sequential (each insertion must see the
   * links of its predecessors) — the paper stresses NSW cannot use
   * multi-threading, and Table 3's build times depend on that, so this
@@ -22,32 +23,28 @@ import scala.util.Random
 object NSW {
 
   def build(space: MetricSpace, f: Int, seed: Long = 7L): ProximityGraph = {
-    val n = space.n
     val rng = new Random(seed)
-    val adj = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    val order = Shuffle.range(n, rng)
+    val adj = new AdjacencyStore(space.n)
+    val order = Shuffle.range(space.n, rng)
 
-    var t = 0
+    var t = 1
     while (t < order.length) {
       val q = order(t)
-      if (t > 0) {
-        val friends = searchFriends(space, adj, order, t, q, f, rng)
-        friends.foreach { u =>
-          if (!adj(q).contains(u)) adj(q) += u
-          if (!adj(u).contains(q)) adj(u) += q
-        }
+      searchFriends(space, adj, order, t, q, f, rng).foreach { u =>
+        adj.add(q, u)
+        adj.add(u, q)
       }
       t += 1
     }
-    ProximityGraph.plain(adj.map(_.toArray))
+    ProximityGraph.plain(adj.toRows)
   }
 
-  /** `f` greedy descents toward `q`; returns the `f` closest evaluated
-    * vertices across all of them.
+  /** `f` greedy descents toward `q`, which no row holds yet; returns the `f`
+    * closest evaluated vertices across all of them.
     */
   private def searchFriends(
       space: MetricSpace,
-      adj: Array[mutable.ArrayBuffer[Int]],
+      adj: AdjacencyStore,
       order: Array[Int],
       inserted: Int,
       q: Int,
@@ -55,27 +52,10 @@ object NSW {
       rng: Random,
   ): Seq[Int] = {
     val evaluated = mutable.HashMap.empty[Int, Double]
-    def d(u: Int): Double = evaluated.getOrElseUpdate(u, space.dist(q, u))
-
+    val d = (u: Int) => evaluated.getOrElseUpdate(u, space.dist(q, u))
     var a = 0
     while (a < f) {
-      var cur = order(rng.nextInt(inserted))
-      var curD = d(cur)
-      var improved = true
-      while (improved) {
-        improved = false
-        val edges = adj(cur)
-        var i = 0
-        var best = cur
-        var bestD = curD
-        while (i < edges.length) {
-          val w = edges(i)
-          val dw = d(w)
-          if (dw < bestD) { best = w; bestD = dw }
-          i += 1
-        }
-        if (best != cur) { cur = best; curD = bestD; improved = true }
-      }
+      ConnectSubgraphs.greedyAnnSearch(adj, order(rng.nextInt(inserted)), q, Int.MaxValue)(d)
       a += 1
     }
     evaluated.toSeq.sortBy { case (id, dd) => (dd, id) }.take(f).map(_._1)

@@ -14,9 +14,9 @@ import scala.util.Random
   * which makes the path from `p` through them monotonic (Definition 3).
   *
   * The per-target BFS is read-only, so targets are dealt out through
-  * [[ParRunner.mapIds]] over a copy of the adjacency's rows
-  * (generation-stamped, thread-local scratch arrays keep each BFS
-  * allocation-free); the chains are linked on the driver, in target order.
+  * [[ParRunner.mapIds]] over a copy of the adjacency's rows (each chunk's
+  * generation-stamped scratch arrays keep its BFSes allocation-free); the
+  * chains are linked on the driver, in target order.
   */
 object RemoveDetours {
 
@@ -30,42 +30,34 @@ object RemoveDetours {
     */
   final case class Result(linksAdded: Long, capHits: Long)
 
-  /** One thread's scratch: generation stamps (one per BFS, one per target
-    * for its set `A` and its distance memo) avoid clearing O(n) arrays
-    * between the O(n/K) targets. A BFS enqueues each vertex once, so
+  /** One chunk's scratch for a graph of `n` vertices: generation stamps
+    * (one per BFS, one per target for its set `A` and its distance memo)
+    * avoid clearing O(n) arrays between the chunk's targets. A chunk runs at
+    * most n/2 targets (there are `max(1, n / max(2, K))` in all) of at most
+    * 11 BFSes each (one 3-hop BFS and up to 10 2-hop ones), so the target
+    * stamp stays at most n/2 and the BFS stamp at most 5.5·n: neither wraps
+    * below n = 390 M. A BFS enqueues each vertex once, so
     * `queue(0 until tail)` lists its visits. `dp(v)` holds `dist(p, v)` for
     * the current target `p` once `v` is stamped, so a target's BFSes
-    * evaluate each distance once. The arrays grow to the largest `n` the
-    * thread has run on and are kept for its later targets.
+    * evaluate each distance once.
     */
-  private final class Scratch {
-    var dp = new Array[Double](0)
-    var hop = new Array[Int](0)
-    var mono = new Array[Boolean](0)
-    var queue = new Array[Int](0)
+  private final class Scratch(n: Int) {
+    val dp = new Array[Double](n)
+    val hop = new Array[Int](n)
+    val mono = new Array[Boolean](n)
+    val queue = new Array[Int](n)
     var tail = 0
-    var a = new Array[Int](0) // A's ids, in the order found
+    val a = new Array[Int](n) // A's ids, in the order found
     var aSize = 0
-    var pivs = new Array[Int](0) // the hop->=2 pivots of the 3-hop BFS
-    var tmp = new Array[Int](0) // the merge buffer of `sortByDist`
-    private var visitGen = new Array[Int](0)
-    private var aGen = new Array[Int](0)
-    private var dpGen = new Array[Int](0)
+    val pivs = new Array[Int](n) // the hop->=2 pivots of the 3-hop BFS
+    val tmp = new Array[Int](n) // the merge buffer of `sortByDist`
+    private val visitGen = new Array[Int](n)
+    private val aGen = new Array[Int](n)
+    private val dpGen = new Array[Int](n)
     private var bfs = 0
     private var target = 0
 
-    /** Sizes the arrays for a graph of `n` vertices. */
-    def fit(n: Int): Unit = if (dp.length < n) {
-      dp = new Array[Double](n); hop = new Array[Int](n); mono = new Array[Boolean](n)
-      queue = new Array[Int](n); a = new Array[Int](n); pivs = new Array[Int](n); tmp = new Array[Int](n)
-      visitGen = new Array[Int](n); aGen = new Array[Int](n); dpGen = new Array[Int](n)
-      bfs = 0; target = 0
-    }
-
-    def beginBfs(): Unit = {
-      if (bfs == Int.MaxValue) { java.util.Arrays.fill(visitGen, 0); bfs = 0 }
-      bfs += 1; tail = 0
-    }
+    def beginBfs(): Unit = { bfs += 1; tail = 0 }
     def seen(v: Int): Boolean = visitGen(v) == bfs
     def enqueue(v: Int): Unit = { visitGen(v) = bfs; queue(tail) = v; tail += 1 }
 
@@ -73,7 +65,6 @@ object RemoveDetours {
       * never enter.
       */
     def beginTarget(p: Int, direct: Array[Int]): Unit = {
-      if (target == Int.MaxValue) { java.util.Arrays.fill(aGen, 0); java.util.Arrays.fill(dpGen, 0); target = 0 }
       target += 1; aSize = 0
       aGen(p) = target
       var i = 0
@@ -92,8 +83,6 @@ object RemoveDetours {
       dp(v)
     }
   }
-
-  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
 
   /** One target's chain `p :: A`, and the BFSes the cap cut short. */
   private final case class Chain(ids: Array[Int], capHits: Int)
@@ -151,7 +140,9 @@ object RemoveDetours {
     val pivotSample = math.min(k, 10)
 
     val chains = runner.mapIds(targets.take(nPicked), space, shared, (adj.toRows, isPivot, isExact, maxA, pivotSample)) {
-      case (sp, (g, piv, exact, cap, nPiv), p) => chainFor(sp, g, piv, exact, p, cap, nPiv)
+      case (sp, (g, piv, exact, cap, nPiv)) =>
+        val sc = new Scratch(g.length)
+        p => chainFor(sp, g, piv, exact, p, cap, nPiv, sc)
     }
 
     // ---- chain-link on the driver --------------------------------------
@@ -197,9 +188,8 @@ object RemoveDetours {
       p: Int,
       maxA: Int,
       pivotSample: Int,
+      sc: Scratch,
   ): Chain = {
-    val sc = scratch.get()
-    sc.fit(adj.length)
     sc.beginTarget(p, adj(p))
 
     var capHits = getNonMonotonic(space, adj, p, p, 3, sc)

@@ -149,7 +149,11 @@ object NNListProps extends Properties("NNList") {
   private val inserts: Gen[List[(Int, Int, Double)]] =
     Gen.listOf(Gen.zip(Gen.chooseNum(0, Rows - 1), Gen.chooseNum(0, 40), Gen.choose(0.0, 100.0)))
 
-  private def row(l: NNLists, r: Int): (Array[Int], Array[Double]) = (l.idsOf(r), l.distsOf(r))
+  /** Row `r`'s distances, read from the flat `ds`. */
+  private def dists(l: NNLists, r: Int): Array[Double] =
+    java.util.Arrays.copyOfRange(l.ds, r * l.cap, r * l.cap + l.size(r))
+
+  private def row(l: NNLists, r: Int): (Array[Int], Array[Double]) = (l.idsOf(r), dists(l, r))
 
   property("sortedAndBounded") = Prop.forAll(inserts, Gen.chooseNum(1, 8)) { (ops, cap) =>
     val l = new NNLists(Rows, cap)
@@ -162,7 +166,7 @@ object NNListProps extends Properties("NNList") {
       l.size(r) <= cap &&
         ds.sameElements(ds.sorted) &&
         ids.distinct.length == ids.length &&
-        ids.sameElements(alone.idsOf(0)) && ds.sameElements(alone.distsOf(0))
+        ids.sameElements(alone.idsOf(0)) && ds.sameElements(dists(alone, 0))
     }
   }
 
@@ -174,7 +178,7 @@ object NNListProps extends Properties("NNList") {
     unique.foreach { case (r, id, d) => l.insert(r, id, d) }
     (0 until Rows).forall { r =>
       val mine = unique.filter(_._1 == r)
-      mine.isEmpty || math.abs(l.distsOf(r)(0) - mine.map(_._3).min) < 1e-12
+      mine.isEmpty || math.abs(dists(l, r)(0) - mine.map(_._3).min) < 1e-12
     }
   }
 
@@ -186,13 +190,13 @@ object NNListProps extends Properties("NNList") {
   property("seedCopiesRowsUnflagged") = Prop.forAll(inserts, inserts, Gen.chooseNum(1, 8)) { (before, after, cap) =>
     // as in real use, an id always comes with the same distance to a row
     def dist(r: Int, id: Int): Double = ((id * 37 + r * 11) % 23).toDouble
-    val master = new NNLists(Rows, cap, flagged = true)
+    val master = new NNLists(Rows, cap)
     before.foreach { case (r, id, _) => master.insert(r, id, dist(r, id)) }
-    val copy = new NNLists(Rows, cap, flagged = true)
+    val copy = new NNLists(Rows, cap)
     copy.insert(0, 99, 0.0) // overwritten by the seed
     copy.seed(master)
     val seeded = (0 until Rows).forall { r =>
-      copy.idsOf(r).sameElements(master.idsOf(r)) && copy.distsOf(r).sameElements(master.distsOf(r))
+      copy.idsOf(r).sameElements(master.idsOf(r)) && dists(copy, r).sameElements(dists(master, r))
     } && !copy.isNew.exists(identity)
     // afterwards a row flags exactly the ids its own inserts added
     after.foreach { case (r, id, _) => copy.insert(r, id, dist(r, id)) }

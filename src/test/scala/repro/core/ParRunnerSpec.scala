@@ -22,7 +22,7 @@ class ParRunnerSpec extends SparkSpec {
   /** `runner.mapIds` over [[space]], shared for the call. */
   private def mapIds[D: ClassTag, T: ClassTag](runner: ParRunner, ids: Array[Int], data: D)(f: (D, Int) => T): Array[T] = {
     val shared = runner.share[MetricSpace](space)
-    try runner.mapIds(ids, space, shared, data)((_, d, id) => f(d, id))
+    try runner.mapIds(ids, space, shared, data)((_, d) => f(d, _))
     finally shared.release()
   }
 
@@ -109,6 +109,25 @@ class ParRunnerSpec extends SparkSpec {
     for (runner <- Seq(new LocalRunner(5), new SparkRunner(spark, 5))) {
       assert(mapIds(runner, ids, 3)((m, id) => id * m).toSeq == ids.map(_ * 3).toSeq)
       assert(runner.select(ids, space, ())((_, _, id) => id % 2 == 0).toSeq == ids.filter(_ % 2 == 0).toSeq)
+    }
+  }
+
+  test("mapIds makes each chunk's function once, before its first id") {
+    val n = 10 // four chunks of 3, 3, 3 and 1 ids
+    for (runner <- Seq(new LocalRunner(4), new SparkRunner(spark, 4))) {
+      val made = spark.sparkContext.longAccumulator
+      // each id reads the first id its chunk's function saw, and its own call index
+      val shared = runner.share[MetricSpace](space)
+      val out = try runner.mapIds(Array.range(0, n), space, shared, ()) { (_, _) =>
+        made.add(1)
+        var first = -1
+        var calls = 0
+        id => { if (calls == 0) first = id; calls += 1; (first, calls - 1) }
+      } finally shared.release()
+      val chunks = out.toSeq.groupBy(_._1)
+      assert(made.value == 4 && chunks.size == 4, runner)
+      assert(chunks.values.map(_.map(_._2).sorted).toSet == Set(Seq(0, 1, 2), Seq(0)), runner)
+      chunks.keys.foreach(first => assert(out(first) == ((first, 0))))
     }
   }
 

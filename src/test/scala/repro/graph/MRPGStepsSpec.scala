@@ -76,7 +76,7 @@ class MRPGStepsSpec extends AnyFunSuite {
     for (_ <- 0 until 100) {
       val start = rng.nextInt(walkSpace.n)
       val query = rng.nextInt(walkSpace.n)
-      val res = ConnectSubgraphs.greedyAnnSearch(walkSpace, nswAdj, start, query, maxHops = 10)
+      val res = ConnectSubgraphs.greedyAnnSearch(nswAdj, start, query, maxHops = 10)(walkSpace.dist(query, _))
       assert(walkSpace.dist(query, res) <= walkSpace.dist(query, start) + 1e-9)
     }
   }
@@ -89,7 +89,7 @@ class MRPGStepsSpec extends AnyFunSuite {
       val query = rng.nextInt(walkSpace.n)
       val starts = Seq.fill(3)(rng.nextInt(walkSpace.n)).filter(_ != query)
       val best = starts.map { s0 =>
-        walkSpace.dist(query, ConnectSubgraphs.greedyAnnSearch(walkSpace, nswAdj, s0, query, maxHops = 20))
+        walkSpace.dist(query, ConnectSubgraphs.greedyAnnSearch(nswAdj, s0, query, maxHops = 20)(walkSpace.dist(query, _)))
       }.min
       val startBest = starts.map(walkSpace.dist(query, _)).min
       best < 0.5 * startBest || best < 10.0 // reached the query's cluster
@@ -148,6 +148,34 @@ class MRPGStepsSpec extends AnyFunSuite {
     assert(res.linksAdded > 0 && pairs.nonEmpty)
     val repeats = pairs.size - pairs.distinct.size
     assert(repeats == 0, s"$repeats of ${pairs.size} evaluations repeat an ordered pair")
+  }
+
+  test("Remove-Detours on spaces of different n, interleaved on one thread, equals fresh runs") {
+    def setup(n: Int, seed: Int): (MetricSpace, Array[Boolean], Array[Array[Int]]) = {
+      val space = TestSpaces.clustered(n, 4, VectorMetric.L2, seed = seed)
+      val aknn = NNDescent.build(space,
+        NNDescentConfig(K = 5, vpInit = true, skipUnchanged = true, maxIters = 3, seed = seed), runner)
+      val store = AdjacencyStore.of(aknn.nbrId)
+      ConnectSubgraphs.run(space, store, aknn.isPivot, new Array[Boolean](n), seed = seed)
+      (space, aknn.isPivot, store.toRows)
+    }
+    def detour(s: (MetricSpace, Array[Boolean], Array[Array[Int]])): (RemoveDetours.Result, Seq[Seq[Int]]) = {
+      val (space, isPivot, rows) = s
+      val store = AdjacencyStore.of(rows)
+      val res = RemoveDetours.run(space, store, isPivot, new Array[Boolean](rows.length), 5, runner, seed = 13)
+      (res, store.toRows.map(_.toSeq).toSeq)
+    }
+    def onFreshThread[A](body: => A): A = {
+      var out: Option[A] = None
+      val t = new Thread(() => out = Some(body))
+      t.start(); t.join()
+      out.get
+    }
+    val (large, small) = (setup(400, 43), setup(150, 44))
+    val fresh = Seq(large, small).map(s => onFreshThread(detour(s)))
+    val interleaved = Seq(large, small, large, small, large).map(detour)
+    assert(interleaved.forall(_._1.linksAdded > 0))
+    interleaved.zipWithIndex.foreach { case (got, i) => assert(got == fresh(i % 2), s"run $i") }
   }
 
   // ---- Remove-Links ------------------------------------------------------

@@ -113,15 +113,8 @@ object NNDescentReference {
         out
       } else null
 
-    val ids = new Array[Array[Int]](n)
-    val ds = new Array[Array[Double]](n)
-    var v = 0
-    while (v < n) {
-      ids(v) = buckets(v).ids.take(buckets(v).size)
-      ds(v) = buckets(v).ds.take(buckets(v).size)
-      v += 1
-    }
-    AKnnResult(ids, ds, isPivot, exactLists, iter)
+    val ids = Array.tabulate(n)(v => buckets(v).ids.take(buckets(v).size))
+    AKnnResult(ids, isPivot, exactLists, iter)
   }
 
   /** Algorithm 3: repeated VP-tree ball partitioning; left leaf groups seed
