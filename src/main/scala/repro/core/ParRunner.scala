@@ -18,21 +18,20 @@ import scala.reflect.ClassTag
   * return the chunk results in chunk order, so driver-side merges see the
   * same sequence — and build the same graph — under either runner.
   *
-  * The chunks read their state through a [[Shared]] handle: [[runShared]]
-  * fans out over a handle made beforehand, and [[runWithData]] shares its
-  * data for the one call. State that several calls read is shared once:
-  * with [[share]] for as long as the caller holds the handle (the dataset
-  * during a build), or with [[shareFor]] for as long as later calls bring
-  * the same key (detection's payload, which every query on one graph
-  * reads).
+  * The chunks read their state through a [[Shared]] handle, under one of
+  * two rules. Per call: [[runWithData]] shares its data for that call only.
+  * Keyed: [[shareFor]] keeps a value for as long as later calls bring the
+  * same key. The dataset is kept so ([[shareSpace]]) for every build and
+  * scan fan-out, and so is detection's payload, which every query on one
+  * graph reads; [[runShared]] fans out over such a handle.
   *
   * `f` must not mutate the shared value, and must reach shared state only
-  * through it: under Spark, whatever else `f` captures is a serialized copy.
-  * Per-chunk results are merged by the caller on the driver (the paper's
-  * iteration-synchronous model). A chunk that evaluates distances does so
-  * through its own [[ChunkCount]] and returns the count with its result;
-  * the driver adds the sum to the caller's space ([[CountingSpace.add]]),
-  * so counts hold whether the chunks read the caller's values or copies.
+  * through the call's data or a handle it captures: under Spark, whatever
+  * else `f` captures is a serialized copy. Per-chunk results are merged by
+  * the caller on the driver (the paper's iteration-synchronous model). A
+  * chunk evaluates distances through its own [[ChunkCount]], and the driver
+  * adds the chunks' sum to the caller's space ([[runOnSpace]]), so counts
+  * hold whether the chunks read the caller's values or copies.
   */
 trait ParRunner extends Serializable {
 
@@ -78,49 +77,71 @@ trait ParRunner extends Serializable {
     (0 until n by step).map(s => (s, math.min(n, s + step)))
   }
 
+  /** A handle on `space`, kept under the key `Seq(space)` ([[shareFor]]):
+    * back-to-back fan-outs over one space, in one build or across builds
+    * and scans, share it once.
+    */
+  final def shareSpace(space: MetricSpace): Shared[MetricSpace] = shareFor(Seq(space))(space)
+
+  /** `f(counted, data, s, e)` for each chunk `[s, e)` of `[0, n)`, in chunk
+    * order, where `counted` is the chunk's own [[ChunkCount]] over `space`'s
+    * keyed handle ([[shareSpace]]). The chunks' evaluations are added to
+    * `space` once the call returns.
+    *
+    * The handle rides in the chunk closure, not in `data`: Spark broadcasts
+    * `data` deserialized and size-estimates its object graph, transient
+    * fields included, and a keyed handle's driver-side slot reaches the
+    * SparkContext (about 8 MB of driver objects, some 20 ms per call). The
+    * closure is Java-serialized, which skips them.
+    */
+  final def runOnSpace[D: ClassTag, T: ClassTag](n: Int, space: MetricSpace, data: D)(
+      f: (MetricSpace, D, Int, Int) => T): Seq[T] = {
+    val handle = shareSpace(space)
+    val results = try runWithData(n, data) { (d, s, e) =>
+      val counted = new ChunkCount(handle.value)
+      val t = f(counted, d, s, e)
+      (t, counted.evaluations)
+    } finally handle.release()
+    CountingSpace.add(space, results.map(_._2).sum)
+    results.map(_._1)
+  }
+
   /** `g(id)` for every id of `ids`, returned aligned with `ids`, where each
     * chunk makes its own `g = f(counted, data)` once, before its first id:
-    * `counted` is the chunk's [[ChunkCount]] over `shared.value`, and `g`
-    * may keep per-chunk scratch. The ids are dealt to chunks in a seeded
-    * random order — the paper's random assignment of objects to threads
-    * (§4), which balances load when the per-object cost clusters by id. The
-    * chunks' evaluations are added to `space`, which `shared` shares, once
-    * the call returns.
+    * a [[runOnSpace]] fan-out, so `counted` is the chunk's [[ChunkCount]]
+    * over `space`, and `g` may keep per-chunk scratch. The ids are dealt to
+    * chunks in a seeded random order — the paper's random assignment of
+    * objects to threads (§4), which balances load when the per-object cost
+    * clusters by id.
     */
-  final def mapIds[D: ClassTag, T: ClassTag](
-      ids: Array[Int],
-      space: MetricSpace,
-      shared: Shared[MetricSpace],
-      data: D,
-  )(f: (MetricSpace, D) => Int => T): Array[T] = {
+  final def mapIds[D: ClassTag, T: ClassTag](ids: Array[Int], space: MetricSpace, data: D)(
+      f: (MetricSpace, D) => Int => T): Array[T] = {
     val perm = ParRunner.permutation(ids.length)
     val dealt = perm.map(i => ids(i))
-    val chunkResults = runWithData(dealt.length, (shared, data, dealt)) { case ((sh, d, order), s, e) =>
-      val counted = new ChunkCount(sh.value)
+    val chunkResults = runOnSpace(dealt.length, space, (data, dealt)) { case (counted, (d, order), s, e) =>
       val g = f(counted, d)
-      val res = Array.tabulate(e - s)(i => g(order(s + i)))
-      (res, counted.evaluations)
+      Array.tabulate(e - s)(i => g(order(s + i)))
     }
-    CountingSpace.add(space, chunkResults.map(_._2).sum)
     val out = new Array[T](ids.length)
     var pos = 0
-    chunkResults.foreach(_._1.foreach { t => out(perm(pos)) = t; pos += 1 })
+    chunkResults.foreach(_.foreach { t => out(perm(pos)) = t; pos += 1 })
     out
   }
 
   /** The ids of `ids` (in their order) for which `pred(counted, data, id)`
-    * holds: [[mapIds]] over `space`, shared for this call.
+    * holds: [[mapIds]] over `space`.
     */
   final def select[D: ClassTag](ids: Array[Int], space: MetricSpace, data: D)(
       pred: (MetricSpace, D, Int) => Boolean): Array[Int] = {
-    val shared = share(space)
-    val keep = try mapIds(ids, space, shared, data)((sp, d) => pred(sp, d, _)) finally shared.release()
+    val keep = mapIds(ids, space, data)((sp, d) => pred(sp, d, _))
     ids.indices.collect { case i if keep(i) => ids(i) }.toArray
   }
 }
 
 /** A read-only value shared with the chunks of a [[ParRunner]]'s calls. The
-  * handle is small and serializable, so call data can carry it.
+  * handle is small and serializable, so a chunk function can capture it
+  * (see [[ParRunner.runOnSpace]] for why a keyed handle stays out of call
+  * data).
   */
 trait Shared[D] extends Serializable {
   def value: D

@@ -38,9 +38,9 @@ object MRPG {
 
   /** Builds an MRPG (`basic = false`) or MRPG-basic (`basic = true`, exact
     * lists of length K instead of K' — and the DOD driver will not use the
-    * direct-decision shortcut for it, matching the paper's §6 setup). The
-    * space is shared with the runner once, for NNDescent+ and
-    * Remove-Detours.
+    * direct-decision shortcut for it, matching the paper's §6 setup).
+    * NNDescent+ and Remove-Detours read the space under one key
+    * ([[ParRunner.shareSpace]]), so it is shared once.
     */
   def build(
       space: MetricSpace,
@@ -63,48 +63,43 @@ object MRPG {
     )
 
     val t0 = System.nanoTime()
-    val shared = runner.share(space)
-    try {
-      val aknn = NNDescent.build(space, shared, cfg, runner)
-      val t1 = System.nanoTime()
+    val aknn = NNDescent.build(space, cfg, runner)
+    val t1 = System.nanoTime()
 
-      val isExact = Array.tabulate(n)(v => aknn.exactLists != null && aknn.exactLists(v) != null)
+    val isExact = Array.tabulate(n)(v => aknn.exactLists != null && aknn.exactLists(v) != null)
 
-      // adjacency: exact-list vertices link exactly their K' nearest, the rest
-      // link their approximate K-NNs
-      val adj = AdjacencyStore.of(Array.tabulate(n) { v =>
-        (if (isExact(v)) aknn.exactLists(v) else aknn.nbrId(v)).filter(_ != v)
-      })
+    // adjacency: exact-list vertices link exactly their K' nearest, the rest
+    // link their approximate K-NNs
+    val adj = AdjacencyStore.of(Array.tabulate(n)(v => if (isExact(v)) aknn.exactLists(v) else aknn.nbrId(v)))
 
-      val connect = ConnectSubgraphs.run(space, adj, aknn.isPivot, isExact, seed ^ 0x5DEECE66DL)
-      val t2 = System.nanoTime()
+    val connect = ConnectSubgraphs.run(space, adj, aknn.isPivot, isExact, seed ^ 0x5DEECE66DL)
+    val t2 = System.nanoTime()
 
-      val detours = RemoveDetours.run(space, shared, adj, aknn.isPivot, isExact, k, runner, seed + 101)
-      val t3 = System.nanoTime()
+    val detours = RemoveDetours.run(space, adj, aknn.isPivot, isExact, k, runner, seed + 101)
+    val t3 = System.nanoTime()
 
-      val removed = RemoveLinks.run(adj, aknn.isPivot, isExact)
-      val t4 = System.nanoTime()
+    val removed = RemoveLinks.run(adj, aknn.isPivot, isExact)
+    val t4 = System.nanoTime()
 
-      val graph = new ProximityGraph(
-        adj.toRows,
-        aknn.isPivot,
-        aknn.exactLists,
-        math.min(kPrime, n - 1),
-      )
-      val stats = BuildStats(
-        nnDescentMs = (t1 - t0) / 1000000L,
-        connectMs = (t2 - t1) / 1000000L,
-        removeDetoursMs = (t3 - t2) / 1000000L,
-        removeLinksMs = (t4 - t3) / 1000000L,
-        iterations = aknn.iterations,
-        linksAddedConnect = connect.linksAdded,
-        linksAddedDetours = detours.linksAdded,
-        linksRemoved = removed,
-        detourCapHits = detours.capHits,
-        connectUnreached = connect.unreached,
-      )
-      (graph, stats)
-    } finally shared.release()
+    val graph = new ProximityGraph(
+      adj.toRows,
+      aknn.isPivot,
+      aknn.exactLists,
+      math.min(kPrime, n - 1),
+    )
+    val stats = BuildStats(
+      nnDescentMs = (t1 - t0) / 1000000L,
+      connectMs = (t2 - t1) / 1000000L,
+      removeDetoursMs = (t3 - t2) / 1000000L,
+      removeLinksMs = (t4 - t3) / 1000000L,
+      iterations = aknn.iterations,
+      linksAddedConnect = connect.linksAdded,
+      linksAddedDetours = detours.linksAdded,
+      linksRemoved = removed,
+      detourCapHits = detours.capHits,
+      connectUnreached = connect.unreached,
+    )
+    (graph, stats)
   }
 }
 

@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.core.{BruteForce, ChunkCount, CountingSpace, MetricSpace, ParRunner, Shared, Shuffle, VPTree}
+import repro.core.{BruteForce, MetricSpace, ParRunner, Shuffle, VPTree}
 import scala.util.Random
 
 /** Configuration for [[NNDescent.build]].
@@ -136,39 +136,19 @@ object NNDescent {
 
   /** One chunk's improving candidates, the entries it added that survive in
     * its rows: `ids/ds(off(i) until off(i + 1))` are those of `targets(i)`,
-    * in row order (ascending by distance). The chunk made `evaluations`
-    * distance evaluations.
+    * in row order (ascending by distance).
     */
-  private final case class Candidates(
-      targets: Array[Int],
-      off: Array[Int],
-      ids: Array[Int],
-      ds: Array[Double],
-      evaluations: Long,
-  )
+  private final case class Candidates(targets: Array[Int], off: Array[Int], ids: Array[Int], ds: Array[Double])
 
   /** Builds the AKNN graph. Deterministic in `cfg.seed`, and independent of
     * the runner's chunking (sampling happens on the driver; executors only
     * evaluate distances); the evaluation count depends on the chunking,
-    * because each chunk reuses the distances it knows. The space is shared
-    * with the runner once per build, so the local-join and exact K'-NN
-    * fan-outs ship only their join and master lists, and targets.
+    * because each chunk reuses the distances it knows. The local-join and
+    * exact K'-NN fan-outs read the space under its key
+    * ([[ParRunner.shareSpace]]), so it is shared once, and ship only their
+    * join and master lists, and targets.
     */
   def build(space: MetricSpace, cfg: NNDescentConfig, runner: ParRunner): AKnnResult = {
-    val shared = runner.share(space)
-    try build(space, shared, cfg, runner)
-    finally shared.release()
-  }
-
-  /** [[build]] over `shared`, a handle on `space` that the caller made and
-    * releases.
-    */
-  private[graph] def build(
-      space: MetricSpace,
-      shared: Shared[MetricSpace],
-      cfg: NNDescentConfig,
-      runner: ParRunner,
-  ): AKnnResult = {
     val n = space.n
     val k = math.max(0, math.min(cfg.K, n - 1))
     val rng = new Random(cfg.seed)
@@ -184,7 +164,7 @@ object NNDescent {
     var converged = false
     val updatedPrev = Array.fill(n)(true)
     while (iter < cfg.maxIters && !converged) {
-      val inserts = runIteration(space, shared, lists, updatedPrev, cfg, rng, runner)
+      val inserts = runIteration(space, lists, updatedPrev, cfg, rng, runner)
       iter += 1
       if (inserts < Delta * n * k) converged = true
     }
@@ -203,7 +183,7 @@ object NNDescent {
         }
         val targets = (0 until n).sortBy(v => -spread(v)).take(m).toArray
         val kk = math.min(cfg.exactListSize, n - 1)
-        val knn = runner.mapIds(targets, space, shared, kk)((sp, kp) => BruteForce.knn(sp, _, kp))
+        val knn = runner.mapIds(targets, space, kk)((sp, kp) => BruteForce.knn(sp, _, kp))
         val out = new Array[Array[Int]](n)
         targets.indices.foreach(i => out(targets(i)) = knn(i))
         out
@@ -309,8 +289,8 @@ object NNDescent {
     * reverse neighbors) and ships them with the master lists; each chunk
     * joins its vertices' lists on a copy of the master lists
     * ([[localJoinChunk]]), and the driver merges the entries the chunks
-    * added, chunk by chunk in chunk order, and adds the chunks' evaluations
-    * to `space`. Returns the number of successful inserts.
+    * added, chunk by chunk in chunk order. Returns the number of successful
+    * inserts.
     *
     * The reverse lists are read from the master lists up front; vertex
     * `v`'s forward entries are read from its own row at its turn, before its
@@ -322,7 +302,6 @@ object NNDescent {
     */
   private def runIteration(
       space: MetricSpace,
-      shared: Shared[MetricSpace],
       lists: NNLists,
       updatedPrev: Array[Boolean],
       cfg: NNDescentConfig,
@@ -396,10 +375,7 @@ object NNDescent {
       lists,
     )
 
-    val proposals = runner.runWithData(n, (shared, join)) { case ((sp, jl), s, e) =>
-      localJoinChunk(new ChunkCount(sp.value), jl, s, e)
-    }
-    CountingSpace.add(space, proposals.map(_.evaluations).sum)
+    val proposals = runner.runOnSpace(n, space, join)(localJoinChunk)
 
     // merge on the driver, chunk by chunk in chunk order
     val updatedNow = new Array[Boolean](n)
@@ -443,7 +419,7 @@ object NNDescent {
     * `K` distinct ids, each already in the master row or returned before it,
     * so the driver's insert would reject it too.
     */
-  private def localJoinChunk(space: ChunkCount, join: JoinLists, s: Int, e: Int): Candidates = {
+  private def localJoinChunk(space: MetricSpace, join: JoinLists, s: Int, e: Int): Candidates = {
     val n = space.n
     val master = join.master
     val k = master.cap
@@ -520,6 +496,6 @@ object NNDescent {
       if (at > before) { targets(t) = v; off(t + 1) = at; t += 1 }
       v += 1
     }
-    Candidates(targets, off, ids, ds, space.evaluations)
+    Candidates(targets, off, ids, ds)
   }
 }

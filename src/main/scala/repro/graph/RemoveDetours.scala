@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.core.{MetricSpace, ParRunner, Shared, Shuffle}
+import repro.core.{MetricSpace, ParRunner, Shuffle}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -97,24 +97,6 @@ object RemoveDetours {
       runner: ParRunner,
       seed: Long,
   ): Result = {
-    val shared = runner.share(space)
-    try run(space, shared, adj, isPivot, isExact, k0, runner, seed)
-    finally shared.release()
-  }
-
-  /** [[run]] over `shared`, a handle on `space` that the caller made and
-    * releases.
-    */
-  private[graph] def run(
-      space: MetricSpace,
-      shared: Shared[MetricSpace],
-      adj: AdjacencyStore,
-      isPivot: Array[Boolean],
-      isExact: Array[Boolean],
-      k0: Int,
-      runner: ParRunner,
-      seed: Long,
-  ): Result = {
     val n = adj.n
     val k = math.max(2, k0)
     val rng = new Random(seed)
@@ -139,7 +121,7 @@ object RemoveDetours {
     val maxA = k * k
     val pivotSample = math.min(k, 10)
 
-    val chains = runner.mapIds(targets.take(nPicked), space, shared, (adj.toRows, isPivot, isExact, maxA, pivotSample)) {
+    val chains = runner.mapIds(targets.take(nPicked), space, (adj.toRows, isPivot, isExact, maxA, pivotSample)) {
       case (sp, (g, piv, exact, cap, nPiv)) =>
         val sc = new Scratch(g.length)
         p => chainFor(sp, g, piv, exact, p, cap, nPiv, sc)

@@ -19,12 +19,9 @@ class ParRunnerSpec extends SparkSpec {
 
   private val space = TestSpaces.uniform(10, 2, VectorMetric.L2)
 
-  /** `runner.mapIds` over [[space]], shared for the call. */
-  private def mapIds[D: ClassTag, T: ClassTag](runner: ParRunner, ids: Array[Int], data: D)(f: (D, Int) => T): Array[T] = {
-    val shared = runner.share[MetricSpace](space)
-    try runner.mapIds(ids, space, shared, data)((_, d) => f(d, _))
-    finally shared.release()
-  }
+  /** `runner.mapIds` over [[space]]. */
+  private def mapIds[D: ClassTag, T: ClassTag](runner: ParRunner, ids: Array[Int], data: D)(f: (D, Int) => T): Array[T] =
+    runner.mapIds(ids, space, data)((_, d) => f(d, _))
 
   private def sumOfSquares(runner: ParRunner, n: Int): Long =
     runner.runWithData(n, ())((_, s, e) => (s until e).map(i => i.toLong * i).sum).sum
@@ -117,18 +114,41 @@ class ParRunnerSpec extends SparkSpec {
     for (runner <- Seq(new LocalRunner(4), new SparkRunner(spark, 4))) {
       val made = spark.sparkContext.longAccumulator
       // each id reads the first id its chunk's function saw, and its own call index
-      val shared = runner.share[MetricSpace](space)
-      val out = try runner.mapIds(Array.range(0, n), space, shared, ()) { (_, _) =>
+      val out = runner.mapIds(Array.range(0, n), space, ()) { (_, _) =>
         made.add(1)
         var first = -1
         var calls = 0
         id => { if (calls == 0) first = id; calls += 1; (first, calls - 1) }
-      } finally shared.release()
+      }
       val chunks = out.toSeq.groupBy(_._1)
       assert(made.value == 4 && chunks.size == 4, runner)
       assert(chunks.values.map(_.map(_._2).sorted).toSet == Set(Seq(0, 1, 2), Seq(0)), runner)
       chunks.keys.foreach(first => assert(out(first) == ((first, 0))))
     }
+  }
+
+  test("no fan-out's call data holds a Shared handle") {
+    // a keyed handle in call data would be size-estimated, driver-side slot
+    // and all, when Spark broadcasts the data; the chunks capture it instead
+    val local = new LocalRunner(4)
+    val callData = scala.collection.mutable.ArrayBuffer.empty[Any]
+    val recording = new ParRunner {
+      protected def maxChunks: Int = 4
+      def runShared[D, T: ClassTag](n: Int, handle: Shared[D])(f: (D, Int, Int) => T): Seq[T] =
+        local.runShared(n, handle)(f)
+      def share[D: ClassTag](data: D): Shared[D] = { callData += data; local.share(data) }
+      def shareFor[D: ClassTag](key: Seq[AnyRef])(make: => D): Shared[D] = local.shareFor(key)(make)
+    }
+    def holdsHandle(v: Any): Boolean = v match {
+      case _: Shared[_] => true
+      case p: Product => p.productIterator.exists(holdsHandle)
+      case _ => false
+    }
+    val ids = Array.range(0, 100)
+    assert(recording.mapIds(ids, space, 3)((_, m) => _ * m).toSeq == ids.map(_ * 3).toSeq)
+    assert(recording.runOnSpace(100, space, 2)((_, m, s, e) => (e - s) * m).sum == 200)
+    assert(callData.size == 2)
+    assert(!callData.exists(holdsHandle), callData)
   }
 
   test("mapIds deals the ids to chunks in a fixed random order") {

@@ -127,25 +127,29 @@ class MRPGSpec extends SparkSpec {
     }
   }
 
+  private def isSpace(v: Any): Boolean = v.asInstanceOf[AnyRef] eq space
+
+  /** Whether `v` is, or is a product holding, a value `p` accepts. */
+  private def holds(v: Any)(p: Any => Boolean): Boolean = p(v) || (v match {
+    case t: Product => t.productIterator.exists(holds(_)(p))
+    case _ => false
+  })
+
   test("a build shares the space once, for NNDescent+ and Remove-Detours") {
-    val local = new LocalRunner(4)
-    val shared = scala.collection.mutable.ArrayBuffer.empty[Any]
-    val recording = new ParRunner {
-      protected def maxChunks: Int = 4
-      def runShared[D, T: ClassTag](n: Int, handle: Shared[D])(f: (D, Int, Int) => T): Seq[T] =
-        local.runShared(n, handle)(f)
-      def share[D: ClassTag](data: D): Shared[D] = { shared += data; local.share(data) }
-      def shareFor[D: ClassTag](key: Seq[AnyRef])(make: => D): Shared[D] = share(make)
-    }
-    def isSpace(v: Any): Boolean = v.asInstanceOf[AnyRef] eq space
-    def holdsSpace(v: Any): Boolean = isSpace(v) || (v match {
-      case p: Product => p.productIterator.exists(holdsSpace)
-      case _ => false
-    })
+    val recording = new SharingRecorder(4)
     val (g, _) = MRPG.build(space, 8, recording, seed = 5, maxIters = 5)
     assert((0 until space.n).forall(v => g.adj(v).sameElements(graph.adj(v))))
-    assert(shared.count(isSpace) == 1)
-    assert(!shared.exists(v => !isSpace(v) && holdsSpace(v)), "a call's data carries the space again")
+    assert(recording.shared.count(isSpace) == 1)
+    assert(!recording.shared.exists(v => !isSpace(v) && holds(v)(isSpace)), "a call's data carries the space again")
+    assert(!recording.shared.exists(holds(_)(_.isInstanceOf[Shared[_]])), "a call's data carries a handle")
+  }
+
+  test("two builds in a row on one space share it once") {
+    val recording = new SharingRecorder(4)
+    KGraphBuilder.build(space, 8, recording, seed = 5, maxIters = 5)
+    MRPG.build(space, 8, recording, seed = 5, basic = true, maxIters = 5)
+    MRPG.build(space, 8, recording, seed = 5, maxIters = 5)
+    assert(recording.shared.count(isSpace) == 1)
   }
 
   test("exact-list vertices' adjacency equals their exact list") {
@@ -218,5 +222,30 @@ class MRPGSpec extends SparkSpec {
     assert((0 until words.length).forall(v => same(a.exactLists(v), b.exactLists(v))))
     assert((0 until words.length).forall(v => same(a.adj(v), b.adj(v))))
     assert(viaKernel.evaluations == viaDp.evaluations)
+  }
+}
+
+/** Runs like a [[LocalRunner]] and records every value it shares. It keeps
+  * one keyed value, as [[SparkRunner]] keeps one broadcast per context: a
+  * [[shareFor]] with the kept key reuses it, another key replaces it.
+  */
+private final class SharingRecorder(parts: Int) extends ParRunner {
+  private val local = new LocalRunner(parts)
+  private var kept: Option[(Seq[AnyRef], Shared[_])] = None
+  val shared = scala.collection.mutable.ArrayBuffer.empty[Any]
+
+  protected def maxChunks: Int = parts
+
+  def runShared[D, T: ClassTag](n: Int, handle: Shared[D])(f: (D, Int, Int) => T): Seq[T] =
+    local.runShared(n, handle)(f)
+
+  def share[D: ClassTag](data: D): Shared[D] = { shared += data; local.share(data) }
+
+  def shareFor[D: ClassTag](key: Seq[AnyRef])(make: => D): Shared[D] = kept match {
+    case Some((k, h)) if k == key => h.asInstanceOf[Shared[D]]
+    case _ =>
+      val h = share(make)
+      kept = Some((key, h))
+      h
   }
 }

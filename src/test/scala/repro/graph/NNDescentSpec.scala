@@ -97,23 +97,38 @@ class NNDescentSpec extends SparkSpec {
     assert(local.exactLists == null && viaSpark.exactLists == null)
   }
 
-  test("a SparkRunner build runs iterations + 1 jobs and releases the shared space") {
+  /** The driver's live broadcasts whose value is `value`. */
+  private def broadcastsOf(value: AnyRef): Int = liveBroadcasts.count {
+    case v: AnyRef => v eq value
+    case _ => false
+  }
+
+  /** Asserts that `space` is broadcast exactly once, kept under its key, and
+    * that a `shareFor` with another key frees it.
+    */
+  private def assertKeptUntilAnotherKey(space: AnyRef): Unit = {
+    assert(broadcastsOf(space) == 1)
+    new SparkRunner(spark, 4).shareFor(Seq(new Object))(0).release()
+    eventually(timeout(10.seconds))(assert(!broadcastLive(space)))
+  }
+
+  test("a SparkRunner build runs iterations + 1 jobs and keeps one broadcast of the space until another key") {
     val space = TestSpaces.clustered(800, 8, VectorMetric.L2, seed = 61)
     val cfg = cfgPlus(10).copy(exactListSize = 30, exactCount = 40)
     val (res, jobs) = countingJobs(NNDescent.build(space, cfg, new SparkRunner(spark, 4)))
     assert(res.iterations > 1)
     assert(jobs == res.iterations + 1)
-    eventually(timeout(10.seconds))(assert(!broadcastLive(space)))
+    assertKeptUntilAnotherKey(space)
   }
 
-  test("a build whose chunk fails surfaces the error and releases the shared space") {
+  test("a build whose chunk fails surfaces the error and keeps one broadcast of the space until another key") {
     val base = TestSpaces.clustered(300, 8, VectorMetric.L2, seed = 64)
     val initOnly = new CountingSpace(base)
     NNDescent.build(initOnly, cfgPlus(10).copy(maxIters = 0), new LocalRunner(4))
     val failing = new FailingSpace(base, failAfter = initOnly.evaluations + 100)
     val err = intercept[SparkException](NNDescent.build(failing, cfgPlus(10), new SparkRunner(spark, 4)))
     assert(err.getMessage.contains("distance failed"))
-    eventually(timeout(10.seconds))(assert(!broadcastLive(failing)))
+    assertKeptUntilAnotherKey(failing)
   }
 
   test("exact K'-NN retrieval produces truly exact sorted lists for m objects") {
@@ -174,7 +189,7 @@ class NNDescentSpec extends SparkSpec {
     // partner loops: outer element `a` = joinNew(v)(i), partners
     // joinNew(v)(i + 1 ..) ++ joinOld(v)
     val runner = new WatchingRunner(4, recording)({
-      case ((_, join: NNDescent.JoinLists), s, e, evals) =>
+      case (join: NNDescent.JoinLists, s, e, evals) =>
         def row(c: NNDescent.Csr, v: Int) = c.ids.slice(c.off(v), c.off(v + 1))
         var at = 0
         for (v <- s until e; nw = row(join.joinNew, v); (a, i) <- nw.zipWithIndex) {
