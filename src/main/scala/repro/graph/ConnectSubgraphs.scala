@@ -101,12 +101,15 @@ object ConnectSubgraphs {
            Seq.fill(StartPivots)(reachedPivots(rng.nextInt(reachedPivots.length)))
          else Seq.fill(StartPivots)(reachedIds(rng.nextInt(reachedIds.length)))).distinct
 
-      // the walks only read `adj`; the pair is linked once every start has walked
+      // the walks only read `adj` and share one memo of distances to the
+      // target; the pair is linked once every start has walked
+      val known = mutable.HashMap.empty[Int, Double]
+      val toTarget = (v: Int) => known.getOrElseUpdate(v, space.dist(target, v))
       var best = -1
       var bestD = Double.MaxValue
       starts.foreach { s =>
-        val ann = greedyAnnSearch(adj, s, target, AnnMaxHops)(space.dist(target, _))
-        val d = space.dist(ann, target)
+        val ann = greedyAnnSearch(adj, s, target, AnnMaxHops)(toTarget)
+        val d = toTarget(ann)
         if (d < bestD) { bestD = d; best = ann }
       }
       if (best >= 0 && best != target) {
@@ -134,8 +137,8 @@ object ConnectSubgraphs {
     * reached. Each hop moves to the current vertex's closest neighbour (the
     * first in row order among equals) while that one is strictly closer;
     * `query` itself is never stepped onto. `dist(v)` is `v`'s distance to
-    * `query`: Connect-SubGraphs evaluates it each time, NSW's insertion
-    * reads it through a memo.
+    * `query`, which both callers read through a memo (one per
+    * Connect-SubGraphs round, one per NSW insertion).
     */
   def greedyAnnSearch(adj: AdjacencyStore, start: Int, query: Int, maxHops: Int)(dist: Int => Double): Int = {
     var cur = start

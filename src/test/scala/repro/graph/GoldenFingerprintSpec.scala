@@ -43,7 +43,7 @@ class GoldenFingerprintSpec extends SparkSpec {
     "hepmass space" -> "n=700 0808555294f20b12",
     "hepmass NSW" -> "006127f065454aaf evals=155810",
     "hepmass MRPG" -> "f2d974c4ee92c63e evals=347408 links=8024/17107/7693",
-    "hepmass MRPG-basic" -> "2eb7b012cc91fa37 evals=332321 links=4545/5081/4548",
+    "hepmass MRPG-basic" -> "2eb7b012cc91fa37 evals=332202 links=4545/5081/4548",
     "hepmass KGraph" -> "2c996a93bbdc04bf evals=358539",
     "mnist space" -> "n=300 8cf6d4ab84e3c894",
     "mnist NSW" -> "118c7c8c20a634b6 evals=37519",
@@ -53,7 +53,7 @@ class GoldenFingerprintSpec extends SparkSpec {
     "pamap2 space" -> "n=600 5e57737318e42fdc",
     "pamap2 NSW" -> "073c358560fdb836 evals=151386",
     "pamap2 MRPG" -> "d69e428a4972402b evals=489392 links=11170/9749/7923",
-    "pamap2 MRPG-basic" -> "1c1f9c977462127e evals=486610 links=6082/6777/6457",
+    "pamap2 MRPG-basic" -> "1c1f9c977462127e evals=486170 links=6082/6777/6457",
     "pamap2 KGraph" -> "c70e634a2aba795b evals=568715",
     "sift space" -> "n=500 629ad9e4f0a4cc2d",
     "sift NSW" -> "2612ee668fc0336a evals=90052",
