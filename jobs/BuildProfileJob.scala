@@ -29,7 +29,7 @@ object BuildProfileJob {
       val t0 = System.nanoTime()
       val res = body
       val ms = (System.nanoTime() - t0) / 1000000L
-      println(f"$label%-12s ${ms}ms  dists=${(space.evaluations - c0) / 1e6}%.1fM  $res")
+      println(f"$label%-12s ${ms}ms  dists=${space.evaluations - c0}  $res")
     }
 
     // KGraph is plain NNDescent; MRPG's line splits out its NNDescent+ run

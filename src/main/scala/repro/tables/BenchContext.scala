@@ -58,26 +58,20 @@ final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Doub
 
   // ---- proximity graphs (offline pre-processing, Table 3/4) -------------
 
-  final case class GraphBundle(
-      name: String,
-      graph: ProximityGraph,
-      buildMs: Long,
-      buildDists: Long,
-      stats: Option[MRPG.BuildStats],
-  )
+  final case class GraphBundle(graph: ProximityGraph, buildMs: Long, stats: Option[MRPG.BuildStats])
 
   private val graphCache = mutable.LinkedHashMap.empty[String, GraphBundle]
 
   def graph(name: String): GraphBundle = graphCache.getOrElseUpdate(name, {
-    val Counted(((g, stats), ms), dists) = counted(timed(name match {
+    val ((g, stats), ms) = timed(name match {
       case "NSW" => (NSW.build(space, f = math.max(2, spec.graphK / 2), seed = spec.seed), None)
       case "KGraph" => (KGraphBuilder.build(space, spec.graphK, runner, seed = spec.seed), None)
       case "MRPG-basic" | "MRPG" =>
         val (g, st) = MRPG.build(space, spec.graphK, runner, seed = spec.seed, basic = name == "MRPG-basic")
         (g, Some(st))
       case other => throw new IllegalArgumentException(s"unknown graph: $other")
-    }))
-    GraphBundle(name, g, ms, dists, stats)
+    })
+    GraphBundle(g, ms, stats)
   })
 
   // ---- DOD runs (Table 5/6/7/8) -----------------------------------------
