@@ -91,8 +91,9 @@ trait ParRunner extends Serializable {
     * The handle rides in the chunk closure, not in `data`: Spark broadcasts
     * `data` deserialized and size-estimates its object graph, transient
     * fields included, and a keyed handle's driver-side slot reaches the
-    * SparkContext (about 8 MB of driver objects, some 20 ms per call). The
-    * closure is Java-serialized, which skips them.
+    * SparkContext: estimating one walked about 6 MB of driver objects in
+    * 11–18 ms, against 808 B for a per-call handle. The closure is
+    * Java-serialized, which skips transient fields.
     */
   final def runOnSpace[D: ClassTag, T: ClassTag](n: Int, space: MetricSpace, data: D)(
       f: (MetricSpace, D, Int, Int) => T): Seq[T] = {

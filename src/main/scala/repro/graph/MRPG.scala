@@ -81,12 +81,7 @@ object MRPG {
     val removed = RemoveLinks.run(adj, aknn.isPivot, isExact)
     val t4 = System.nanoTime()
 
-    val graph = new ProximityGraph(
-      adj.toRows,
-      aknn.isPivot,
-      aknn.exactLists,
-      math.min(kPrime, n - 1),
-    )
+    val graph = new ProximityGraph(adj.toRows, aknn.isPivot, aknn.exactLists, math.min(kPrime, n - 1))
     val stats = BuildStats(
       nnDescentMs = (t1 - t0) / 1000000L,
       connectMs = (t2 - t1) / 1000000L,

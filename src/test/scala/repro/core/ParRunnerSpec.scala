@@ -130,15 +130,7 @@ class ParRunnerSpec extends SparkSpec {
   test("no fan-out's call data holds a Shared handle") {
     // a keyed handle in call data would be size-estimated, driver-side slot
     // and all, when Spark broadcasts the data; the chunks capture it instead
-    val local = new LocalRunner(4)
-    val callData = scala.collection.mutable.ArrayBuffer.empty[Any]
-    val recording = new ParRunner {
-      protected def maxChunks: Int = 4
-      def runShared[D, T: ClassTag](n: Int, handle: Shared[D])(f: (D, Int, Int) => T): Seq[T] =
-        local.runShared(n, handle)(f)
-      def share[D: ClassTag](data: D): Shared[D] = { callData += data; local.share(data) }
-      def shareFor[D: ClassTag](key: Seq[AnyRef])(make: => D): Shared[D] = local.shareFor(key)(make)
-    }
+    val recording = new SharingRecorder(4)
     def holdsHandle(v: Any): Boolean = v match {
       case _: Shared[_] => true
       case p: Product => p.productIterator.exists(holdsHandle)
@@ -147,8 +139,9 @@ class ParRunnerSpec extends SparkSpec {
     val ids = Array.range(0, 100)
     assert(recording.mapIds(ids, space, 3)((_, m) => _ * m).toSeq == ids.map(_ * 3).toSeq)
     assert(recording.runOnSpace(100, space, 2)((_, m, s, e) => (e - s) * m).sum == 200)
-    assert(callData.size == 2)
-    assert(!callData.exists(holdsHandle), callData)
+    // the space, once under its key, and each call's data
+    assert(recording.shared.size == 3 && recording.shared.head == space)
+    assert(!recording.shared.exists(holdsHandle), recording.shared)
   }
 
   test("mapIds deals the ids to chunks in a fixed random order") {

@@ -1,9 +1,8 @@
 package repro.graph
 
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, CountingSpace, EditDistance, GraphDOD, LocalRunner, MetricSpace, ParRunner,
-  Shared, SparkRunner, StringSpace, VectorMetric}
-import scala.reflect.ClassTag
+import repro.core.{BruteForce, CountingSpace, EditDistance, GraphDOD, LocalRunner, MetricSpace, Shared,
+  SharingRecorder, SparkRunner, StringSpace, VectorMetric}
 
 /** The full MRPG pipeline: the three §5 properties, connectivity, stats. */
 class MRPGSpec extends SparkSpec {
@@ -225,27 +224,3 @@ class MRPGSpec extends SparkSpec {
   }
 }
 
-/** Runs like a [[LocalRunner]] and records every value it shares. It keeps
-  * one keyed value, as [[SparkRunner]] keeps one broadcast per context: a
-  * [[shareFor]] with the kept key reuses it, another key replaces it.
-  */
-private final class SharingRecorder(parts: Int) extends ParRunner {
-  private val local = new LocalRunner(parts)
-  private var kept: Option[(Seq[AnyRef], Shared[_])] = None
-  val shared = scala.collection.mutable.ArrayBuffer.empty[Any]
-
-  protected def maxChunks: Int = parts
-
-  def runShared[D, T: ClassTag](n: Int, handle: Shared[D])(f: (D, Int, Int) => T): Seq[T] =
-    local.runShared(n, handle)(f)
-
-  def share[D: ClassTag](data: D): Shared[D] = { shared += data; local.share(data) }
-
-  def shareFor[D: ClassTag](key: Seq[AnyRef])(make: => D): Shared[D] = kept match {
-    case Some((k, h)) if k == key => h.asInstanceOf[Shared[D]]
-    case _ =>
-      val h = share(make)
-      kept = Some((key, h))
-      h
-  }
-}
