@@ -5,7 +5,8 @@ import repro.data.Datasets
 import repro.graph.{KGraphBuilder, MRPG, NSW}
 
 /** Profiling entrypoint: builds each proximity graph for one dataset and
-  * prints wall time, distance evaluations and MRPG step decomposition.
+  * prints wall time, distance evaluations and MRPG's [[MRPG.BuildStats]]
+  * (step times, links, and the two bounded loops' reports).
   * With `local` the builds run inline and no SparkSession is started;
   * otherwise they fan out through the [[JobSession]].
   *
@@ -38,7 +39,8 @@ object BuildProfileJob {
       val (_, st) = MRPG.build(space, spec.graphK, runner, seed = spec.seed)
       s"nn=${st.nnDescentMs} connect=${st.connectMs} detours=${st.removeDetoursMs} " +
         s"rmlinks=${st.removeLinksMs} iters=${st.iterations} " +
-        s"+C=${st.linksAddedConnect} +D=${st.linksAddedDetours} -L=${st.linksRemoved}"
+        s"+C=${st.linksAddedConnect} +D=${st.linksAddedDetours} -L=${st.linksRemoved} " +
+        s"capHits=${st.detourCapHits} unreached=${st.connectUnreached}"
     }
     prof("NSW") { NSW.build(space, math.max(2, spec.graphK / 2), seed = spec.seed); "" }
   }

@@ -98,30 +98,37 @@ object GraphDOD {
     */
   private final case class ChunkOutcomes(outcomes: Array[Byte], filterNs: Long, verifyNs: Long, evaluations: Long)
 
-  /** One object's filtering verdict (§4 filtering phase + §5.5 shortcut). */
-  def filterVerdict(
-      space: MetricSpace,
-      g: ProximityGraph,
-      p: Int,
-      r: Double,
-      k: Int,
-      usePivotHop: Boolean,
-      useExactShortcut: Boolean,
-  ): Byte = {
-    if (useExactShortcut && g.hasExactList(p) && k <= g.exactK) {
+  /** One object's filtering verdict (§4 filtering phase + §5.5 direct
+    * decision). The graph carries its setup: an object with an exact list
+    * is decided from it when `k <= g.exactK`, and Greedy-Counting passes
+    * through `g`'s pivots.
+    */
+  def filterVerdict(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int): Byte = {
+    if (g.hasExactList(p) && k <= g.exactK) {
       val c = GreedyCounting.countExactList(space, g.exactLists(p), p, r, k)
       if (c < k) DirectOutlier else DirectInlier
     } else {
-      val c = GreedyCounting.count(space, g, p, r, k, usePivotHop)
+      val c = GreedyCounting.count(space, g, p, r, k)
       if (c < k) Candidate else Inlier
     }
+  }
+
+  /** [[filterVerdict]] for the one pair `(true, true)`, the setup every
+    * graph carries itself. Kept for perfbench; delete with ROADMAP item 1.
+    */
+  def filterVerdict(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int,
+      usePivotHop: Boolean, useExactShortcut: Boolean): Byte = {
+    require(usePivotHop && useExactShortcut, "the graph carries its detection setup; only (true, true) is accepted")
+    filterVerdict(space, g, p, r, k)
   }
 
   /** Algorithm 1 over a [[ParRunner]], in one fan-out (one Spark job): the
     * ids are dealt to chunks in [[ParRunner.mapIds]]' random order, as the
     * paper assigns objects to threads, and each chunk verifies a candidate
     * as soon as it has filtered it. No barrier is needed between the
-    * phases, because filtering never drops a true outlier (Lemma 1).
+    * phases, because filtering never drops a true outlier (Lemma 1). The
+    * graph decides the setup ([[filterVerdict]]): pivot pass-through where
+    * it has pivots, the §5.5 direct decision for `k <= g.exactK`.
     *
     * Space, graph, counter and deal order reach the chunks as one payload,
     * shared through [[ParRunner.shareFor]] under the key (space, graph,
@@ -139,8 +146,6 @@ object GraphDOD {
       g: ProximityGraph,
       r: Double,
       k: Int,
-      usePivotHop: Boolean = true,
-      useExactShortcut: Boolean = true,
       counter: ExactCounter = LinearScanCounter(),
   ): DODResult = {
     DODQuery.check(r, k)
@@ -156,7 +161,7 @@ object GraphDOD {
       var i = s
       while (i < e) {
         val p = ord(i)
-        var o = filterVerdict(sp, gg, p, r, k, usePivotHop, useExactShortcut)
+        var o = filterVerdict(sp, gg, p, r, k)
         if (o == Candidate) {
           val v0 = System.nanoTime()
           o = if (ec.count(sp, p, r, k) < k) VerifiedOutlier else FalsePositive
@@ -202,11 +207,9 @@ object GraphDOD {
       g: ProximityGraph,
       r: Double,
       k: Int,
-      usePivotHop: Boolean = true,
-      useExactShortcut: Boolean = true,
       counter: ExactCounter = LinearScanCounter(),
   ): DODResult =
-    run(new LocalRunner(), space, g, r, k, usePivotHop, useExactShortcut, counter)
+    run(new LocalRunner(), space, g, r, k, counter)
 
   /** Spark run: the paper's multi-threading (§4) with `partitions` chunks
     * (default: the session's parallelism) as threads.
@@ -217,10 +220,8 @@ object GraphDOD {
       g: ProximityGraph,
       r: Double,
       k: Int,
-      usePivotHop: Boolean = true,
-      useExactShortcut: Boolean = true,
       counter: ExactCounter = LinearScanCounter(),
       partitions: Int = 0,
   ): DODResult =
-    run(new SparkRunner(spark, partitions), space, g, r, k, usePivotHop, useExactShortcut, counter)
+    run(new SparkRunner(spark, partitions), space, g, r, k, counter)
 }

@@ -7,26 +7,19 @@ import repro.graph.ProximityGraph
   * BFS from `p`; every first-visited vertex within `r` is counted and
   * expanded; counting stops at `k`. Vertices outside `r` are still expanded
   * when they are pivots (lines 13–14) — Remove-Links relies on pivot
-  * pass-through, and pivots also bridge sparse regions. Lemma 1: the
-  * returned count never exceeds the true neighbor count, so filtering with
-  * it yields no false negatives.
+  * pass-through, and pivots also bridge sparse regions. NSW and KGraph
+  * graphs have no pivots, so on them this is plain BFS counting, the
+  * paper's §6 setup for those graphs. Lemma 1: the returned count never
+  * exceeds the true neighbor count, so filtering with it yields no false
+  * negatives.
   */
 object GreedyCounting {
 
-  /** Returns the greedy count, capped at `k`. Allocation-free: the BFS
-    * runs on the calling thread's [[Scratch]].
-    *
-    * @param usePivotHop enable Alg. 2 lines 13–14 (true for MRPG(-basic),
-    *                    false for NSW/KGraph as in the paper's §6 setup)
+  /** Returns the greedy count, capped at `k`, expanding every vertex
+    * within `r` and every pivot of `g` (`g.isPivot`) outside it.
+    * Allocation-free: the BFS runs on the calling thread's [[Scratch]].
     */
-  def count(
-      space: MetricSpace,
-      g: ProximityGraph,
-      p: Int,
-      r: Double,
-      k: Int,
-      usePivotHop: Boolean,
-  ): Int = {
+  def count(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int): Int = {
     val sc = scratch.get()
     val stamp = sc.begin(space.n)
     val seen = sc.seen
@@ -49,7 +42,7 @@ object GreedyCounting {
             count += 1
             if (count >= k) return count
             queue(tail) = w; tail += 1
-          } else if (usePivotHop && g.isPivot(w)) {
+          } else if (g.isPivot(w)) {
             queue(tail) = w; tail += 1
           }
         }

@@ -36,9 +36,10 @@ object MRPG {
     */
   def defaultExactCount(n: Int): Int = math.max(64, n / 50)
 
-  /** Builds an MRPG (`basic = false`) or MRPG-basic (`basic = true`, exact
-    * lists of length K instead of K' — and the DOD driver will not use the
-    * direct-decision shortcut for it, matching the paper's §6 setup).
+  /** Builds an MRPG (`basic = false`) or MRPG-basic (`basic = true`: exact
+    * lists of length K instead of K'). MRPG-basic's graph has `exactK = 0`,
+    * the paper's §6 setup: its exact lists seed its links and count in
+    * `sizeBytes` (Table 6), but never decide an object directly.
     * NNDescent+ and Remove-Detours read the space under one key
     * ([[ParRunner.shareSpace]]), so it is shared once.
     */
@@ -81,7 +82,7 @@ object MRPG {
     val removed = RemoveLinks.run(adj, aknn.isPivot, isExact)
     val t4 = System.nanoTime()
 
-    val graph = new ProximityGraph(adj.toRows, aknn.isPivot, aknn.exactLists, math.min(kPrime, n - 1))
+    val graph = new ProximityGraph(adj.toRows, aknn.isPivot, aknn.exactLists, if (basic) 0 else math.min(kPrime, n - 1))
     val stats = BuildStats(
       nnDescentMs = (t1 - t0) / 1000000L,
       connectMs = (t2 - t1) / 1000000L,

@@ -9,9 +9,12 @@ package repro.graph
   *                   (empty/false for NSW and KGraph); Greedy-Counting hops
   *                   through pivots even outside `r` (Alg. 2 lines 13–14)
   * @param exactLists for MRPG(-basic): `exactLists(v)` is `v`'s *exact*
-  *                   `exactK`-NN id list in ascending distance order, or
-  *                   `null` when `v` carries only approximate links
-  * @param exactK     `K'` — the length of the exact lists (0 if none)
+  *                   K'-NN id list (K-NN for MRPG-basic) in ascending
+  *                   distance order, or `null` when `v` carries only
+  *                   approximate links
+  * @param exactK     the largest k the exact lists decide directly (§5.5):
+  *                   `K'` for MRPG, 0 for MRPG-basic and graphs without
+  *                   exact lists
   */
 final class ProximityGraph(
     val adj: Array[Array[Int]],

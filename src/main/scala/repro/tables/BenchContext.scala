@@ -78,17 +78,15 @@ final class DatasetState(val spec: DatasetSpec, spark: SparkSession, scale: Doub
 
   private val dodCache = mutable.LinkedHashMap.empty[String, Counted[DODResult]]
 
-  /** Graph-based DOD run: NSW/KGraph use plain Algorithm 2 (no pivot hops)
-    * and no exact-list shortcut, per the paper's §6 setup; MRPG-basic adds
-    * pivot hops; MRPG adds the §5.5 direct decision.
+  /** Graph-based DOD run. Each graph carries its §6 setup (see
+    * [[GraphDOD.filterVerdict]]): NSW and KGraph have no pivots and no exact
+    * lists, so they run plain Algorithm 2; MRPG-basic adds pivot hops (its
+    * `exactK` is 0); MRPG adds the §5.5 direct decision.
     */
   private def dodRun(name: String): Counted[DODResult] = dodCache.getOrElseUpdate(name, {
     val b = graph(name) // force the offline build outside the measurement
     val ec = counter
-    val pivotHop = name.startsWith("MRPG")
-    val shortcut = name == "MRPG"
-    counted(GraphDOD.run(runner, space, b.graph, spec.r, spec.k,
-      usePivotHop = pivotHop, useExactShortcut = shortcut, counter = ec))
+    counted(GraphDOD.run(runner, space, b.graph, spec.r, spec.k, counter = ec))
   })
 
   def dod(name: String): DODResult = dodRun(name).value

@@ -16,21 +16,14 @@ class GraphDODSpec extends SparkSpec {
 
   private lazy val runner = new LocalRunner(4)
 
-  private final case class GraphCase(
-      name: String,
-      build: MetricSpace => ProximityGraph,
-      pivotHop: Boolean,
-      shortcut: Boolean,
-  )
+  // each graph carries its own detection setup (pivots, exactK)
+  private final case class GraphCase(name: String, build: MetricSpace => ProximityGraph)
 
   private lazy val graphCases = Seq(
-    GraphCase("NSW", s => NSW.build(s, f = 6, seed = 5), pivotHop = false, shortcut = false),
-    GraphCase("KGraph", s => KGraphBuilder.build(s, 10, runner, seed = 5, maxIters = 4),
-      pivotHop = false, shortcut = false),
-    GraphCase("MRPG-basic", s => MRPG.build(s, 10, runner, seed = 5, basic = true, maxIters = 4)._1,
-      pivotHop = true, shortcut = false),
-    GraphCase("MRPG", s => MRPG.build(s, 10, runner, seed = 5, basic = false, maxIters = 4)._1,
-      pivotHop = true, shortcut = true),
+    GraphCase("NSW", s => NSW.build(s, f = 6, seed = 5)),
+    GraphCase("KGraph", s => KGraphBuilder.build(s, 10, runner, seed = 5, maxIters = 4)),
+    GraphCase("MRPG-basic", s => MRPG.build(s, 10, runner, seed = 5, basic = true, maxIters = 4)._1),
+    GraphCase("MRPG", s => MRPG.build(s, 10, runner, seed = 5, basic = false, maxIters = 4)._1),
   )
 
   // cache graphs per (scenario, graph) — they are deterministic
@@ -41,7 +34,7 @@ class GraphDODSpec extends SparkSpec {
   for (s <- TestSpaces.scenarios(); gc <- graphCases) {
     test(s"${s.name}/${gc.name}: detectLocal is exact at the default (r, k)") {
       val g = graphFor(s, gc)
-      val res = GraphDOD.detectLocal(s.space, g, s.r, s.k, gc.pivotHop, gc.shortcut)
+      val res = GraphDOD.detectLocal(s.space, g, s.r, s.k)
       val truth = BruteForce.outliers(s.space, s.r, s.k)
       assert(truth.nonEmpty, "scenario must contain outliers")
       assert(truth.length < s.space.n, "scenario must contain inliers")
@@ -52,7 +45,7 @@ class GraphDODSpec extends SparkSpec {
       val g = graphFor(s, gc)
       for ((rf, k2) <- Seq((0.6, 3), (1.4, s.k), (1.0, 2 * s.k))) {
         val r2 = s.r * rf
-        val res = GraphDOD.detectLocal(s.space, g, r2, k2, gc.pivotHop, gc.shortcut)
+        val res = GraphDOD.detectLocal(s.space, g, r2, k2)
         assert(res.outliers.toSeq == BruteForce.outliers(s.space, r2, k2).toSeq, s"r=$r2 k=$k2")
       }
     }
@@ -62,10 +55,10 @@ class GraphDODSpec extends SparkSpec {
     test(s"${gc.name}: accounting — candidates = falsePositives + verified outliers") {
       val s = TestSpaces.scenarios().head
       val g = graphFor(s, gc)
-      val res = GraphDOD.detectLocal(s.space, g, s.r, s.k, gc.pivotHop, gc.shortcut)
+      val res = GraphDOD.detectLocal(s.space, g, s.r, s.k)
       val verifiedOutliers = res.outliers.length - res.directOutliers
       assert(res.candidates == res.falsePositives + verifiedOutliers)
-      if (!gc.shortcut) assert(res.directOutliers == 0)
+      if (s.k > g.exactK) assert(res.directOutliers == 0) // no direct decision: NSW, KGraph, MRPG-basic
     }
   }
 
@@ -148,7 +141,7 @@ class GraphDODSpec extends SparkSpec {
   test("empty-adjacency graph still yields exact results (all candidates verified)") {
     val s = TestSpaces.scenarios().head
     val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))
-    val res = GraphDOD.detectLocal(s.space, g, s.r, s.k, usePivotHop = false, useExactShortcut = false)
+    val res = GraphDOD.detectLocal(s.space, g, s.r, s.k)
     assert(res.outliers.toSeq == BruteForce.outliers(s.space, s.r, s.k).toSeq)
     assert(res.candidates == s.space.n) // nothing gets filtered
   }
@@ -179,7 +172,7 @@ class GraphDODSpec extends SparkSpec {
     // least 600 × 10 × 10 µs = 60 ms; LocalRunner runs its 4 chunks one
     // after another, inside the wall time
     val slow = new SlowSpace(s.space, burnNs = 10000L)
-    val all = GraphDOD.run(new LocalRunner(4), slow, g, s.r, s.k, usePivotHop = false, useExactShortcut = false)
+    val all = GraphDOD.run(new LocalRunner(4), slow, g, s.r, s.k)
     assert(all.candidates == s.space.n)
     assert(all.filterMs + all.verifyMs == all.totalMs)
     assert(all.meanChunkMs * 4 <= all.totalMs + 1.0)
@@ -197,7 +190,7 @@ class GraphDODSpec extends SparkSpec {
     val s = TestSpaces.scenarios().head
     val g = ProximityGraph.plain(Array.fill(s.space.n)(Array.empty[Int]))
     val (res, jobs) = countingJobs {
-      GraphDOD.run(new SparkRunner(spark, 4), s.space, g, s.r, s.k, usePivotHop = false, useExactShortcut = false)
+      GraphDOD.run(new SparkRunner(spark, 4), s.space, g, s.r, s.k)
     }
     assert(res.candidates == s.space.n)
     assert(jobs == 1)
@@ -266,29 +259,40 @@ class GraphDODSpec extends SparkSpec {
       ("edit", TestSpaces.strings(300, seed = 73), 4.0, 8),
     )
     for ((name, base, r, k) <- spaces) {
-      val (g, _) = MRPG.build(base, 10, runner, seed = 14, maxIters = 4)
+      val (mrpg, _) = MRPG.build(base, 10, runner, seed = 14, maxIters = 4)
       val truth = BruteForce.outliers(base, r, k)
       for (
         counter <- Seq(LinearScanCounter(), VPTreeCounter(VPTree.build(base, 16, seed = 3)));
-        shortcut <- Seq(true, false);
+        // MRPG's graph, and the same graph with no direct decision
+        g <- Seq(mrpg, new ProximityGraph(mrpg.adj, mrpg.isPivot, mrpg.exactLists, 0));
         fanOut <- Seq(new LocalRunner(4), new SparkRunner(spark, 4))
       ) {
-        val label = s"$name $counter shortcut=$shortcut ${fanOut.getClass.getSimpleName}"
+        val label = s"$name $counter exactK=${g.exactK} ${fanOut.getClass.getSimpleName}"
         val expected = new CountingSpace(base)
         var candidates = 0
         for (p <- 0 until base.n) {
-          val verdict = GraphDOD.filterVerdict(expected, g, p, r, k, usePivotHop = true, shortcut)
+          val verdict = GraphDOD.filterVerdict(expected, g, p, r, k)
           if (verdict == GraphDOD.Candidate) { counter.count(expected, p, r, k); candidates += 1 }
         }
         val cs = new CountingSpace(base)
-        val res = GraphDOD.run(fanOut, cs, g, r, k, useExactShortcut = shortcut, counter = counter)
-        if (!shortcut) assert(candidates > 0, label) // the exact lists may decide every outlier
+        val res = GraphDOD.run(fanOut, cs, g, r, k, counter = counter)
+        if (g.exactK == 0) assert(candidates > 0, label) // the exact lists may decide every outlier
         assert(cs.evaluations == expected.evaluations, label)
         assert(res.evaluations == cs.evaluations, label)
         assert(res.candidates == candidates, label)
         assert(res.outliers.toSeq == truth.toSeq, label)
       }
     }
+  }
+
+  test("filterVerdict's flagged overload forwards (true, true) and rejects every other pair") {
+    val (s, g) = smallCase
+    for (p <- 0 until s.space.n)
+      assert(GraphDOD.filterVerdict(s.space, g, p, s.r, s.k, usePivotHop = true, useExactShortcut = true) ==
+        GraphDOD.filterVerdict(s.space, g, p, s.r, s.k))
+    for ((hop, direct) <- Seq((false, true), (true, false), (false, false)))
+      assertThrows[IllegalArgumentException](
+        GraphDOD.filterVerdict(s.space, g, 0, s.r, s.k, usePivotHop = hop, useExactShortcut = direct))
   }
 
   // CountingSpace evaluations of each query of TestSpaces.pinnedGrid, in

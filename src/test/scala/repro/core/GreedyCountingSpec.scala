@@ -27,7 +27,7 @@ class GreedyCountingSpec extends AnyFunSuite {
       val rng = new Random(78)
       for (_ <- 0 until 100) {
         val p = rng.nextInt(s.space.n)
-        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k, usePivotHop = false)
+        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k)
         val truth = BruteForce.countNeighbors(s.space, p, s.r, s.k)
         assert(greedy <= truth, s"object $p")
       }
@@ -38,7 +38,7 @@ class GreedyCountingSpec extends AnyFunSuite {
       val rng = new Random(79)
       for (_ <- 0 until 50) {
         val p = rng.nextInt(s.space.n)
-        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k, usePivotHop = false)
+        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k)
         val truth = BruteForce.countNeighbors(s.space, p, s.r, s.k)
         assert(greedy == truth, s"object $p")
       }
@@ -50,7 +50,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     val g = completeGraph(space.n)
     for (k <- Seq(1, 3, 10)) {
       for (p <- 0 until 50) {
-        assert(GreedyCounting.count(space, g, p, 1000.0, k, usePivotHop = false) == math.min(k, space.n - 1))
+        assert(GreedyCounting.count(space, g, p, 1000.0, k) == math.min(k, space.n - 1))
       }
     }
   }
@@ -59,12 +59,12 @@ class GreedyCountingSpec extends AnyFunSuite {
     val space = TestSpaces.clustered(100, 4, VectorMetric.L2, seed = 81)
     val adj = Array.tabulate(100)(v => if (v == 0) Array.empty[Int] else Array((v + 1) % 100).filter(_ != 0))
     val g = ProximityGraph.plain(adj)
-    assert(GreedyCounting.count(space, g, 0, 1000.0, 10, usePivotHop = false) == 0)
+    assert(GreedyCounting.count(space, g, 0, 1000.0, 10) == 0)
   }
 
   test("pivot hop reaches neighbors across a far bridge vertex") {
-    // 0 -- far pivot 1 -- 2, with dist(0,2) <= r but dist(0,1) > r:
-    // without pivot hops vertex 2 is unreachable, with them it is counted.
+    // 0 -- far pivot 1 -- 2, with dist(0,2) <= r but dist(0,1) > r: on the
+    // same links, vertex 2 is unreachable unless 1 is a pivot.
     val pts = Array(
       Array(0.0, 0.0), // 0
       Array(50.0, 0.0), // 1 (pivot, far)
@@ -72,10 +72,10 @@ class GreedyCountingSpec extends AnyFunSuite {
     )
     val space = new VectorSpace(pts, VectorMetric.L2)
     val adj = Array(Array(1), Array(0, 2), Array(1))
-    val isPivot = Array(false, true, false)
-    val g = new ProximityGraph(adj, isPivot, null, 0)
-    assert(GreedyCounting.count(space, g, 0, 2.0, 5, usePivotHop = false) == 0)
-    assert(GreedyCounting.count(space, g, 0, 2.0, 5, usePivotHop = true) == 1)
+    val withoutPivot = new ProximityGraph(adj, Array(false, false, false), null, 0)
+    val withPivot = new ProximityGraph(adj, Array(false, true, false), null, 0)
+    assert(GreedyCounting.count(space, withoutPivot, 0, 2.0, 5) == 0)
+    assert(GreedyCounting.count(space, withPivot, 0, 2.0, 5) == 1)
   }
 
   test("non-pivot far vertex is not expanded even with pivot hops on") {
@@ -83,7 +83,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     val space = new VectorSpace(pts, VectorMetric.L2)
     val adj = Array(Array(1), Array(0, 2), Array(1))
     val g = new ProximityGraph(adj, Array(false, false, false), null, 0)
-    assert(GreedyCounting.count(space, g, 0, 2.0, 5, usePivotHop = true) == 0)
+    assert(GreedyCounting.count(space, g, 0, 2.0, 5) == 0)
   }
 
   test("each vertex's distance is computed at most once (visited marking)") {
@@ -96,13 +96,12 @@ class GreedyCountingSpec extends AnyFunSuite {
       def roundingSlack = base.roundingSlack
     }
     val g = randomGraph(200, 6, seed = 83)
-    GreedyCounting.count(space, g, 5, 8.0, 1000, usePivotHop = false)
+    GreedyCounting.count(space, g, 5, 8.0, 1000)
     assert(calls.map(_._2).distinct.length == calls.length, "a vertex was evaluated twice")
   }
 
   /** Algorithm 2 over a fresh visited set and queue per call. */
-  private def referenceCount(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int,
-      usePivotHop: Boolean): Int = {
+  private def referenceCount(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int): Int = {
     val visited = new java.util.BitSet(space.n)
     val queue = scala.collection.mutable.Queue(p)
     visited.set(p)
@@ -112,7 +111,7 @@ class GreedyCountingSpec extends AnyFunSuite {
       for (w <- g.adj(v) if count < k && !visited.get(w)) {
         visited.set(w)
         if (space.dist(p, w) <= r) { count += 1; queue.enqueue(w) }
-        else if (usePivotHop && g.isPivot(w)) queue.enqueue(w)
+        else if (g.isPivot(w)) queue.enqueue(w)
       }
     }
     count
@@ -128,13 +127,13 @@ class GreedyCountingSpec extends AnyFunSuite {
     ).zipWithIndex.map { case ((space, r), i) =>
       val plain = randomGraph(space.n, 5, seed = 92 + i)
       val isPivot = Array.fill(space.n)(rng.nextInt(8) == 0)
-      (space, new ProximityGraph(plain.adj, isPivot, null, 0), r)
+      (space, plain, new ProximityGraph(plain.adj, isPivot, null, 0), r)
     }
-    for (round <- 0 until 30; (space, g, r) <- cases) {
+    for (round <- 0 until 30; (space, plain, pivoted, r) <- cases) {
       val p = rng.nextInt(space.n)
       val k = 1 + rng.nextInt(40)
-      for (hop <- Seq(false, true)) {
-        assert(GreedyCounting.count(space, g, p, r, k, hop) == referenceCount(space, g, p, r, k, hop),
+      for ((g, hop) <- Seq((plain, false), (pivoted, true))) {
+        assert(GreedyCounting.count(space, g, p, r, k) == referenceCount(space, g, p, r, k),
           s"round $round n=${space.n} p=$p k=$k hop=$hop")
       }
     }

@@ -39,7 +39,7 @@ class MRPGSpec extends SparkSpec {
   }
 
   test("MRPG-basic exact lists have length K (not K')") {
-    assert(basicGraph.exactK == 8)
+    assert(basicGraph.exactK == 0) // they seed links but decide nothing (§6 setup)
     val v = (0 until space.n).find(basicGraph.hasExactList).get
     assert(basicGraph.exactLists(v).length == 8)
   }
@@ -170,8 +170,7 @@ class MRPGSpec extends SparkSpec {
     val kg = KGraphBuilder.build(space, 8, runner, seed = 5, maxIters = 5)
     val r = 8.0; val k = 8
     val mrpgRes = repro.core.GraphDOD.detectLocal(space, graph, r, k)
-    val kgRes = repro.core.GraphDOD.detectLocal(space, kg, r, k,
-      usePivotHop = false, useExactShortcut = false)
+    val kgRes = repro.core.GraphDOD.detectLocal(space, kg, r, k)
     assert(mrpgRes.falsePositives <= kgRes.falsePositives,
       s"MRPG fp=${mrpgRes.falsePositives} vs KGraph fp=${kgRes.falsePositives}")
   }
@@ -197,8 +196,7 @@ class MRPGSpec extends SparkSpec {
         val truth = BruteForce.outliers(s, r, k).toSeq
         if (n == 1) assert(truth == Seq(0))
         val fromMrpg = GraphDOD.detectLocal(s, mrpg, r, k).outliers.toSeq
-        val fromKg = GraphDOD.detectLocal(s, kg, r, k, usePivotHop = false, useExactShortcut = false)
-          .outliers.toSeq
+        val fromKg = GraphDOD.detectLocal(s, kg, r, k).outliers.toSeq
         assert(fromMrpg == truth, s"MRPG n=$n k=$k ${s.getClass.getSimpleName}")
         assert(fromKg == truth, s"KGraph n=$n k=$k ${s.getClass.getSimpleName}")
       }

@@ -25,13 +25,13 @@ class ReachabilitySpec extends AnyFunSuite {
   private val k = 1000 // no early stop: measure full reachability
 
   /** Mean fraction of true r-neighbors that Greedy-Counting reaches. */
-  private def coverage(g: ProximityGraph, pivotHop: Boolean): Double = {
+  private def coverage(g: ProximityGraph): Double = {
     val rng = new scala.util.Random(173)
     val samples = (0 until 150).map(_ => rng.nextInt(space.n)).distinct
     val fracs = samples.flatMap { p =>
       val truth = BruteForce.countNeighbors(space, p, r, Int.MaxValue)
       if (truth == 0) None
-      else Some(GreedyCounting.count(space, g, p, r, k, pivotHop).toDouble / truth)
+      else Some(GreedyCounting.count(space, g, p, r, k).toDouble / truth)
     }
     fracs.sum / fracs.size
   }
@@ -44,14 +44,14 @@ class ReachabilitySpec extends AnyFunSuite {
     for (_ <- 0 until 60) {
       val p = rng.nextInt(space.n)
       val truth = BruteForce.countNeighbors(space, p, r, Int.MaxValue)
-      assert(GreedyCounting.count(space, kgraph, p, r, k, usePivotHop = false) <= truth)
-      assert(GreedyCounting.count(space, mrpg, p, r, k, usePivotHop = true) <= truth)
+      assert(GreedyCounting.count(space, kgraph, p, r, k) <= truth)
+      assert(GreedyCounting.count(space, mrpg, p, r, k) <= truth)
     }
   }
 
   test("MRPG reaches at least as much of the neighborhood as the raw AKNN graph") {
-    val cKGraph = coverage(kgraph, pivotHop = false)
-    val cMRPG = coverage(mrpg, pivotHop = true)
+    val cKGraph = coverage(kgraph)
+    val cMRPG = coverage(mrpg)
     info(f"coverage: KGraph $cKGraph%.3f vs MRPG $cMRPG%.3f")
     assert(cMRPG >= cKGraph - 0.01)
     assert(cMRPG >= 0.9, f"MRPG coverage only $cMRPG%.3f")
@@ -67,15 +67,15 @@ class ReachabilitySpec extends AnyFunSuite {
       for (v <- 0 until space.n; u <- aknn.nbrId(v) if u != v) { adj.add(v, u); adj.add(u, v) }
       new ProximityGraph(adj.toRows, aknn.isPivot, null, 0)
     }
-    val cUndirected = coverage(undirected, pivotHop = true)
-    val cFull = coverage(mrpg, pivotHop = true)
+    val cUndirected = coverage(undirected)
+    val cFull = coverage(mrpg)
     info(f"coverage: undirected AKNN $cUndirected%.3f vs full MRPG $cFull%.3f")
     assert(cFull >= cUndirected - 0.03) // Remove-Links may cost a whisker; detours must pay it back
   }
 
   test("pivot hops strictly help on the MRPG graph") {
-    val without = coverage(mrpg, pivotHop = false)
-    val withHops = coverage(mrpg, pivotHop = true)
+    val without = coverage(new ProximityGraph(mrpg.adj, new Array[Boolean](space.n), mrpg.exactLists, mrpg.exactK))
+    val withHops = coverage(mrpg)
     info(f"coverage: no-hops $without%.3f vs pivot-hops $withHops%.3f")
     assert(withHops >= without)
   }

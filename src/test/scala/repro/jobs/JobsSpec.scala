@@ -43,6 +43,14 @@ class JobsSpec extends SparkSpec {
     assert(!spark.sparkContext.isStopped)
   }
 
+  test("BuildProfileJob's MRPG line prints the bounded loops' reports") {
+    val out = new java.io.ByteArrayOutputStream()
+    Console.withOut(out)(BuildProfileJob.main(Array("words", "0.02", "local")))
+    val mrpg = out.toString.linesIterator.filter(_.startsWith("MRPG")).toSeq
+    assert(mrpg.size == 1, out.toString)
+    assert(raw"capHits=\d+ unreached=\d+".r.findFirstIn(mrpg.head).nonEmpty, mrpg.head)
+  }
+
   test("job mains run in the suite's session and leave it running") {
     val sc = spark.sparkContext
     Table1Job.main(Array(tiny.toString))
