@@ -1,14 +1,24 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
+import repro.core.GreedyCounting.Walk
 import repro.graph.ProximityGraph
 
 /** Exact neighbor counting for the verification phase (`Exact-Counting` in
   * Algorithm 1): a linear scan for high-dimensional data, a VP-tree range
   * count for data with low intrinsic dimensionality. Both stop at `k`.
+  *
+  * The second form takes the [[Walk]] Greedy-Counting just made from `p`
+  * with the same `r` on the same `space` (it must be that walk): every
+  * object the walk tested is counted from its verdict instead of
+  * evaluated again, and the verdicts read add to `walk.reused`. Both forms
+  * visit the objects in the same order and stop at the same one, so the
+  * count is the same and the second evaluates exactly `walk.reused` fewer
+  * distances.
   */
 sealed trait ExactCounter extends Serializable {
   def count(space: MetricSpace, p: Int, r: Double, k: Int): Int
+  def count(space: MetricSpace, p: Int, r: Double, k: Int, walk: Walk): Int
   def sizeBytes: Long
 }
 
@@ -26,12 +36,32 @@ final case class LinearScanCounter() extends ExactCounter {
     }
     count
   }
+  def count(space: MetricSpace, p: Int, r: Double, k: Int, walk: Walk): Int = {
+    require(walk.isFrom(space, p, r), s"a walk from $p with radius $r on this space is needed")
+    var count = 0
+    var reused = 0L
+    var i = 0
+    val n = space.n
+    while (i < n && count < k) {
+      if (i != p) {
+        if (walk.decided(i)) {
+          reused += 1
+          if (walk.inRange(i)) count += 1
+        } else if (space.within(p, i, r)) count += 1
+      }
+      i += 1
+    }
+    walk.reused += reused
+    count
+  }
   def sizeBytes = 0L
 }
 
 final case class VPTreeCounter(tree: VPTree) extends ExactCounter {
   def count(space: MetricSpace, p: Int, r: Double, k: Int): Int =
     tree.rangeCount(space, p, r, k)
+  def count(space: MetricSpace, p: Int, r: Double, k: Int, walk: Walk): Int =
+    tree.rangeCount(space, p, r, k, walk)
   def sizeBytes: Long = tree.sizeBytes
 }
 
@@ -63,6 +93,10 @@ object DODQuery {
   * @param meanChunkMs    mean busy time of a chunk [ms]
   * @param evaluations    distance evaluations the run made (Table 5b's
   *                       cost), also added to the caller's space
+  * @param reusedVerdicts (candidate, object) verdicts verification read
+  *                       from the candidate's Greedy-Counting walk instead
+  *                       of evaluating them: a run that evaluated them
+  *                       would make `evaluations + reusedVerdicts`
   */
 final case class DODResult(
     outliers: Array[Int],
@@ -74,13 +108,17 @@ final case class DODResult(
     maxChunkMs: Double,
     meanChunkMs: Double,
     evaluations: Long,
+    reusedVerdicts: Long,
 ) {
   def totalMs: Long = filterMs + verifyMs
 }
 
 /** Algorithm 1: proximity-graph-based DOD — filtering by Greedy-Counting,
   * then exact verification of the candidates. Exact for any proximity graph
-  * (Lemma 1: filtering has no false negatives).
+  * (Lemma 1: filtering has no false negatives). Unlike Algorithm 1 as the
+  * paper writes it, verification does not evaluate again the pairs the
+  * candidate's walk decided: it reads their verdicts, which are the same
+  * `within` results bit for bit.
   */
 object GraphDOD {
 
@@ -94,9 +132,11 @@ object GraphDOD {
   val FalsePositive = 5: Byte
 
   /** One chunk's outcomes, in dealt order, the nanoseconds it spent
-    * filtering and verifying, and its distance evaluations.
+    * filtering and verifying, its distance evaluations and the walk
+    * verdicts its verification read.
     */
-  private final case class ChunkOutcomes(outcomes: Array[Byte], filterNs: Long, verifyNs: Long, evaluations: Long)
+  private final case class ChunkOutcomes(
+      outcomes: Array[Byte], filterNs: Long, verifyNs: Long, evaluations: Long, reused: Long)
 
   /** One object's filtering verdict (§4 filtering phase + §5.5 direct
     * decision). The graph carries its setup: an object with an exact list
@@ -128,7 +168,10 @@ object GraphDOD {
     * as soon as it has filtered it. No barrier is needed between the
     * phases, because filtering never drops a true outlier (Lemma 1). The
     * graph decides the setup ([[filterVerdict]]): pivot pass-through where
-    * it has pivots, the §5.5 direct decision for `k <= g.exactK`.
+    * it has pivots, the §5.5 direct decision for `k <= g.exactK`. A
+    * candidate's count reads the verdicts its walk left on the chunk's
+    * thread ([[GreedyCounting.walkFrom]]), so verification evaluates only
+    * the pairs the walk did not decide, and a VP-tree's vantage points.
     *
     * Space, graph, counter and deal order reach the chunks as one payload,
     * shared through [[ParRunner.shareFor]] under the key (space, graph,
@@ -157,6 +200,7 @@ object GraphDOD {
       val sp = new ChunkCount(shared)
       val outcomes = new Array[Byte](e - s)
       var verifyNs = 0L
+      var reused = 0L
       val c0 = System.nanoTime()
       var i = s
       while (i < e) {
@@ -164,13 +208,16 @@ object GraphDOD {
         var o = filterVerdict(sp, gg, p, r, k)
         if (o == Candidate) {
           val v0 = System.nanoTime()
-          o = if (ec.count(sp, p, r, k) < k) VerifiedOutlier else FalsePositive
+          val walk = GreedyCounting.walkFrom(sp, p, r)
+          val before = walk.reused
+          o = if (ec.count(sp, p, r, k, walk) < k) VerifiedOutlier else FalsePositive
+          reused += walk.reused - before
           verifyNs += System.nanoTime() - v0
         }
         outcomes(i - s) = o
         i += 1
       }
-      ChunkOutcomes(outcomes, System.nanoTime() - c0 - verifyNs, verifyNs, sp.evaluations)
+      ChunkOutcomes(outcomes, System.nanoTime() - c0 - verifyNs, verifyNs, sp.evaluations, reused)
     } finally payload.release()
     val wallMs = (System.nanoTime() - t0) / 1000000L
     val evaluations = chunks.map(_.evaluations).sum
@@ -196,6 +243,7 @@ object GraphDOD {
       maxChunkMs = chunkMs.maxOption.getOrElse(0.0),
       meanChunkMs = if (chunkMs.isEmpty) 0.0 else chunkMs.sum / chunkMs.size,
       evaluations = evaluations,
+      reusedVerdicts = chunks.map(_.reused).sum,
     )
   }
 

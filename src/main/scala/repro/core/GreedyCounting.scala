@@ -17,13 +17,16 @@ object GreedyCounting {
 
   /** Returns the greedy count, capped at `k`, expanding every vertex
     * within `r` and every pivot of `g` (`g.isPivot`) outside it.
-    * Allocation-free: the BFS runs on the calling thread's [[Scratch]].
+    * Allocation-free: the BFS runs on the calling thread's [[Walk]], which
+    * keeps the verdict of every vertex it tested until the thread's next
+    * count ([[walkFrom]]).
     */
   def count(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int): Int = {
-    val sc = scratch.get()
-    val stamp = sc.begin(space.n)
-    val seen = sc.seen
-    val queue = sc.queue // each vertex enters at most once, so n slots suffice
+    val walk = scratch.get()
+    val stamp = walk.begin(space, p, r)
+    val seen = walk.seen
+    val hit = walk.hit
+    val queue = walk.queue // each vertex enters at most once, so n slots suffice
     seen(p) = stamp
     queue(0) = p
     var head = 0
@@ -39,6 +42,7 @@ object GreedyCounting {
         if (seen(w) != stamp) {
           seen(w) = stamp
           if (space.within(p, w, r)) {
+            hit(w) = stamp
             count += 1
             if (count >= k) return count
             queue(tail) = w; tail += 1
@@ -52,32 +56,73 @@ object GreedyCounting {
     count
   }
 
-  /** One thread's BFS state: vertex `v` is visited in the current count iff
-    * `seen(v) == stamp`, so a new count only bumps the stamp instead of
-    * clearing `n` entries. Both arrays grow to the largest `n` the thread
-    * has counted on and are kept for its later counts.
+  /** The calling thread's latest walk, when it started at `p` on `space`
+    * (the same instance) with radius `r`. Its verdicts are exact
+    * `space.within(p, v, r)` results, which an exact counter may read in
+    * place of evaluating the pair again ([[ExactCounter.count]]).
     */
-  private final class Scratch {
-    var seen = new Array[Int](0)
-    var queue = new Array[Int](0)
-    private var stamp = 0
+  def walkFrom(space: MetricSpace, p: Int, r: Double): Walk = {
+    val walk = scratch.get()
+    require(walk.isFrom(space, p, r), s"the thread's latest walk did not start at $p with radius $r on this space")
+    walk
+  }
 
-    /** The stamp of a new count over `n` vertices. */
-    def begin(n: Int): Int = {
+  /** One thread's BFS state, and the verdicts its latest count left: vertex
+    * `v` was tested in that count iff `seen(v) == stamp`, and found within
+    * `r` of the source iff also `hit(v) == stamp`. A new count only bumps
+    * the stamp instead of clearing `n` entries. The arrays grow to the
+    * largest `n` the thread has counted on and are kept for its later
+    * counts.
+    */
+  final class Walk private[GreedyCounting] {
+    private[GreedyCounting] var seen = new Array[Int](0)
+    private[GreedyCounting] var hit = new Array[Int](0)
+    private[GreedyCounting] var queue = new Array[Int](0)
+    private[GreedyCounting] var stamp = 0
+    private var space: MetricSpace = null
+    private var source = -1
+    private var radius = Double.NaN
+
+    /** Verdicts counters read instead of evaluating them, over the thread's life. */
+    private[core] var reused = 0L
+
+    /** Whether the latest count tested `v` (the source counts as tested). */
+    def decided(v: Int): Boolean = seen(v) == stamp
+
+    /** Whether the latest count found `v` within `r`; meaningful if [[decided]]. */
+    def inRange(v: Int): Boolean = hit(v) == stamp
+
+    /** Whether the latest count started at `p` on `sp` with radius `r`. */
+    def isFrom(sp: MetricSpace, p: Int, r: Double): Boolean = (space eq sp) && source == p && radius == r
+
+    /** The stamp of a new count from `p` over `sp`'s `n` vertices. On the
+      * stamp's wrap both `seen` and `hit` are cleared: a mark left from
+      * before the wrap would otherwise read as a verdict of a later count.
+      */
+    private[GreedyCounting] def begin(sp: MetricSpace, p: Int, r: Double): Int = {
+      val n = sp.n
       if (seen.length < n) {
         seen = new Array[Int](n)
+        hit = new Array[Int](n)
         queue = new Array[Int](n)
         stamp = 0
       } else if (stamp == Int.MaxValue) {
         java.util.Arrays.fill(seen, 0)
+        java.util.Arrays.fill(hit, 0)
         stamp = 0
       }
       stamp += 1
+      space = sp; source = p; radius = r
       stamp
     }
   }
 
-  private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
+  private val scratch = ThreadLocal.withInitial[Walk](() => new Walk)
+
+  /** Sets the stamp the calling thread's next count bumps: a test drives it
+    * to the wrap.
+    */
+  private[core] def setStamp(stamp: Int): Unit = scratch.get().stamp = stamp
 
   /** §5.5 direct decision for an object carrying an exact K'-NN list: counts
     * how many of the listed nearest neighbors are within `r` (capped at `k`).

@@ -10,7 +10,8 @@ import scala.util.Random
   *
   * Three roles in the reproduction:
   *  - the VP-tree DOD baseline and the Exact-Counting verification phase use
-  *    [[VPTree.rangeCount]] (range counting with early termination at `k`);
+  *    [[VPTree.rangeCount]] (range counting with early termination at `k`;
+  *    verification reads Greedy-Counting's verdicts at the leaves);
   *  - NNDescent+ initialization uses [[VPTree.leftLeafGroups]] (left leaf
   *    nodes seed exact local K-NNs);
   *  - MRPG takes its *pivots* from vantage points whose left child is a leaf
@@ -27,10 +28,26 @@ final class VPTree private[core] (
   /** Number of objects within distance `r` of object `q` (excluding `q`),
     * counting stops once it reaches `cap`.
     */
-  def rangeCount(space: MetricSpace, q: Int, r: Double, cap: Int): Int = {
+  def rangeCount(space: MetricSpace, q: Int, r: Double, cap: Int): Int =
+    search(space, q, r, cap, null)
+
+  /** [[rangeCount]], reading the verdicts of `walk`, Greedy-Counting's
+    * latest walk from `q` with radius `r` on `space`: a leaf object the walk
+    * tested is counted from its verdict, and the verdicts read add to
+    * `walk.reused`. Vantage points are still evaluated, because pruning
+    * needs their distance. Same traversal, same count.
+    */
+  def rangeCount(space: MetricSpace, q: Int, r: Double, cap: Int, walk: GreedyCounting.Walk): Int = {
+    require(walk.isFrom(space, q, r), s"a walk from $q with radius $r on this space is needed")
+    search(space, q, r, cap, walk)
+  }
+
+  /** The range count; `walk` is null when no walk's verdicts are read. */
+  private def search(space: MetricSpace, q: Int, r: Double, cap: Int, walk: GreedyCounting.Walk): Int = {
     val slack = space.roundingSlack
     val absolute = space.absoluteSlack
     var count = 0
+    var reused = 0L
     def visit(node: VPTree.Node): Unit = {
       if (count >= cap) return
       node match {
@@ -38,7 +55,12 @@ final class VPTree private[core] (
           var i = 0
           while (i < ids.length && count < cap) {
             val id = ids(i)
-            if (id != q && space.within(q, id, r)) count += 1
+            if (id != q) {
+              if (walk != null && walk.decided(id)) {
+                reused += 1
+                if (walk.inRange(id)) count += 1
+              } else if (space.within(q, id, r)) count += 1
+            }
             i += 1
           }
         case VPTree.Internal(vp, mu, maxD, left, right) =>
@@ -55,6 +77,7 @@ final class VPTree private[core] (
       }
     }
     visit(root)
+    if (walk != null) walk.reused += reused
     count
   }
 

@@ -1,17 +1,22 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.baseline.{Dolphin, SNIF, ScanDOD}
 import repro.core.{VectorMetric => VM}
 import repro.graph.{KGraphBuilder, MRPG, NSW, ProximityGraph}
 import scala.util.Random
 
-/** The four graph detectors on adversarial input: duplicates, distances
-  * landing exactly on `r`, angular near-duplicates, and one- and two-object
-  * spaces. Each graph runs with its own setup (NSW with `f = 3`; KGraph,
-  * MRPG-basic and MRPG with `K = 4`, so MRPG's exact lists hold K' = 16
-  * neighbors and decide every `k <= 16` directly), and every run must
-  * return exactly [[BruteForce.outliers]]. Every graph runs under
-  * `LocalRunner(4)`; MRPG also under `SparkRunner(spark, 4)`.
+/** Every detector on adversarial input: duplicates, distances landing
+  * exactly on `r`, angular near-duplicates, empty strings, and one- and
+  * two-object spaces. Each graph runs with its own setup (NSW with `f = 3`;
+  * KGraph, MRPG-basic and MRPG with `K = 4`, so MRPG's exact lists hold
+  * K' = 16 neighbors and decide every `k <= 16` directly), with a linear
+  * scan and with a VP-tree verifying, under `LocalRunner(4)` and
+  * `SparkRunner(spark, 4)`. The scan baselines (Nested-loop, VP-tree DOD,
+  * SNIF and DOLPHIN) run under `LocalRunner(4)`. Every run must return
+  * exactly [[BruteForce.outliers]], and a graph run must evaluate exactly
+  * the verdicts it read from its walks fewer distances than a replay that
+  * evaluates every pair again.
   */
 class AdversarialGraphDODSpec extends SparkSpec {
 
@@ -24,20 +29,38 @@ class AdversarialGraphDODSpec extends SparkSpec {
     "MRPG" -> MRPG.build(space, 4, local, seed = 1, maxIters = 4)._1,
   )
 
+  private def baselines(tree: VPTree): Seq[(String, (MetricSpace, Double, Int) => Array[Int])] = Seq(
+    "Nested-loop" -> ((sp, r, k) => ScanDOD.run(local, sp, r, k, LinearScanCounter()).outliers),
+    "VP-tree" -> ((sp, r, k) => ScanDOD.run(local, sp, r, k, VPTreeCounter(tree)).outliers),
+    "SNIF" -> ((sp, r, k) => SNIF.run(local, sp, r, k).outliers),
+    "DOLPHIN" -> ((sp, r, k) => Dolphin.run(local, sp, r, k).outliers),
+  )
+
   /** `k` from 1 to past `n`: both sides of K = 4 and of K' = 16, and
     * `n - 1`, `n` and `n + 5`.
     */
   private def ks(n: Int): Seq[Int] = (Seq(1, 2, 4, 5, 8, 16, 17) ++ Seq(n - 1, n, n + 5)).filter(_ >= 1).distinct
 
-  /** Runs every graph detector on `space` at every (r, k) of `rs` × `ks(n)`. */
+  /** Runs every detector on `space` at every (r, k) of `rs` × `ks(n)`. */
   private def assertExact(label: String, space: MetricSpace, rs: Seq[Double]): Unit = {
     val spark4 = new SparkRunner(spark, 4)
-    for ((name, g) <- graphs(space); r <- rs; k <- ks(space.n)) {
+    val tree = VPTree.build(space, 4, seed = 1)
+    val counters = Seq(LinearScanCounter(), VPTreeCounter(tree))
+    val gs = graphs(space)
+    for (r <- rs; k <- ks(space.n)) {
       val truth = BruteForce.outliers(space, r, k).toSeq
-      for (runner <- if (name == "MRPG") Seq(local, spark4) else Seq(local)) {
-        val res = GraphDOD.run(runner, space, g, r, k)
-        assert(res.outliers.toSeq == truth, s"$label $name r=$r k=$k ${runner.getClass.getSimpleName}")
+      for ((name, g) <- gs; counter <- counters) {
+        val plain = Replay(space, g, r, k, counter, reuse = false)
+        assert(plain.outliers == truth, s"$label $name r=$r k=$k $counter replay")
+        for (runner <- Seq(local, spark4)) {
+          val at = s"$label $name r=$r k=$k $counter ${runner.getClass.getSimpleName}"
+          val res = GraphDOD.run(runner, space, g, r, k, counter)
+          assert(res.outliers.toSeq == truth, at)
+          assert(res.evaluations + res.reusedVerdicts == plain.evaluations, at)
+        }
       }
+      for ((name, run) <- baselines(tree))
+        assert(run(space, r, k).toSeq == truth, s"$label $name r=$r k=$k")
     }
   }
 
@@ -70,7 +93,7 @@ class AdversarialGraphDODSpec extends SparkSpec {
       "kitten", "kitten", "kitten", "sitten", "sittin", "sitting", "mitten", "bitten",
       "flaw", "flaw", "lawn", "flown", "flow", "claw", "slaw",
       "abcdef", "abcdeg", "abcdxy", "abwxyz", "uvwxyz",
-      "outlier", "zzzzzzzzzz", "q", "qq", "q",
+      "outlier", "zzzzzzzzzz", "q", "qq", "q", "", "", "",
     )
     assertExact("words", new StringSpace(words), Seq(0.0, 1.0, 2.0, 3.0))
   }
@@ -84,6 +107,8 @@ class AdversarialGraphDODSpec extends SparkSpec {
         "one word" -> new StringSpace(Array("kitten")),
         "two equal words" -> new StringSpace(Array("kitten", "kitten")),
         "two words" -> new StringSpace(Array("kitten", "sitting")),
+        "two empty words" -> new StringSpace(Array("", "")),
+        "an empty and a one-letter word" -> new StringSpace(Array("", "q")),
       )
     ) assertExact(label, space, Seq(0.0))
   }

@@ -268,18 +268,15 @@ class GraphDODSpec extends SparkSpec {
         fanOut <- Seq(new LocalRunner(4), new SparkRunner(spark, 4))
       ) {
         val label = s"$name $counter exactK=${g.exactK} ${fanOut.getClass.getSimpleName}"
-        val expected = new CountingSpace(base)
-        var candidates = 0
-        for (p <- 0 until base.n) {
-          val verdict = GraphDOD.filterVerdict(expected, g, p, r, k)
-          if (verdict == GraphDOD.Candidate) { counter.count(expected, p, r, k); candidates += 1 }
-        }
+        // each candidate is counted right after its walk, reading its verdicts
+        val expected = Replay(base, g, r, k, counter, reuse = true)
         val cs = new CountingSpace(base)
         val res = GraphDOD.run(fanOut, cs, g, r, k, counter = counter)
-        if (g.exactK == 0) assert(candidates > 0, label) // the exact lists may decide every outlier
+        if (g.exactK == 0) assert(expected.counts.nonEmpty, label) // the exact lists may decide every outlier
         assert(cs.evaluations == expected.evaluations, label)
         assert(res.evaluations == cs.evaluations, label)
-        assert(res.candidates == candidates, label)
+        assert(res.reusedVerdicts == expected.reused, label)
+        assert(res.candidates == expected.counts.size, label)
         assert(res.outliers.toSeq == truth.toSeq, label)
       }
     }
@@ -296,11 +293,11 @@ class GraphDODSpec extends SparkSpec {
   }
 
   // CountingSpace evaluations of each query of TestSpaces.pinnedGrid, in
-  // grid order, captured at ab95f41: every distance test counts once,
-  // whichever kernel answers it
+  // grid order: every distance test counts once, whichever kernel answers
+  // it, and verification reads the verdicts of the candidate's walk
   private val pinnedDetectionDists: Map[String, Seq[Long]] = Map(
-    "deep" -> Seq(365093L, 750603L, 309473L, 657856L, 299900L, 615721L),
-    "words" -> Seq(12782L, 28369L, 10753L, 25116L, 10442L, 25790L),
+    "deep" -> Seq(201775L, 402361L, 172266L, 355852L, 167051L, 334559L),
+    "words" -> Seq(9467L, 18463L, 8367L, 16587L, 8118L, 16621L),
   )
 
   test("MRPG detection distance counts on deep and words (scale 0.05) are pinned") {
