@@ -44,21 +44,27 @@ class Table3And4Bench extends BenchSuite {
   test("NNDescent+ saves distance evaluations over NNDescent at bench scale (Glove)") {
     // deterministic version of the §5.1 claim behind Table 4 — wall clock is
     // noisy under host contention, distance counts are not
-    import repro.graph.{NNDescent, NNDescentConfig}
+    import repro.graph.{MRPG, NNDescent, NNDescentConfig}
     val st = BenchContext.state(spark, Datasets.glove, scale)
     val k = st.spec.graphK
-    def dists(vpInit: Boolean, skip: Boolean): Long = {
+    def dists(cfg: NNDescentConfig): Long = {
       val c0 = st.countingSpace.evaluations
-      NNDescent.build(st.space,
-        NNDescentConfig(k, vpInit = vpInit, skipUnchanged = skip, seed = st.spec.seed),
-        st.runner)
+      NNDescent.build(st.space, cfg, st.runner)
       st.countingSpace.evaluations - c0
     }
-    val plain = dists(vpInit = false, skip = false)
-    val plus = dists(vpInit = true, skip = true)
-    println(f"NNDescent ${plain / 1e6}%.1fM dists vs NNDescent+ ${plus / 1e6}%.1fM dists")
+    val plainCfg = NNDescentConfig(k, vpInit = false, skipUnchanged = false, seed = st.spec.seed)
+    val plusCfg = plainCfg.copy(vpInit = true, skipUnchanged = true)
+    val plain = dists(plainCfg)
+    val plus = dists(plusCfg)
+    // with MRPG's exact K'-NN stage, searched on NNDescent+'s VP-tree
+    val plusWithExact = dists(plusCfg.copy(exactListSize = MRPG.KPrimeFactor * k,
+      exactCount = MRPG.defaultExactCount(st.space.n)))
+    println(f"NNDescent ${plain / 1e6}%.3fM dists vs NNDescent+ ${plus / 1e6}%.3fM dists, " +
+      f"${plusWithExact / 1e6}%.3fM with the exact K'-NN stage")
     assert(plus < plain,
       s"NNDescent+ used $plus distance evals vs NNDescent $plain")
+    assert(plusWithExact < plain,
+      s"NNDescent+ with the exact K'-NN stage used $plusWithExact distance evals vs NNDescent $plain")
   }
 
   test("MRPG pipelines record non-trivial structural work on every dataset") {

@@ -37,7 +37,8 @@ object BruteForce {
     * distances into one [[NNLists]] row of capacity `min(k, n - 1)`: ids
     * arrive ascending, an equal distance goes after the entries it ties,
     * and a full row rejects a distance equal to its worst, so the row holds
-    * the first `k` ids in `(dist, id)` order.
+    * the first `k` ids in `(dist, id)` order. The reference that
+    * [[VPTree.knn]], NNDescent+'s exact K'-NN stage, must equal id for id.
     */
   def knn(space: MetricSpace, p: Int, k: Int): Array[Int] = {
     val n = space.n

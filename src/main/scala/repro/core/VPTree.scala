@@ -13,7 +13,8 @@ import scala.util.Random
   *    [[VPTree.rangeCount]] (range counting with early termination at `k`;
   *    verification reads Greedy-Counting's verdicts at the leaves);
   *  - NNDescent+ initialization uses [[VPTree.leftLeafGroups]] (left leaf
-  *    nodes seed exact local K-NNs);
+  *    nodes seed exact local K-NNs), and its exact K'-NN stage searches the
+  *    second round's tree with [[VPTree.knn]];
   *  - MRPG takes its *pivots* from vantage points whose left child is a leaf
   *    (Algorithm 3, line 14) — ball-partitioning spreads them across
   *    subspaces, which Connect-SubGraphs and Remove-Detours rely on.
@@ -44,8 +45,6 @@ final class VPTree private[core] (
 
   /** The range count; `walk` is null when no walk's verdicts are read. */
   private def search(space: MetricSpace, q: Int, r: Double, cap: Int, walk: GreedyCounting.Walk): Int = {
-    val slack = space.roundingSlack
-    val absolute = space.absoluteSlack
     var count = 0
     var reused = 0L
     def visit(node: VPTree.Node): Unit = {
@@ -65,9 +64,7 @@ final class VPTree private[core] (
           }
         case VPTree.Internal(vp, mu, maxD, left, right) =>
           val d = space.dist(q, vp)
-          // the triangle-inequality bounds take r widened by the space's
-          // rounding slacks, so rounding never prunes a computed neighbour
-          val rr = r * (1 + slack) + slack * (d + maxD) + absolute
+          val rr = widened(space, r, d, maxD)
           // lower bound of any object under this node is d - maxD
           if (d - maxD > rr) return
           if (vp != q && d <= r) count += 1
@@ -79,6 +76,75 @@ final class VPTree private[core] (
     visit(root)
     if (walk != null) walk.reused += reused
     count
+  }
+
+  /** The `k` nearest objects to `q` (excluding `q`), ascending by distance
+    * and then by id: exactly [[BruteForce.knn]]'s list, ties included.
+    *
+    * A depth-first search that visits the nearer child first and keeps the
+    * best `k` seen in `(distance, id)` order. A subtree is pruned only when
+    * its lower bound is strictly above the current k-th distance widened as
+    * in [[rangeCount]], so no object whose computed distance ties the k-th,
+    * with a smaller id, is lost. Evaluates at most `n - 1` distances, as
+    * [[BruteForce.knn]] does.
+    */
+  def knn(space: MetricSpace, q: Int, k: Int): Array[Int] = {
+    val cap = math.max(0, math.min(k, space.n - 1))
+    val bestD = new Array[Double](cap)
+    val bestId = new Array[Int](cap)
+    var size = 0
+    // sorted insert, when (d, id) comes before the k-th entry
+    def offer(id: Int, d: Double): Unit = {
+      def after(i: Int): Boolean = bestD(i) > d || (bestD(i) == d && bestId(i) > id)
+      if (size < cap || after(cap - 1)) {
+        var pos = if (size < cap) size else cap - 1
+        if (size < cap) size += 1
+        while (pos > 0 && after(pos - 1)) { bestD(pos) = bestD(pos - 1); bestId(pos) = bestId(pos - 1); pos -= 1 }
+        bestD(pos) = d; bestId(pos) = id
+      }
+    }
+    def kth: Double = if (size < cap) Double.PositiveInfinity else bestD(cap - 1)
+    def visit(node: VPTree.Node): Unit = node match {
+      case VPTree.Leaf(ids) =>
+        var i = 0
+        while (i < ids.length) {
+          val id = ids(i)
+          if (id != q) offer(id, space.dist(q, id))
+          i += 1
+        }
+      case VPTree.Internal(vp, mu, maxD, left, right) =>
+        // at q's own node every object's distance to q is its distance to
+        // vp, bit for bit, so d = 0 prunes exactly the right child's
+        // objects beyond the k-th distance
+        val d = if (vp == q) 0.0 else space.dist(q, vp)
+        if (vp != q) offer(vp, d)
+        // the bounds are rangeCount's at r = the k-th distance, each written
+        // as "prune when beyond", so a NaN bound prunes nothing; the nearer
+        // child's lower bound is at most 0
+        if (!(d - maxD > widened(space, kth, d, maxD))) {
+          if (d <= mu) {
+            visit(left)
+            if (!(d <= mu - widened(space, kth, d, maxD))) visit(right)
+          } else {
+            visit(right)
+            if (!(d > mu + widened(space, kth, d, maxD))) visit(left)
+          }
+        }
+    }
+    if (cap > 0) visit(root)
+    java.util.Arrays.copyOf(bestId, size)
+  }
+
+  /** `r` widened for the triangle-inequality bounds at a vantage point at
+    * computed distance `d` from the query, whose subtree lies within `maxD`
+    * of it: by the space's relative rounding slack on all three distances
+    * and its absolute slack, so rounding in `dist` never lets a bound prune
+    * an object whose computed distance is within `r`. The one place
+    * [[rangeCount]] and [[knn]] take their pruning radius from.
+    */
+  private def widened(space: MetricSpace, r: Double, d: Double, maxD: Double): Double = {
+    val slack = space.roundingSlack
+    r * (1 + slack) + slack * (d + maxD) + space.absoluteSlack
   }
 
   /** Approximate index footprint in bytes (Table 6 accounting). */

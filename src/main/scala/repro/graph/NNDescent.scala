@@ -1,6 +1,6 @@
 package repro.graph
 
-import repro.core.{BruteForce, MetricSpace, ParRunner, Shuffle, VPTree}
+import repro.core.{MetricSpace, ParRunner, Shuffle, VPTree}
 import scala.util.Random
 
 /** Configuration for [[NNDescent.build]].
@@ -11,7 +11,8 @@ import scala.util.Random
   * `skipUnchanged = true` (skip similar-object lists that did not change in
   * the previous iteration), `exactListSize = K'` and `exactCount = m` (exact
   * K'-NN retrieval for the `m` objects whose AKNN distances sum highest —
-  * the probable outliers).
+  * the probable outliers). The exact lists are searched on the
+  * initialization's VP-tree, so `exactListSize > 0` needs `vpInit`.
   */
 final case class NNDescentConfig(
     K: Int,
@@ -21,7 +22,9 @@ final case class NNDescentConfig(
     exactCount: Int = 0,
     maxIters: Int = 10,
     seed: Long = 42L,
-)
+) {
+  require(exactListSize <= 0 || vpInit, "the exact K'-NN stage searches the VP-tree of vpInit")
+}
 
 /** Result of the (approximate) K-NN graph construction.
   *
@@ -45,9 +48,9 @@ final case class AKnnResult(
   * NNDescent's "new" flag; in a local-join chunk's lists, [[seed]]ed from
   * the master lists, it marks the entries the chunk added. It is the
   * program's one bounded K-NN list: the master lists, the local join's
-  * per-chunk candidate lists and the exact K'-NN lists
-  * ([[repro.core.BruteForce.knn]], which ignores the flags) share its insert
-  * rule.
+  * per-chunk candidate lists and the ground truth's exact K-NN row, the
+  * reference the exact K'-NN lists are tested against (it ignores the
+  * flags), share its insert rule.
   */
 final class NNLists(val rows: Int, val cap: Int) extends Serializable {
   val ids = new Array[Int](rows * cap)
@@ -109,7 +112,8 @@ final class NNLists(val rows: Int, val cap: Int) extends Serializable {
   * [[NNLists]]. Each iteration it reads the join lists from them in place
   * (reverse lists first, then each vertex's own row at its turn), samples
   * them, and fans the local join out; each chunk joins on its own copy of
-  * the master lists, and the exact K'-NN lists are [[NNLists]] rows too.
+  * the master lists. The exact K'-NN stage searches the initialization's
+  * second VP-tree ([[VPTree.knn]]).
   */
 object NNDescent {
 
@@ -146,7 +150,7 @@ object NNDescent {
     * because each chunk reuses the distances it knows. The local-join and
     * exact K'-NN fan-outs read the space under its key
     * ([[ParRunner.shareSpace]]), so it is shared once, and ship only their
-    * join and master lists, and targets.
+    * join and master lists, and targets and VP-tree.
     */
   def build(space: MetricSpace, cfg: NNDescentConfig, runner: ParRunner): AKnnResult = {
     val n = space.n
@@ -156,7 +160,7 @@ object NNDescent {
     val isPivot = new Array[Boolean](n)
 
     // ---- initialization -------------------------------------------------
-    if (cfg.vpInit) initByVpTree(space, lists, isPivot, k, rng)
+    val tree = if (cfg.vpInit) initByVpTree(space, lists, isPivot, k, rng) else null
     fillRandom(space, lists, k, rng) // cover objects the partitioning missed
 
     // ---- iterative AKNN updates ------------------------------------------
@@ -183,7 +187,7 @@ object NNDescent {
         }
         val targets = (0 until n).sortBy(v => -spread(v)).take(m).toArray
         val kk = math.min(cfg.exactListSize, n - 1)
-        val knn = runner.mapIds(targets, space, kk)((sp, kp) => BruteForce.knn(sp, _, kp))
+        val knn = runner.mapIds(targets, space, (tree, kk)) { case (sp, (t, kp)) => t.knn(sp, _, kp) }
         val out = new Array[Array[Int]](n)
         targets.indices.foreach(i => out(targets(i)) = knn(i))
         out
@@ -194,6 +198,7 @@ object NNDescent {
 
   /** Algorithm 3: repeated VP-tree ball partitioning; left leaf groups seed
     * exact local K-NNs, vantage points of small partitions become pivots.
+    * Returns the last round's tree, which the exact K'-NN stage searches.
     *
     * Each unordered pair of a group is evaluated once and inserted into both
     * rows (`dist` is symmetric bit for bit). Row `group(a)` still receives
@@ -207,11 +212,12 @@ object NNDescent {
       isPivot: Array[Boolean],
       k: Int,
       rng: Random,
-  ): Unit = {
+  ): VPTree = {
     val capacity = math.max(2 * k, 8)
     val rounds = 2 // "a constant number of times"
+    var tree: VPTree = null
     for (_ <- 0 until rounds) {
-      val tree = VPTree.build(space, capacity, rng.nextLong())
+      tree = VPTree.build(space, capacity, rng.nextLong())
       tree.pivots.foreach(isPivot(_) = true)
       tree.leftLeafGroups.foreach { group =>
         var i = 0
@@ -229,6 +235,7 @@ object NNDescent {
         }
       }
     }
+    tree
   }
 
   /** Random AKNNs for any object whose list is still under-filled. */

@@ -94,6 +94,67 @@ object TestSpaces {
     new VectorSpace(Array.fill(n, dim)(rng.nextDouble() * 100.0), metric)
   }
 
+  // ---- adversarial input: duplicates, exact ties, near-duplicates, tiny spaces
+
+  /** 30 copies of one point under L2: every distance is 0. */
+  def identical: VectorSpace = new VectorSpace(Array.fill(30)(Array(1.5, -2.0, 3.25)), VectorMetric.L2)
+
+  /** 6 random points under L2, 5 copies of each. */
+  def copies: VectorSpace = {
+    val rng = new Random(201)
+    val centers = Array.fill(6)(Array.fill(3)(rng.nextDouble() * 100.0))
+    new VectorSpace(Array.tabulate(30)(i => centers(i % 6).clone()), VectorMetric.L2)
+  }
+
+  /** A `side` x `side` integer grid under L1: many neighbors at exactly
+    * equal distances.
+    */
+  def grid(side: Int = 6): VectorSpace =
+    new VectorSpace(Array.tabulate(side * side)(i => Array((i / side).toDouble, (i % side).toDouble)), VectorMetric.L1)
+
+  /** 36 unit vectors within about 1e-9 of 4 directions, and 4 lone
+    * directions, under the angular distance.
+    */
+  def angularNearDuplicates: VectorSpace = {
+    val rng = new Random(202)
+    def unit(v: Array[Double]): Array[Double] = { val nrm = math.sqrt(v.map(x => x * x).sum); v.map(_ / nrm) }
+    val bases = Array.fill(4)(unit(Array.fill(8)(rng.nextGaussian())))
+    val pts = Array.tabulate(40) { i =>
+      if (i >= 36) unit(Array.fill(8)(rng.nextGaussian())) // a few lone directions
+      else unit(bases(i % 4).map(_ + rng.nextGaussian() * 1e-9))
+    }
+    new VectorSpace(pts, VectorMetric.Angular)
+  }
+
+  /** Words with duplicates, empty strings and pairs at edit distance 1 to 3. */
+  def adversarialWords: StringSpace = new StringSpace(Array(
+    "kitten", "kitten", "kitten", "sitten", "sittin", "sitting", "mitten", "bitten",
+    "flaw", "flaw", "lawn", "flown", "flow", "claw", "slaw",
+    "abcdef", "abcdeg", "abcdxy", "abwxyz", "uvwxyz",
+    "outlier", "zzzzzzzzzz", "q", "qq", "q", "", "", "",
+  ))
+
+  /** One- and two-object spaces, equal and distinct, vectors and words. */
+  def tiny: Seq[(String, MetricSpace)] = Seq(
+    "one vector" -> new VectorSpace(Array(Array(1.0, 2.0)), VectorMetric.L2),
+    "two equal vectors" -> new VectorSpace(Array(Array(1.0, 2.0), Array(1.0, 2.0)), VectorMetric.L2),
+    "two vectors" -> new VectorSpace(Array(Array(1.0, 2.0), Array(4.0, 6.0)), VectorMetric.L2),
+    "one word" -> new StringSpace(Array("kitten")),
+    "two equal words" -> new StringSpace(Array("kitten", "kitten")),
+    "two words" -> new StringSpace(Array("kitten", "sitting")),
+    "two empty words" -> new StringSpace(Array("", "")),
+    "an empty and a one-letter word" -> new StringSpace(Array("", "q")),
+  )
+
+  /** Every adversarial space above, named. */
+  def adversarial: Seq[(String, MetricSpace)] = Seq(
+    "identical" -> identical,
+    "6 points x 5 copies" -> copies,
+    "grid" -> grid(),
+    "angular" -> angularNearDuplicates,
+    "words" -> adversarialWords,
+  ) ++ tiny
+
   /** One named end-to-end scenario: dataset + DOD parameters chosen so both
     * outliers and inliers exist.
     */

@@ -1,10 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestSpaces}
 import repro.baseline.{Dolphin, SNIF, ScanDOD}
-import repro.core.{VectorMetric => VM}
 import repro.graph.{KGraphBuilder, MRPG, NSW, ProximityGraph}
-import scala.util.Random
 
 /** Every detector on adversarial input: duplicates, distances landing
   * exactly on `r`, angular near-duplicates, empty strings, and one- and
@@ -65,51 +63,23 @@ class AdversarialGraphDODSpec extends SparkSpec {
   }
 
   test("all-identical points and groups of copies") {
-    assertExact("identical", new VectorSpace(Array.fill(30)(Array(1.5, -2.0, 3.25)), VM.L2), Seq(0.0, 1.0))
-    val rng = new Random(201)
-    val centers = Array.fill(6)(Array.fill(3)(rng.nextDouble() * 100.0))
-    val copies = new VectorSpace(Array.tabulate(30)(i => centers(i % 6).clone()), VM.L2)
-    assertExact("6 points x 5 copies", copies, Seq(0.0, 0.5, 1000.0))
+    assertExact("identical", TestSpaces.identical, Seq(0.0, 1.0))
+    assertExact("6 points x 5 copies", TestSpaces.copies, Seq(0.0, 0.5, 1000.0))
   }
 
   test("a 6x6 integer grid under L1: neighbor distances land exactly on r") {
-    val grid = new VectorSpace(Array.tabulate(36)(i => Array((i / 6).toDouble, (i % 6).toDouble)), VM.L1)
-    assertExact("grid", grid, Seq(1.0, 2.0))
+    assertExact("grid", TestSpaces.grid(), Seq(1.0, 2.0))
   }
 
   test("angular near-duplicates") {
-    val rng = new Random(202)
-    def unit(v: Array[Double]): Array[Double] = { val nrm = math.sqrt(v.map(x => x * x).sum); v.map(_ / nrm) }
-    val bases = Array.fill(4)(unit(Array.fill(8)(rng.nextGaussian())))
-    val pts = Array.tabulate(40) { i =>
-      if (i >= 36) unit(Array.fill(8)(rng.nextGaussian())) // a few lone directions
-      else unit(bases(i % 4).map(_ + rng.nextGaussian() * 1e-9))
-    }
-    assertExact("angular", new VectorSpace(pts, VM.Angular), Seq(0.0, 1e-9, 1e-7, 0.2))
+    assertExact("angular", TestSpaces.angularNearDuplicates, Seq(0.0, 1e-9, 1e-7, 0.2))
   }
 
   test("words with duplicates and pairs at edit distance exactly r") {
-    val words = Array(
-      "kitten", "kitten", "kitten", "sitten", "sittin", "sitting", "mitten", "bitten",
-      "flaw", "flaw", "lawn", "flown", "flow", "claw", "slaw",
-      "abcdef", "abcdeg", "abcdxy", "abwxyz", "uvwxyz",
-      "outlier", "zzzzzzzzzz", "q", "qq", "q", "", "", "",
-    )
-    assertExact("words", new StringSpace(words), Seq(0.0, 1.0, 2.0, 3.0))
+    assertExact("words", TestSpaces.adversarialWords, Seq(0.0, 1.0, 2.0, 3.0))
   }
 
   test("one- and two-object spaces at r = 0") {
-    for (
-      (label, space) <- Seq(
-        "one vector" -> new VectorSpace(Array(Array(1.0, 2.0)), VM.L2),
-        "two equal vectors" -> new VectorSpace(Array(Array(1.0, 2.0), Array(1.0, 2.0)), VM.L2),
-        "two vectors" -> new VectorSpace(Array(Array(1.0, 2.0), Array(4.0, 6.0)), VM.L2),
-        "one word" -> new StringSpace(Array("kitten")),
-        "two equal words" -> new StringSpace(Array("kitten", "kitten")),
-        "two words" -> new StringSpace(Array("kitten", "sitting")),
-        "two empty words" -> new StringSpace(Array("", "")),
-        "an empty and a one-letter word" -> new StringSpace(Array("", "q")),
-      )
-    ) assertExact(label, space, Seq(0.0))
+    for ((label, space) <- TestSpaces.tiny) assertExact(label, space, Seq(0.0))
   }
 }

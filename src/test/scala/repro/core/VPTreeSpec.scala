@@ -2,9 +2,11 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestSpaces
+import repro.data.Datasets
+import repro.graph.MRPG
 import scala.util.Random
 
-/** VP-tree build invariants and range-count correctness vs brute force. */
+/** VP-tree build invariants, and range counts and k-NN lists vs brute force. */
 class VPTreeSpec extends AnyFunSuite {
 
   private def spaces = Seq(
@@ -153,6 +155,94 @@ class VPTreeSpec extends AnyFunSuite {
     val space = new VectorSpace(Array.fill(50, 3)(1.0), VectorMetric.L2)
     val tree = VPTree.build(space, capacity = 8, seed = 12)
     assert(tree.rangeCount(space, 0, 0.1, Int.MaxValue) == 49)
+  }
+
+  // ---- k-NN search -------------------------------------------------------
+
+  /** Asserts that `tree.knn` returns [[BruteForce.knn]]'s list, ids in
+    * order, for every object of `space` and every `k` of `ks`.
+    */
+  private def assertKnnExact(label: String, space: MetricSpace, tree: VPTree, ks: Seq[Int]): Unit =
+    for (q <- 0 until space.n; k <- ks) {
+      val got = tree.knn(space, q, k)
+      val want = BruteForce.knn(space, q, k)
+      assert(got.sameElements(want), s"$label q=$q k=$k: got ${got.mkString(",")}, want ${want.mkString(",")}")
+    }
+
+  /** `k` from 0 to past `n`, `n - 1` and `n` included. */
+  private def allKs(n: Int): Seq[Int] = 0 to n + 2
+
+  for (spec <- Datasets.all)
+    test(s"${spec.name}: knn equals BruteForce.knn for every object at K and K' on NNDescent+'s tree") {
+      val space = spec.space(0.05)
+      val k = spec.graphK
+      val tree = VPTree.build(space, math.max(2 * k, 8), seed = spec.seed)
+      assertKnnExact(spec.name, space, tree, Seq(k, MRPG.KPrimeFactor * k, space.n - 1))
+    }
+
+  test("knn on all-identical points (one degenerate leaf) and on groups of copies") {
+    val identical = TestSpaces.identical
+    assert(VPTree.build(identical, 4, seed = 13).root.isInstanceOf[VPTree.Leaf])
+    for ((label, space) <- Seq("identical" -> identical, "copies" -> TestSpaces.copies); cap <- Seq(1, 4, 8))
+      assertKnnExact(s"$label cap=$cap", space, VPTree.build(space, cap, seed = 13), allKs(space.n))
+  }
+
+  test("knn on integer L1 grids: many ties at the k-th distance") {
+    for (side <- Seq(6, 11); cap <- Seq(1, 4, 40)) {
+      val space = TestSpaces.grid(side)
+      assertKnnExact(s"grid $side cap=$cap", space, VPTree.build(space, cap, seed = 14), Seq(1, 3, 4, 8, 12, 16, 24, 40))
+    }
+  }
+
+  test("knn on angular near-duplicates and zero vectors") {
+    val near = TestSpaces.angularNearDuplicates
+    val withZeros = new VectorSpace(near.points ++ Array.fill(3)(new Array[Double](8)), VectorMetric.Angular)
+    for ((label, space) <- Seq("near-duplicates" -> near, "with zero vectors" -> withZeros); cap <- Seq(1, 4, 8))
+      assertKnnExact(s"$label cap=$cap", space, VPTree.build(space, cap, seed = 15), allKs(space.n))
+  }
+
+  test("knn on words with duplicates and empty strings") {
+    val space = TestSpaces.adversarialWords
+    for (cap <- Seq(1, 4, 8))
+      assertKnnExact(s"cap=$cap", space, VPTree.build(space, cap, seed = 16), allKs(space.n))
+  }
+
+  test("knn with k >= n - 1, and on one- and two-object spaces") {
+    for ((label, space) <- TestSpaces.tiny)
+      assertKnnExact(label, space, VPTree.build(space, 1, seed = 17), allKs(space.n))
+    val space = TestSpaces.clustered(60, 3, VectorMetric.L2, seed = 18)
+    assertKnnExact("clustered", space, VPTree.build(space, 4, seed = 18), Seq(58, 59, 60, 100))
+  }
+
+  test("knn equals BruteForce.knn on random small spaces full of duplicates and ties") {
+    val rng = new Random(19)
+    for (trial <- 0 until 60) {
+      val n = 1 + rng.nextInt(50)
+      val metric = if (trial % 2 == 0) VectorMetric.L1 else VectorMetric.L2
+      val space = new VectorSpace(Array.fill(n, 2)(rng.nextInt(3).toDouble), metric)
+      val tree = VPTree.build(space, 1 + rng.nextInt(8), seed = trial)
+      assertKnnExact(s"trial $trial", space, tree, Seq(rng.nextInt(n + 2), rng.nextInt(n + 2)))
+    }
+  }
+
+  test("knn keeps a tie at the k-th distance with a smaller id that the search reaches last") {
+    // words of 'a's: dist = length difference, computed exactly (no slack).
+    // From q = 0 (length 10): c = 3 at 1, and a = 1 and b = 2 tie at 4.
+    val space = new StringSpace(Array(10, 14, 6, 9, 20).map("a" * _))
+    val (q, a, b, c, vp) = (0, 1, 2, 3, 4)
+    // vp is 10 from q, beyond mu = 6, so the search visits the right leaf
+    // first and reaches b before a; after it the 2nd distance is 4, and
+    // the left leaf's lower bound d - mu is exactly 4
+    val (mu, maxD) = (6.0, 14.0)
+    assert(space.dist(vp, a) <= mu && Seq(b, c, q).forall(v => space.dist(vp, v) > mu))
+    assert(Seq(a, b, c, q).map(space.dist(vp, _)).max == maxD)
+    val tree = new VPTree(
+      VPTree.Internal(vp, mu, maxD, VPTree.Leaf(Array(a)), VPTree.Leaf(Array(b, c, q))),
+      Array.empty, Array.empty, 3)
+    assert(space.dist(q, a) == 4.0 && space.dist(q, b) == 4.0 && space.dist(q, c) == 1.0)
+    assert(tree.knn(space, q, 2).toSeq == Seq(c, a), "the tie with the smaller id is dropped")
+    assert(tree.knn(space, q, 3).toSeq == Seq(c, a, b), "the tie is reordered")
+    for (k <- 0 to 5) assert(tree.knn(space, q, k).sameElements(BruteForce.knn(space, q, k)), s"k=$k")
   }
 
   test("sizeBytes is positive and grows with n") {

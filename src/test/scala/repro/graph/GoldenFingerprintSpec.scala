@@ -29,42 +29,44 @@ class GoldenFingerprintSpec extends SparkSpec {
   // distance once, and those of MRPG, MRPG-basic and KGraph when the local
   // join began to read the distances its chunk knows (hashes and link counts
   // unchanged both times); the MRPG-basic hashes re-captured when its graph
-  // took exactK = 0 (adjacency, pivots and exact lists unchanged)
+  // took exactK = 0 (adjacency, pivots and exact lists unchanged); the MRPG
+  // and MRPG-basic evaluation counts re-captured when the exact K'-NN stage
+  // began to search NNDescent+'s VP-tree (hashes and link counts unchanged)
   private val golden: Map[String, String] = Map(
     "deep space" -> "n=800 4fd701ff4fbfa9ad",
     "deep NSW" -> "c0a1b408aeb7d9f6 evals=200899",
-    "deep MRPG" -> "7472adb720836a1a evals=417301 links=9380/21733/9136",
-    "deep MRPG-basic" -> "e596ced0fed6f5c1 evals=401772 links=5891/9355/6296",
+    "deep MRPG" -> "7472adb720836a1a evals=416309 links=9380/21733/9136",
+    "deep MRPG-basic" -> "e596ced0fed6f5c1 evals=397059 links=5891/9355/6296",
     "deep KGraph" -> "43d7872e16864ff5 evals=425686",
     "glove space" -> "n=600 a7892c4e5a2b6e4c",
     "glove NSW" -> "209e3418c23bfe3d evals=113983",
-    "glove MRPG" -> "c78dc47cb37f8d4c evals=300609 links=7472/15634/7700",
-    "glove MRPG-basic" -> "8292ea2de8872afe evals=291181 links=3999/4547/3942",
+    "glove MRPG" -> "c78dc47cb37f8d4c evals=299562 links=7472/15634/7700",
+    "glove MRPG-basic" -> "8292ea2de8872afe evals=288444 links=3999/4547/3942",
     "glove KGraph" -> "2bc2f95fedd24a90 evals=298613",
     "hepmass space" -> "n=700 0808555294f20b12",
     "hepmass NSW" -> "006127f065454aaf evals=155810",
-    "hepmass MRPG" -> "f2d974c4ee92c63e evals=347408 links=8024/17107/7693",
-    "hepmass MRPG-basic" -> "ab5479ca3b00bf54 evals=332202 links=4545/5081/4548",
+    "hepmass MRPG" -> "f2d974c4ee92c63e evals=344678 links=8024/17107/7693",
+    "hepmass MRPG-basic" -> "ab5479ca3b00bf54 evals=325766 links=4545/5081/4548",
     "hepmass KGraph" -> "2c996a93bbdc04bf evals=358539",
     "mnist space" -> "n=300 8cf6d4ab84e3c894",
     "mnist NSW" -> "118c7c8c20a634b6 evals=37519",
     "mnist MRPG" -> "231b2c08ef770148 evals=111966 links=4803/3890/2631",
-    "mnist MRPG-basic" -> "f45f4896a5800675 evals=110059 links=1579/903/1756",
+    "mnist MRPG-basic" -> "f45f4896a5800675 evals=109928 links=1579/903/1756",
     "mnist KGraph" -> "61937a682dfc8758 evals=120749",
     "pamap2 space" -> "n=600 5e57737318e42fdc",
     "pamap2 NSW" -> "073c358560fdb836 evals=151386",
-    "pamap2 MRPG" -> "d69e428a4972402b evals=489392 links=11170/9749/7923",
-    "pamap2 MRPG-basic" -> "64ffadb9f6e52831 evals=486170 links=6082/6777/6457",
+    "pamap2 MRPG" -> "d69e428a4972402b evals=488956 links=11170/9749/7923",
+    "pamap2 MRPG-basic" -> "64ffadb9f6e52831 evals=485274 links=6082/6777/6457",
     "pamap2 KGraph" -> "c70e634a2aba795b evals=568715",
     "sift space" -> "n=500 629ad9e4f0a4cc2d",
     "sift NSW" -> "2612ee668fc0336a evals=90052",
-    "sift MRPG" -> "681054fbbb8f0343 evals=234353 links=6472/12289/5623",
-    "sift MRPG-basic" -> "a3edcf04916c4f18 evals=231183 links=3138/7214/3918",
+    "sift MRPG" -> "681054fbbb8f0343 evals=234270 links=6472/12289/5623",
+    "sift MRPG-basic" -> "a3edcf04916c4f18 evals=231018 links=3138/7214/3918",
     "sift KGraph" -> "abc90914f2db5ac7 evals=235097",
     "words space" -> "n=200 a8d087b095c8f8a6",
     "words NSW" -> "96d859fc45faaae7 evals=18001",
-    "words MRPG" -> "bdbf7e6da66400c6 evals=79588 links=4919/668/1482",
-    "words MRPG-basic" -> "3a4801cd68f33197 evals=79588 links=1823/608/1210",
+    "words MRPG" -> "bdbf7e6da66400c6 evals=79255 links=4919/668/1482",
+    "words MRPG-basic" -> "3a4801cd68f33197 evals=79209 links=1823/608/1210",
     "words KGraph" -> "868eef5c5c0ef261 evals=95847",
   )
 

@@ -6,11 +6,13 @@ import scala.util.Random
 
 /** Test-only reference: `NNDescent.build` as it was on boxed per-vertex
   * lists (`NNList`, `ArrayBuffer` join lists, `Random.shuffle`, a
-  * `HashMap` per local-join chunk) and a sorting `BruteForce.knn`, with the
-  * flat version's local-join rules (lists seeded from the master lists,
-  * known distances read, only surviving additions returned) written on
-  * hash maps and sets. The flat implementation must build bit-identical
-  * results with the same number of distance evaluations.
+  * `HashMap` per local-join chunk), with the flat version's local-join
+  * rules (lists seeded from the master lists, known distances read, only
+  * surviving additions returned) written on hash maps and sets. Its exact
+  * K'-NN stage searches its own second-round VP-tree with [[VPTree.knn]],
+  * which `VPTreeSpec` checks against `BruteForce.knn`. The flat
+  * implementation must build bit-identical results with the same number of
+  * distance evaluations.
   */
 object NNDescentReference {
 
@@ -55,22 +57,6 @@ object NNDescentReference {
     }
   }
 
-  /** `BruteForce.knn` as it was before the heap: sorts all `(dist, id)`
-    * tuples.
-    */
-  def knn(space: MetricSpace, p: Int, k: Int): Array[Int] = {
-    val n = space.n
-    val ids = new Array[Int](n - 1)
-    val ds = new Array[Double](n - 1)
-    var i = 0; var j = 0
-    while (i < n) {
-      if (i != p) { ids(j) = i; ds(j) = space.dist(p, i); j += 1 }
-      i += 1
-    }
-    val order = ids.indices.sortBy(t => (ds(t), ids(t)))
-    order.take(k).map(ids(_)).toArray
-  }
-
   /** Builds the AKNN graph. Deterministic in `cfg.seed` for a fixed runner
     * chunking (sampling happens on the driver; executors only evaluate
     * distances).
@@ -83,7 +69,7 @@ object NNDescentReference {
     val isPivot = new Array[Boolean](n)
 
     // ---- initialization -------------------------------------------------
-    if (cfg.vpInit) initByVpTree(space, buckets, isPivot, k, rng)
+    val tree = if (cfg.vpInit) initByVpTree(space, buckets, isPivot, k, rng) else null
     fillRandom(space, buckets, k, rng) // cover objects the partitioning missed
 
     // ---- iterative AKNN updates ----------------------------------------
@@ -104,9 +90,9 @@ object NNDescentReference {
         val targets = bySpread.take(m).toArray
         val kk = math.min(cfg.exactListSize, n - 1)
         val res =
-          runner.runWithData(targets.length, (space, targets, kk)) { (data, s, e) =>
-            val (sp, tg, kp) = data
-            (s until e).map(i => (i, knn(sp, tg(i), kp))).toArray
+          runner.runWithData(targets.length, (space, tree, targets, kk)) { (data, s, e) =>
+            val (sp, t, tg, kp) = data
+            (s until e).map(i => (i, t.knn(sp, tg(i), kp))).toArray
           }
         val out = new Array[Array[Int]](n)
         res.flatten.foreach { case (i, lst) => out(targets(i)) = lst }
@@ -119,6 +105,7 @@ object NNDescentReference {
 
   /** Algorithm 3: repeated VP-tree ball partitioning; left leaf groups seed
     * exact local K-NNs, vantage points of small partitions become pivots.
+    * Returns the last round's tree.
     */
   private def initByVpTree(
       space: MetricSpace,
@@ -126,11 +113,12 @@ object NNDescentReference {
       isPivot: Array[Boolean],
       k: Int,
       rng: Random,
-  ): Unit = {
+  ): VPTree = {
     val capacity = math.max(2 * k, 8)
     val rounds = 2 // "a constant number of times"
+    var tree: VPTree = null
     for (_ <- 0 until rounds) {
-      val tree = VPTree.build(space, capacity, rng.nextLong())
+      tree = VPTree.build(space, capacity, rng.nextLong())
       tree.pivots.foreach(isPivot(_) = true)
       tree.leftLeafGroups.foreach { group =>
         // each unordered pair once, into both lists
@@ -149,6 +137,7 @@ object NNDescentReference {
         }
       }
     }
+    tree
   }
 
   /** Random AKNNs for any object whose list is still under-filled. */

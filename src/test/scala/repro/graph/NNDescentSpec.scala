@@ -4,8 +4,8 @@ import org.apache.spark.SparkException
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestSpaces}
-import repro.core.{BruteForce, CountingSpace, LocalRunner, MetricSpace, ParRunner, Shared, Shuffle, SparkRunner, VectorMetric,
-  VectorSpace}
+import repro.core.{BruteForce, CopyingRunner, CountingSpace, LocalRunner, MetricSpace, ParRunner, Shared, Shuffle,
+  SparkRunner, VectorMetric, VectorSpace}
 import scala.collection.mutable
 import scala.reflect.ClassTag
 import scala.util.Random
@@ -241,6 +241,7 @@ class NNDescentSpec extends SparkSpec {
     "all-identical points" -> (() => new VectorSpace(Array.fill(120)(Array(3.0, -1.0, 2.0)), VectorMetric.L2)),
   ) ++ (1 to 3).map(n => s"n=$n" -> (() => TestSpaces.uniform(n, 3, VectorMetric.L2, seed = 80L + n)))
 
+  // the exact K'-NN stage searches vpInit's tree, so only NNDescent+ has one
   for ((name, mkSpace) <- referenceSpaces) {
     test(s"$name: builds bit-identically to the reference implementation") {
       val space = mkSpace()
@@ -248,11 +249,35 @@ class NNDescentSpec extends SparkSpec {
         (cfgName, cfg) <- Seq(
           "KGraph" -> cfgKGraph(10),
           "KGraph with skipUnchanged" -> cfgKGraph(10).copy(skipUnchanged = true),
-          "NNDescent+" -> cfgPlus(10),
+          "NNDescent+" -> cfgPlus(10).copy(exactListSize = 30, exactCount = 40),
         )
         (runnerName, r) <- Seq("LocalRunner(4)" -> new LocalRunner(4), "SparkRunner(4)" -> new SparkRunner(spark, 4))
-      } assertSameAsReference(space, cfg.copy(exactListSize = 30, exactCount = 40), r,
-        s"$cfgName / $runnerName")
+      } assertSameAsReference(space, cfg, r, s"$cfgName / $runnerName")
+    }
+  }
+
+  test("an exact K'-NN stage without VP-tree initialization is rejected") {
+    intercept[IllegalArgumentException](cfgKGraph(10).copy(exactListSize = 30, exactCount = 40))
+  }
+
+  test("exact lists equal BruteForce.knn on adversarial spaces, and serialized tree copies give the same counts") {
+    val runners = Seq(
+      "LocalRunner(4)" -> new LocalRunner(4),
+      "SparkRunner(4)" -> new SparkRunner(spark, 4),
+      "CopyingRunner(4)" -> new CopyingRunner(4),
+    )
+    for ((label, space) <- TestSpaces.adversarial) {
+      // MRPG's setup at K = 4: every object of these small spaces is a target
+      val cfg = cfgPlus(4).copy(exactListSize = 16, exactCount = MRPG.defaultExactCount(space.n))
+      val evaluations = runners.map { case (runnerName, r) =>
+        val counted = new CountingSpace(space)
+        val res = NNDescent.build(counted, cfg, r)
+        for (v <- 0 until space.n)
+          assert(res.exactLists(v) != null && res.exactLists(v).sameElements(BruteForce.knn(space, v, 16)),
+            s"$label / $runnerName: vertex $v")
+        runnerName -> counted.evaluations
+      }
+      assert(evaluations.map(_._2).distinct.size == 1, s"$label: distance evaluations $evaluations")
     }
   }
 
