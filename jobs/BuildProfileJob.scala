@@ -1,12 +1,14 @@
 package repro.jobs
 
-import repro.core.{CountingSpace, LocalRunner, ParRunner, SparkRunner}
+import repro.core.{CountingSpace, GraphDOD, LinearScanCounter, LocalRunner, ParRunner, SparkRunner, VPTree, VPTreeCounter}
 import repro.data.Datasets
-import repro.graph.{KGraphBuilder, MRPG, NSW}
+import repro.graph.{KGraphBuilder, MRPG, NSW, ProximityGraph}
 
 /** Profiling entrypoint: builds each proximity graph for one dataset and
   * prints wall time, distance evaluations and MRPG's [[MRPG.BuildStats]]
-  * (step times, links, and the two bounded loops' reports).
+  * (step times, links, and the two bounded loops' reports), then one MRPG
+  * detection at the dataset's `(r, k)` with its candidates, false
+  * positives and the Greedy-Counting walks its bound cut.
   * With `local` the builds run inline and no SparkSession is started;
   * otherwise they fan out through the [[JobSession]].
   *
@@ -35,13 +37,23 @@ object BuildProfileJob {
 
     // KGraph is plain NNDescent; MRPG's line splits out its NNDescent+ run
     prof("KGraph") { KGraphBuilder.build(space, spec.graphK, runner, seed = spec.seed); "" }
+    var mrpg: ProximityGraph = null
     prof("MRPG") {
-      val (_, st) = MRPG.build(space, spec.graphK, runner, seed = spec.seed)
+      val (g, st) = MRPG.build(space, spec.graphK, runner, seed = spec.seed)
+      mrpg = g
       s"nn=${st.nnDescentMs} connect=${st.connectMs} detours=${st.removeDetoursMs} " +
         s"rmlinks=${st.removeLinksMs} iters=${st.iterations} " +
         s"+C=${st.linksAddedConnect} +D=${st.linksAddedDetours} -L=${st.linksRemoved} " +
         s"capHits=${st.detourCapHits} unreached=${st.connectUnreached}"
     }
     prof("NSW") { NSW.build(space, math.max(2, spec.graphK / 2), seed = spec.seed); "" }
+    // the verifier's index is built outside the measured line, as in the tables
+    val counter =
+      if (spec.vpVerify) VPTreeCounter(VPTree.build(space, capacity = 32, seed = spec.seed)) else LinearScanCounter()
+    prof("detect") {
+      val res = GraphDOD.run(runner, space, mrpg, spec.r, spec.k, counter)
+      s"MRPG r=${spec.r} k=${spec.k} outliers=${res.outliers.length} candidates=${res.candidates} " +
+        s"falsePos=${res.falsePositives} direct=${res.directOutliers} cutWalks=${res.cutWalks}"
+    }
   }
 }

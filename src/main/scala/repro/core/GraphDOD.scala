@@ -97,6 +97,9 @@ object DODQuery {
   *                       from the candidate's Greedy-Counting walk instead
   *                       of evaluating them: a run that evaluated them
   *                       would make `evaluations + reusedVerdicts`
+  * @param cutWalks       Greedy-Counting walks whose bound left a pivot
+  *                       outside `r` unexpanded ([[GreedyCounting.Walk.cut]]);
+  *                       always 0 on a graph without pivots
   */
 final case class DODResult(
     outliers: Array[Int],
@@ -109,6 +112,7 @@ final case class DODResult(
     meanChunkMs: Double,
     evaluations: Long,
     reusedVerdicts: Long,
+    cutWalks: Int,
 ) {
   def totalMs: Long = filterMs + verifyMs
 }
@@ -132,11 +136,11 @@ object GraphDOD {
   val FalsePositive = 5: Byte
 
   /** One chunk's outcomes, in dealt order, the nanoseconds it spent
-    * filtering and verifying, its distance evaluations and the walk
-    * verdicts its verification read.
+    * filtering and verifying, its distance evaluations, the walk verdicts
+    * its verification read and its walks the bound cut.
     */
   private final case class ChunkOutcomes(
-      outcomes: Array[Byte], filterNs: Long, verifyNs: Long, evaluations: Long, reused: Long)
+      outcomes: Array[Byte], filterNs: Long, verifyNs: Long, evaluations: Long, reused: Long, cut: Int)
 
   /** One object's filtering verdict (§4 filtering phase + §5.5 direct
     * decision). The graph carries its setup: an object with an exact list
@@ -201,23 +205,27 @@ object GraphDOD {
       val outcomes = new Array[Byte](e - s)
       var verifyNs = 0L
       var reused = 0L
+      var cut = 0
       val c0 = System.nanoTime()
       var i = s
       while (i < e) {
         val p = ord(i)
         var o = filterVerdict(sp, gg, p, r, k)
-        if (o == Candidate) {
-          val v0 = System.nanoTime()
+        if (o == Candidate || o == Inlier) { // not a direct decision: p's walk is the thread's latest
           val walk = GreedyCounting.walkFrom(sp, p, r)
-          val before = walk.reused
-          o = if (ec.count(sp, p, r, k, walk) < k) VerifiedOutlier else FalsePositive
-          reused += walk.reused - before
-          verifyNs += System.nanoTime() - v0
+          if (walk.cut) cut += 1
+          if (o == Candidate) {
+            val v0 = System.nanoTime()
+            val before = walk.reused
+            o = if (ec.count(sp, p, r, k, walk) < k) VerifiedOutlier else FalsePositive
+            reused += walk.reused - before
+            verifyNs += System.nanoTime() - v0
+          }
         }
         outcomes(i - s) = o
         i += 1
       }
-      ChunkOutcomes(outcomes, System.nanoTime() - c0 - verifyNs, verifyNs, sp.evaluations, reused)
+      ChunkOutcomes(outcomes, System.nanoTime() - c0 - verifyNs, verifyNs, sp.evaluations, reused, cut)
     } finally payload.release()
     val wallMs = (System.nanoTime() - t0) / 1000000L
     val evaluations = chunks.map(_.evaluations).sum
@@ -244,6 +252,7 @@ object GraphDOD {
       meanChunkMs = if (chunkMs.isEmpty) 0.0 else chunkMs.sum / chunkMs.size,
       evaluations = evaluations,
       reusedVerdicts = chunks.map(_.reused).sum,
+      cutWalks = chunks.map(_.cut).sum,
     )
   }
 

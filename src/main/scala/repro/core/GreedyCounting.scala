@@ -7,19 +7,24 @@ import repro.graph.ProximityGraph
   * BFS from `p`; every first-visited vertex within `r` is counted and
   * expanded; counting stops at `k`. Vertices outside `r` are still expanded
   * when they are pivots (lines 13–14) — Remove-Links relies on pivot
-  * pass-through, and pivots also bridge sparse regions. NSW and KGraph
+  * pass-through, and pivots also bridge sparse regions — but only while
+  * the walk has tested fewer vertices outside `r` since its latest hit (or
+  * its start) than `p` has links. Without that bound an outlier's walk
+  * floods the whole pivot network before it gives up. NSW and KGraph
   * graphs have no pivots, so on them this is plain BFS counting, the
   * paper's §6 setup for those graphs. Lemma 1: the returned count never
   * exceeds the true neighbor count, so filtering with it yields no false
-  * negatives.
+  * negatives; the bound only lowers the count, so it keeps that.
   */
 object GreedyCounting {
 
   /** Returns the greedy count, capped at `k`, expanding every vertex
-    * within `r` and every pivot of `g` (`g.isPivot`) outside it.
-    * Allocation-free: the BFS runs on the calling thread's [[Walk]], which
-    * keeps the verdict of every vertex it tested until the thread's next
-    * count ([[walkFrom]]).
+    * within `r`, and every pivot of `g` (`g.isPivot`) outside it while
+    * fewer than `g.adj(p).length` vertices tested before it since the
+    * latest hit were outside `r`. A pivot the bound leaves unexpanded
+    * marks the walk [[Walk.cut]]. Allocation-free: the BFS runs on the
+    * calling thread's [[Walk]], which keeps the verdict of every vertex it
+    * tested until the thread's next count ([[walkFrom]]).
     */
   def count(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int): Int = {
     val walk = scratch.get()
@@ -27,11 +32,13 @@ object GreedyCounting {
     val seen = walk.seen
     val hit = walk.hit
     val queue = walk.queue // each vertex enters at most once, so n slots suffice
+    val bound = g.adj(p).length
     seen(p) = stamp
     queue(0) = p
     var head = 0
     var tail = 1
     var count = 0
+    var miss = 0 // vertices tested outside r since the latest hit
     while (head < tail) {
       val v = queue(head)
       head += 1
@@ -45,9 +52,14 @@ object GreedyCounting {
             hit(w) = stamp
             count += 1
             if (count >= k) return count
+            miss = 0
             queue(tail) = w; tail += 1
-          } else if (g.isPivot(w)) {
-            queue(tail) = w; tail += 1
+          } else {
+            if (g.isPivot(w)) {
+              if (miss < bound) { queue(tail) = w; tail += 1 }
+              else walk.cutShort = true
+            }
+            miss += 1
           }
         }
         i += 1
@@ -86,6 +98,11 @@ object GreedyCounting {
     /** Verdicts counters read instead of evaluating them, over the thread's life. */
     private[core] var reused = 0L
 
+    private[GreedyCounting] var cutShort = false
+
+    /** Whether the latest count's bound left a pivot outside `r` unexpanded. */
+    def cut: Boolean = cutShort
+
     /** Whether the latest count tested `v` (the source counts as tested). */
     def decided(v: Int): Boolean = seen(v) == stamp
 
@@ -113,6 +130,7 @@ object GreedyCounting {
       }
       stamp += 1
       space = sp; source = p; radius = r
+      cutShort = false
       stamp
     }
   }

@@ -35,8 +35,8 @@ final class VPTree private[core] (
   /** [[rangeCount]], reading the verdicts of `walk`, Greedy-Counting's
     * latest walk from `q` with radius `r` on `space`: a leaf object the walk
     * tested is counted from its verdict, and the verdicts read add to
-    * `walk.reused`. Vantage points are still evaluated, because pruning
-    * needs their distance. Same traversal, same count.
+    * `walk.reused`. Vantage points other than `q` are still evaluated,
+    * because pruning needs their distance. Same traversal, same count.
     */
   def rangeCount(space: MetricSpace, q: Int, r: Double, cap: Int, walk: GreedyCounting.Walk): Int = {
     require(walk.isFrom(space, q, r), s"a walk from $q with radius $r on this space is needed")
@@ -63,7 +63,9 @@ final class VPTree private[core] (
             i += 1
           }
         case VPTree.Internal(vp, mu, maxD, left, right) =>
-          val d = space.dist(q, vp)
+          // at q's own node d = 0, as in knn: every object below lies at
+          // its own distance to q from the vantage point
+          val d = if (vp == q) 0.0 else space.dist(q, vp)
           val rr = widened(space, r, d, maxD)
           // lower bound of any object under this node is d - maxD
           if (d - maxD > rr) return

@@ -59,6 +59,7 @@ class GraphDODSpec extends SparkSpec {
       val verifiedOutliers = res.outliers.length - res.directOutliers
       assert(res.candidates == res.falsePositives + verifiedOutliers)
       if (s.k > g.exactK) assert(res.directOutliers == 0) // no direct decision: NSW, KGraph, MRPG-basic
+      if (!g.isPivot.contains(true)) assert(res.cutWalks == 0) // nothing to pass through: NSW, KGraph
     }
   }
 
@@ -276,6 +277,7 @@ class GraphDODSpec extends SparkSpec {
         assert(cs.evaluations == expected.evaluations, label)
         assert(res.evaluations == cs.evaluations, label)
         assert(res.reusedVerdicts == expected.reused, label)
+        assert(res.cutWalks == expected.cut, label)
         assert(res.candidates == expected.counts.size, label)
         assert(res.outliers.toSeq == truth.toSeq, label)
       }
@@ -292,12 +294,29 @@ class GraphDODSpec extends SparkSpec {
         GraphDOD.filterVerdict(s.space, g, 0, s.r, s.k, usePivotHop = hop, useExactShortcut = direct))
   }
 
+  test("cutWalks is 0 on NSW and KGraph and above 0 for MRPG on words, under both runners") {
+    val base = Datasets.words.space(0.05)
+    val graphs = Seq(
+      "NSW" -> NSW.build(base, f = Datasets.words.graphK / 2, seed = Datasets.words.seed),
+      "KGraph" -> KGraphBuilder.build(base, Datasets.words.graphK, runner, seed = Datasets.words.seed),
+      "MRPG" -> MRPG.build(base, Datasets.words.graphK, runner, seed = Datasets.words.seed)._1,
+    )
+    for ((name, g) <- graphs; (r, k) <- TestSpaces.pinnedGrid(Datasets.words)) {
+      val local = GraphDOD.run(runner, base, g, r, k)
+      val viaSpark = GraphDOD.run(new SparkRunner(spark, 4), base, g, r, k)
+      assert(viaSpark.cutWalks == local.cutWalks, s"$name r=$r k=$k")
+      assert(local.outliers.toSeq == BruteForce.outliers(base, r, k).toSeq, s"$name r=$r k=$k")
+      if (name == "MRPG") assert(local.cutWalks > 0, s"r=$r k=$k")
+      else assert(local.cutWalks == 0, s"$name r=$r k=$k")
+    }
+  }
+
   // CountingSpace evaluations of each query of TestSpaces.pinnedGrid, in
   // grid order: every distance test counts once, whichever kernel answers
   // it, and verification reads the verdicts of the candidate's walk
   private val pinnedDetectionDists: Map[String, Seq[Long]] = Map(
     "deep" -> Seq(201775L, 402361L, 172266L, 355852L, 167051L, 334559L),
-    "words" -> Seq(9467L, 18463L, 8367L, 16587L, 8118L, 16621L),
+    "words" -> Seq(9187L, 17610L, 8133L, 15871L, 8016L, 16105L),
   )
 
   test("MRPG detection distance counts on deep and words (scale 0.05) are pinned") {

@@ -2,11 +2,11 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestSpaces
-import repro.graph.ProximityGraph
+import repro.graph.{KGraphBuilder, NSW, ProximityGraph}
 import scala.util.Random
 
 /** Algorithm 2 behavior: Lemma 1 (no over-counting), early termination,
-  * pivot hops, exact-list decisions.
+  * pivot hops and their bound, exact-list decisions.
   */
 class GreedyCountingSpec extends AnyFunSuite {
 
@@ -15,6 +15,12 @@ class GreedyCountingSpec extends AnyFunSuite {
     ProximityGraph.plain(Array.tabulate(n) { v =>
       Array.fill(degree)(rng.nextInt(n)).distinct.filter(_ != v)
     })
+  }
+
+  /** `randomGraph` with about one vertex in eight a pivot. */
+  private def pivotedGraph(n: Int, degree: Int, seed: Long): ProximityGraph = {
+    val rng = new Random(seed + 1)
+    new ProximityGraph(randomGraph(n, degree, seed).adj, Array.fill(n)(rng.nextInt(8) == 0), null, 0)
   }
 
   private def completeGraph(n: Int): ProximityGraph =
@@ -30,6 +36,19 @@ class GreedyCountingSpec extends AnyFunSuite {
         val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k)
         val truth = BruteForce.countNeighbors(s.space, p, s.r, s.k)
         assert(greedy <= truth, s"object $p")
+      }
+    }
+
+    test(s"${s.name}: Lemma 1 holds on random graphs with pivots, bound and all") {
+      val g = pivotedGraph(s.space.n, 8, seed = 76)
+      val rng = new Random(75)
+      for (_ <- 0 until 100) {
+        val p = rng.nextInt(s.space.n)
+        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k)
+        assert(greedy <= BruteForce.countNeighbors(s.space, p, s.r, s.k), s"object $p")
+        // the bound only leaves pivots unexpanded, so it never counts more
+        // than Algorithm 2 as the paper writes it
+        assert(greedy <= referenceCount(s.space, g, p, s.r, s.k, bounded = false), s"object $p")
       }
     }
 
@@ -100,21 +119,132 @@ class GreedyCountingSpec extends AnyFunSuite {
     assert(calls.map(_._2).distinct.length == calls.length, "a vertex was evaluated twice")
   }
 
-  /** Algorithm 2 over a fresh visited set and queue per call. */
-  private def referenceCount(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int): Int = {
+  /** Algorithm 2 over a fresh visited set and queue per call; `bounded`
+    * passes through a pivot outside `r` only while fewer than `p`'s row
+    * length of the vertices tested before it since the latest hit were
+    * outside `r`.
+    */
+  private def referenceCount(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int,
+      bounded: Boolean = true): Int = {
+    val visited = new java.util.BitSet(space.n)
+    val queue = scala.collection.mutable.Queue(p)
+    visited.set(p)
+    var count = 0
+    var miss = 0
+    while (queue.nonEmpty && count < k) {
+      val v = queue.dequeue()
+      for (w <- g.adj(v) if count < k && !visited.get(w)) {
+        visited.set(w)
+        if (space.dist(p, w) <= r) { count += 1; miss = 0; queue.enqueue(w) }
+        else {
+          if (g.isPivot(w) && (!bounded || miss < g.adj(p).length)) queue.enqueue(w)
+          miss += 1
+        }
+      }
+    }
+    count
+  }
+
+  /** BFS counting that expands only vertices within `r`. */
+  private def plainBfsCount(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int): Int = {
     val visited = new java.util.BitSet(space.n)
     val queue = scala.collection.mutable.Queue(p)
     visited.set(p)
     var count = 0
     while (queue.nonEmpty && count < k) {
-      val v = queue.dequeue()
-      for (w <- g.adj(v) if count < k && !visited.get(w)) {
+      for (w <- g.adj(queue.dequeue()) if count < k && !visited.get(w)) {
         visited.set(w)
         if (space.dist(p, w) <= r) { count += 1; queue.enqueue(w) }
-        else if (g.isPivot(w)) queue.enqueue(w)
       }
     }
     count
+  }
+
+  test("on graphs without pivots the count is plain BFS counting, and no walk is cut") {
+    val runner = new LocalRunner(2)
+    val rng = new Random(93)
+    for (s <- TestSpaces.scenarios(seed = 94).take(3)) {
+      val graphs = Seq(
+        "random" -> randomGraph(s.space.n, 6, seed = 95),
+        "NSW" -> NSW.build(s.space, f = 4, seed = 96),
+        "KGraph" -> KGraphBuilder.build(s.space, 8, runner, seed = 97, maxIters = 3),
+      )
+      for ((name, g) <- graphs; _ <- 0 until 60) {
+        assert(!g.isPivot.contains(true), name)
+        val p = rng.nextInt(s.space.n)
+        val k = 1 + rng.nextInt(3 * s.k)
+        assert(GreedyCounting.count(s.space, g, p, s.r, k) == plainBfsCount(s.space, g, p, s.r, k),
+          s"${s.name} $name p=$p k=$k")
+        assert(!GreedyCounting.walkFrom(s.space, p, s.r).cut, s"${s.name} $name p=$p")
+      }
+    }
+  }
+
+  /** Source 0 at the origin with `near` neighbours within r = 1 and one far
+    * pivot that starts a path of `chain` vertices ending at a target within
+    * r: each vertex on the path is a far pivot, except those at the
+    * positions in `hits`, which lie within r. Returns (space, graph, target).
+    */
+  private def chainCase(near: Int, chain: Int, hits: Set[Int] = Set.empty): (MetricSpace, ProximityGraph, Int) = {
+    val pathIds = (1 + near until 1 + near + chain).toArray
+    val target = 1 + near + chain
+    val pts = Array.tabulate(target + 1) { v =>
+      if (v == 0) 0.0
+      else if (v <= near) 0.1 * v
+      else if (v == target || hits(v - near - 1)) 0.5
+      else 100.0 + v
+    }.map(x => Array(x, 0.0))
+    val adj = Array.tabulate(target + 1) { v =>
+      if (v == 0) Array.range(1, near + 1) :+ pathIds(0)
+      else if (v <= near) Array(0)
+      else if (v == target) Array(pathIds.last)
+      else {
+        val i = v - near - 1
+        Array(if (i == 0) 0 else pathIds(i - 1), if (i == chain - 1) target else pathIds(i + 1))
+      }
+    }
+    val isPivot = Array.tabulate(target + 1)(v => v > near && v < target)
+    (new VectorSpace(pts, VectorMetric.L2), new ProximityGraph(adj, isPivot, null, 0), target)
+  }
+
+  test("a chain of far pivots longer than the source's row stops being expanded") {
+    // the source's row holds 3 near vertices and the chain's head: 4 links
+    for (chain <- 1 to 8) {
+      val (space, g, target) = chainCase(near = 3, chain = chain)
+      assert(g.adj(0).length == 4)
+      val got = GreedyCounting.count(space, g, 0, 1.0, 100)
+      val walk = GreedyCounting.walkFrom(space, 0, 1.0)
+      // the j-th far pivot on the chain follows j - 1 misses in a row:
+      // expanded while j - 1 < 4, so the target is reached iff chain <= 4
+      if (chain <= 4) {
+        assert(got == 4 && walk.decided(target) && !walk.cut, s"chain $chain")
+      } else {
+        assert(got == 3 && !walk.decided(target) && walk.cut, s"chain $chain")
+        // the fifth is tested, and the sixth is not
+        assert(walk.decided(g.adj(0).last + 4) && !walk.decided(g.adj(0).last + 5), s"chain $chain")
+      }
+      assert(got == referenceCount(space, g, 0, 1.0, 100), s"chain $chain")
+      // Algorithm 2 as the paper writes it reaches the target on any chain
+      assert(referenceCount(space, g, 0, 1.0, 100, bounded = false) == 4, s"chain $chain")
+    }
+  }
+
+  test("a hit resets the run of misses") {
+    // a path of nine far pivots is cut at the fifth (row length 4) ...
+    val (space, g, target) = chainCase(near = 3, chain = 9)
+    assert(GreedyCounting.count(space, g, 0, 1.0, 100) == 3)
+    assert(!GreedyCounting.walkFrom(space, 0, 1.0).decided(target))
+    // ... but with the fifth vertex on the path within r, the walk passes
+    // four far pivots, hits, and passes four more to the target
+    val (space2, g2, target2) = chainCase(near = 3, chain = 9, hits = Set(4))
+    assert(GreedyCounting.count(space2, g2, 0, 1.0, 100) == 5)
+    val walk = GreedyCounting.walkFrom(space2, 0, 1.0)
+    assert(walk.decided(target2) && walk.inRange(target2) && !walk.cut)
+    // a hit second on the path leaves five far pivots after it: cut again
+    val (space3, g3, target3) = chainCase(near = 3, chain = 7, hits = Set(1))
+    assert(GreedyCounting.count(space3, g3, 0, 1.0, 100) == 4)
+    val walk3 = GreedyCounting.walkFrom(space3, 0, 1.0)
+    assert(!walk3.decided(target3) && walk3.cut)
   }
 
   test("counts on spaces of different n, interleaved on one thread, equal a plain BFS") {
@@ -132,10 +262,10 @@ class GreedyCountingSpec extends AnyFunSuite {
     for (round <- 0 until 30; (space, plain, pivoted, r) <- cases) {
       val p = rng.nextInt(space.n)
       val k = 1 + rng.nextInt(40)
-      for ((g, hop) <- Seq((plain, false), (pivoted, true))) {
-        assert(GreedyCounting.count(space, g, p, r, k) == referenceCount(space, g, p, r, k),
-          s"round $round n=${space.n} p=$p k=$k hop=$hop")
-      }
+      assert(GreedyCounting.count(space, plain, p, r, k) == plainBfsCount(space, plain, p, r, k),
+        s"round $round n=${space.n} p=$p k=$k plain")
+      assert(GreedyCounting.count(space, pivoted, p, r, k) == referenceCount(space, pivoted, p, r, k),
+        s"round $round n=${space.n} p=$p k=$k pivoted")
     }
   }
 

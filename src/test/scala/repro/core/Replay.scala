@@ -9,9 +9,10 @@ import repro.graph.ProximityGraph
 private[core] object Replay {
 
   /** The replay's outliers (sorted), each candidate's `k`-capped count, its
-    * distance evaluations and the walk verdicts its counts read.
+    * distance evaluations, the walk verdicts its counts read and the walks
+    * Greedy-Counting's bound cut.
     */
-  final case class Outcome(outliers: Seq[Int], counts: Map[Int, Int], evaluations: Long, reused: Long)
+  final case class Outcome(outliers: Seq[Int], counts: Map[Int, Int], evaluations: Long, reused: Long, cut: Int)
 
   def apply(space: MetricSpace, g: ProximityGraph, r: Double, k: Int, counter: ExactCounter,
       reuse: Boolean): Outcome = {
@@ -19,9 +20,11 @@ private[core] object Replay {
     val outliers = Seq.newBuilder[Int]
     val counts = Map.newBuilder[Int, Int]
     var reused = 0L
+    var cut = 0
     for (p <- 0 until space.n) {
       val verdict = GraphDOD.filterVerdict(cs, g, p, r, k)
       if (verdict == GraphDOD.DirectOutlier) outliers += p
+      if ((verdict == GraphDOD.Candidate || verdict == GraphDOD.Inlier) && GreedyCounting.walkFrom(cs, p, r).cut) cut += 1
       if (verdict == GraphDOD.Candidate) {
         val c =
           if (reuse) {
@@ -35,6 +38,6 @@ private[core] object Replay {
         if (c < k) outliers += p
       }
     }
-    Outcome(outliers.result().sorted, counts.result(), cs.evaluations, reused)
+    Outcome(outliers.result().sorted, counts.result(), cs.evaluations, reused, cut)
   }
 }

@@ -151,6 +151,36 @@ class VPTreeSpec extends AnyFunSuite {
     }
   }
 
+  test("a range count from a vantage point evaluates one distance fewer than from a copy of it") {
+    val l2 = TestSpaces.clustered(400, 6, VectorMetric.L2, seed = 27)
+    val edit = TestSpaces.strings(300, seed = 28)
+    // each space with its object q appended as object n: the copy's
+    // distances equal q's bit for bit, so its search takes the same path
+    // and evaluates q's node, where q's own search takes d = 0
+    val cases = Seq[(String, MetricSpace, Int => MetricSpace)](
+      ("l2", l2, q => new VectorSpace(l2.points :+ l2.points(q), VectorMetric.L2)),
+      ("edit", edit, q => new StringSpace(edit.words :+ edit.words(q))),
+    )
+    for ((name, space, withCopyOf) <- cases) {
+      val tree = VPTree.build(space, capacity = 16, seed = 5)
+      def vantagePoints(node: VPTree.Node): Seq[Int] = node match {
+        case VPTree.Internal(vp, _, _, l, r) => vp +: (vantagePoints(l) ++ vantagePoints(r))
+        case VPTree.Leaf(_) => Seq.empty
+      }
+      val vps = vantagePoints(tree.root)
+      assert(vps.nonEmpty, name)
+      for (q <- vps.take(12); r <- radiiFor(space)) {
+        val own = new CountingSpace(space)
+        val copy = new CountingSpace(withCopyOf(q))
+        val got = tree.rangeCount(own, q, r, Int.MaxValue)
+        assert(got == BruteForce.countNeighbors(space, q, r, Int.MaxValue), s"$name q=$q r=$r")
+        // the copy also counts q itself, at distance 0
+        assert(tree.rangeCount(copy, space.n, r, Int.MaxValue) == got + 1, s"$name q=$q r=$r")
+        assert(own.evaluations == copy.evaluations - 1, s"$name q=$q r=$r")
+      }
+    }
+  }
+
   test("degenerate data (all-identical points) builds a leaf and counts right") {
     val space = new VectorSpace(Array.fill(50, 3)(1.0), VectorMetric.L2)
     val tree = VPTree.build(space, capacity = 8, seed = 12)

@@ -51,6 +51,14 @@ class JobsSpec extends SparkSpec {
     assert(raw"capHits=\d+ unreached=\d+".r.findFirstIn(mrpg.head).nonEmpty, mrpg.head)
   }
 
+  test("BuildProfileJob's detect line reports MRPG's candidates and cut walks") {
+    val out = new java.io.ByteArrayOutputStream()
+    Console.withOut(out)(BuildProfileJob.main(Array("words", "0.02", "local")))
+    val detect = out.toString.linesIterator.filter(_.startsWith("detect")).toSeq
+    assert(detect.size == 1, out.toString)
+    assert(raw"MRPG r=\S+ k=\d+ .*candidates=\d+ falsePos=\d+ .*cutWalks=\d+".r.findFirstIn(detect.head).nonEmpty, detect.head)
+  }
+
   test("job mains run in the suite's session and leave it running") {
     val sc = spark.sparkContext
     Table1Job.main(Array(tiny.toString))
