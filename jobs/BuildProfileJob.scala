@@ -8,7 +8,8 @@ import repro.graph.{KGraphBuilder, MRPG, NSW, ProximityGraph}
   * prints wall time, distance evaluations and MRPG's [[MRPG.BuildStats]]
   * (step times, links, and the two bounded loops' reports), then one MRPG
   * detection at the dataset's `(r, k)` with its candidates, false
-  * positives and the Greedy-Counting walks its bound cut.
+  * positives, the walk verdicts its verification read and the
+  * Greedy-Counting walks its bound cut.
   * With `local` the builds run inline and no SparkSession is started;
   * otherwise they fan out through the [[JobSession]].
   *
@@ -53,7 +54,7 @@ object BuildProfileJob {
     prof("detect") {
       val res = GraphDOD.run(runner, space, mrpg, spec.r, spec.k, counter)
       s"MRPG r=${spec.r} k=${spec.k} outliers=${res.outliers.length} candidates=${res.candidates} " +
-        s"falsePos=${res.falsePositives} direct=${res.directOutliers} cutWalks=${res.cutWalks}"
+        s"falsePos=${res.falsePositives} direct=${res.directOutliers} reused=${res.reusedVerdicts} cutWalks=${res.cutWalks}"
     }
   }
 }

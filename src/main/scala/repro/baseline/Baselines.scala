@@ -20,7 +20,7 @@ object ScanDOD {
   def run(runner: ParRunner, space: MetricSpace, r: Double, k: Int, counter: ExactCounter): DetectionResult = {
     DODQuery.check(r, k)
     val t0 = System.nanoTime()
-    val out = runner.select(Array.range(0, space.n), space, counter)((sp, c, p) => c.count(sp, p, r, k) < k)
+    val out = runner.select(Array.range(0, space.n), space, counter)((sp, c, p) => c.count(sp, p, r, k, null) < k)
     DetectionResult(out, (System.nanoTime() - t0) / 1000000L, counter.sizeBytes)
   }
 }
@@ -143,7 +143,7 @@ object Dolphin {
     val indexBytes = indexIds.length * 8L
 
     val candidates = indexIds.filter(q => counts(q) < k).toArray
-    val out = runner.select(candidates, space, ())((sp, _, q) => LinearScanCounter().count(sp, q, r, k) < k)
+    val out = runner.select(candidates, space, ())((sp, _, q) => LinearScanCounter().count(sp, q, r, k, null) < k)
     DetectionResult(out, (System.nanoTime() - t0) / 1000000L, indexBytes)
   }
 }

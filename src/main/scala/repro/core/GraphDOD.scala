@@ -8,16 +8,15 @@ import repro.graph.ProximityGraph
   * Algorithm 1): a linear scan for high-dimensional data, a VP-tree range
   * count for data with low intrinsic dimensionality. Both stop at `k`.
   *
-  * The second form takes the [[Walk]] Greedy-Counting just made from `p`
-  * with the same `r` on the same `space` (it must be that walk): every
-  * object the walk tested is counted from its verdict instead of
-  * evaluated again, and the verdicts read add to `walk.reused`. Both forms
-  * visit the objects in the same order and stop at the same one, so the
-  * count is the same and the second evaluates exactly `walk.reused` fewer
-  * distances.
+  * `walk` is null, and every pair is evaluated, or it is the [[Walk]]
+  * Greedy-Counting made last from `p` with the same `r` on the same `space`
+  * (anything else is rejected): every object the walk tested is counted
+  * from its verdict instead of evaluated again, and the verdicts read add
+  * to `walk.reused`. The objects are visited in the same order either way
+  * and the count stops at the same one, so the count is the same and a walk
+  * saves exactly `walk.reused` evaluations.
   */
 sealed trait ExactCounter extends Serializable {
-  def count(space: MetricSpace, p: Int, r: Double, k: Int): Int
   def count(space: MetricSpace, p: Int, r: Double, k: Int, walk: Walk): Int
   def sizeBytes: Long
 }
@@ -26,40 +25,28 @@ sealed trait ExactCounter extends Serializable {
   * [Knorr & Ng, VLDB'98].
   */
 final case class LinearScanCounter() extends ExactCounter {
-  def count(space: MetricSpace, p: Int, r: Double, k: Int): Int = {
-    var count = 0
-    var i = 0
-    val n = space.n
-    while (i < n && count < k) {
-      if (i != p && space.within(p, i, r)) count += 1
-      i += 1
-    }
-    count
-  }
   def count(space: MetricSpace, p: Int, r: Double, k: Int, walk: Walk): Int = {
-    require(walk.isFrom(space, p, r), s"a walk from $p with radius $r on this space is needed")
+    require(walk == null || walk.isFrom(space, p, r), s"a walk from $p with radius $r on this space is needed")
     var count = 0
     var reused = 0L
     var i = 0
     val n = space.n
     while (i < n && count < k) {
       if (i != p) {
-        if (walk.decided(i)) {
+        if (walk != null && walk.decided(i)) {
           reused += 1
           if (walk.inRange(i)) count += 1
         } else if (space.within(p, i, r)) count += 1
       }
       i += 1
     }
-    walk.reused += reused
+    if (walk != null) walk.reused += reused
     count
   }
   def sizeBytes = 0L
 }
 
 final case class VPTreeCounter(tree: VPTree) extends ExactCounter {
-  def count(space: MetricSpace, p: Int, r: Double, k: Int): Int =
-    tree.rangeCount(space, p, r, k)
   def count(space: MetricSpace, p: Int, r: Double, k: Int, walk: Walk): Int =
     tree.rangeCount(space, p, r, k, walk)
   def sizeBytes: Long = tree.sizeBytes
@@ -145,26 +132,31 @@ object GraphDOD {
   /** One object's filtering verdict (§4 filtering phase + §5.5 direct
     * decision). The graph carries its setup: an object with an exact list
     * is decided from it when `k <= g.exactK`, and Greedy-Counting passes
-    * through `g`'s pivots.
+    * through `g`'s pivots. Unless the verdict is a direct decision, `walk`
+    * holds `p`'s walk afterwards.
     */
-  def filterVerdict(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int): Byte = {
+  def filterVerdict(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int, walk: Walk): Byte = {
     if (g.hasExactList(p) && k <= g.exactK) {
       val c = GreedyCounting.countExactList(space, g.exactLists(p), p, r, k)
       if (c < k) DirectOutlier else DirectInlier
     } else {
-      val c = GreedyCounting.count(space, g, p, r, k)
+      val c = GreedyCounting.count(space, g, p, r, k, walk)
       if (c < k) Candidate else Inlier
     }
   }
 
   /** [[filterVerdict]] for the one pair `(true, true)`, the setup every
-    * graph carries itself. Kept for perfbench; delete with ROADMAP item 1.
+    * graph carries itself, on a walk of the calling thread's own. Kept for
+    * perfbench, which filters object by object outside any run; delete it
+    * and its thread-local walk with ROADMAP item 1.
     */
   def filterVerdict(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int,
       usePivotHop: Boolean, useExactShortcut: Boolean): Byte = {
     require(usePivotHop && useExactShortcut, "the graph carries its detection setup; only (true, true) is accepted")
-    filterVerdict(space, g, p, r, k)
+    filterVerdict(space, g, p, r, k, shimWalk.get())
   }
+
+  private val shimWalk = ThreadLocal.withInitial[Walk](() => new Walk)
 
   /** Algorithm 1 over a [[ParRunner]], in one fan-out (one Spark job): the
     * ids are dealt to chunks in [[ParRunner.mapIds]]' random order, as the
@@ -172,10 +164,11 @@ object GraphDOD {
     * as soon as it has filtered it. No barrier is needed between the
     * phases, because filtering never drops a true outlier (Lemma 1). The
     * graph decides the setup ([[filterVerdict]]): pivot pass-through where
-    * it has pivots, the §5.5 direct decision for `k <= g.exactK`. A
-    * candidate's count reads the verdicts its walk left on the chunk's
-    * thread ([[GreedyCounting.walkFrom]]), so verification evaluates only
-    * the pairs the walk did not decide, and a VP-tree's vantage points.
+    * it has pivots, the §5.5 direct decision for `k <= g.exactK`. Each
+    * chunk makes one [[Walk]] and counts every object on it, and a
+    * candidate's exact count reads the verdicts its walk left, so
+    * verification evaluates only the pairs the walk did not decide, and a
+    * VP-tree's vantage points.
     *
     * Space, graph, counter and deal order reach the chunks as one payload,
     * shared through [[ParRunner.shareFor]] under the key (space, graph,
@@ -202,6 +195,7 @@ object GraphDOD {
     val order = payload.value._4
     val chunks = try runner.runShared(n, payload) { case ((shared, gg, ec, ord), s, e) =>
       val sp = new ChunkCount(shared)
+      val walk = new Walk
       val outcomes = new Array[Byte](e - s)
       var verifyNs = 0L
       var reused = 0L
@@ -210,17 +204,13 @@ object GraphDOD {
       var i = s
       while (i < e) {
         val p = ord(i)
-        var o = filterVerdict(sp, gg, p, r, k)
-        if (o == Candidate || o == Inlier) { // not a direct decision: p's walk is the thread's latest
-          val walk = GreedyCounting.walkFrom(sp, p, r)
-          if (walk.cut) cut += 1
-          if (o == Candidate) {
-            val v0 = System.nanoTime()
-            val before = walk.reused
-            o = if (ec.count(sp, p, r, k, walk) < k) VerifiedOutlier else FalsePositive
-            reused += walk.reused - before
-            verifyNs += System.nanoTime() - v0
-          }
+        var o = filterVerdict(sp, gg, p, r, k, walk)
+        if ((o == Candidate || o == Inlier) && walk.cut) cut += 1 // not a direct decision: walk is p's
+        if (o == Candidate) {
+          val v0 = System.nanoTime()
+          o = if (ec.count(sp, p, r, k, walk) < k) VerifiedOutlier else FalsePositive
+          reused += walk.reused
+          verifyNs += System.nanoTime() - v0
         }
         outcomes(i - s) = o
         i += 1

@@ -22,12 +22,11 @@ object GreedyCounting {
     * within `r`, and every pivot of `g` (`g.isPivot`) outside it while
     * fewer than `g.adj(p).length` vertices tested before it since the
     * latest hit were outside `r`. A pivot the bound leaves unexpanded
-    * marks the walk [[Walk.cut]]. Allocation-free: the BFS runs on the
-    * calling thread's [[Walk]], which keeps the verdict of every vertex it
-    * tested until the thread's next count ([[walkFrom]]).
+    * marks the walk [[Walk.cut]]. The BFS runs on the caller's `walk`,
+    * which keeps the verdict of every vertex it tested until its next
+    * count; allocation-free once the walk has grown to `space.n`.
     */
-  def count(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int): Int = {
-    val walk = scratch.get()
+  def count(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int, walk: Walk): Int = {
     val stamp = walk.begin(space, p, r)
     val seen = walk.seen
     val hit = walk.hit
@@ -68,34 +67,25 @@ object GreedyCounting {
     count
   }
 
-  /** The calling thread's latest walk, when it started at `p` on `space`
-    * (the same instance) with radius `r`. Its verdicts are exact
-    * `space.within(p, v, r)` results, which an exact counter may read in
-    * place of evaluating the pair again ([[ExactCounter.count]]).
-    */
-  def walkFrom(space: MetricSpace, p: Int, r: Double): Walk = {
-    val walk = scratch.get()
-    require(walk.isFrom(space, p, r), s"the thread's latest walk did not start at $p with radius $r on this space")
-    walk
-  }
-
-  /** One thread's BFS state, and the verdicts its latest count left: vertex
+  /** One caller's BFS state, and the verdicts its latest count left: vertex
     * `v` was tested in that count iff `seen(v) == stamp`, and found within
-    * `r` of the source iff also `hit(v) == stamp`. A new count only bumps
-    * the stamp instead of clearing `n` entries. The arrays grow to the
-    * largest `n` the thread has counted on and are kept for its later
-    * counts.
+    * `r` of the source iff also `hit(v) == stamp`. Its verdicts are exact
+    * `space.within(p, v, r)` results, which an exact counter may read in
+    * place of evaluating the pair again ([[ExactCounter.count]]). A new
+    * count only bumps the stamp instead of clearing `n` entries. The arrays
+    * grow to the largest `n` counted on and are kept for later counts. Not
+    * thread-safe: each chunk of a run makes its own.
     */
-  final class Walk private[GreedyCounting] {
+  final class Walk {
     private[GreedyCounting] var seen = new Array[Int](0)
     private[GreedyCounting] var hit = new Array[Int](0)
     private[GreedyCounting] var queue = new Array[Int](0)
-    private[GreedyCounting] var stamp = 0
+    private[core] var stamp = 0 // a test drives it to the wrap
     private var space: MetricSpace = null
     private var source = -1
     private var radius = Double.NaN
 
-    /** Verdicts counters read instead of evaluating them, over the thread's life. */
+    /** Verdicts counters read instead of evaluating them since the latest count. */
     private[core] var reused = 0L
 
     private[GreedyCounting] var cutShort = false
@@ -131,16 +121,10 @@ object GreedyCounting {
       stamp += 1
       space = sp; source = p; radius = r
       cutShort = false
+      reused = 0L
       stamp
     }
   }
-
-  private val scratch = ThreadLocal.withInitial[Walk](() => new Walk)
-
-  /** Sets the stamp the calling thread's next count bumps: a test drives it
-    * to the wrap.
-    */
-  private[core] def setStamp(stamp: Int): Unit = scratch.get().stamp = stamp
 
   /** §5.5 direct decision for an object carrying an exact K'-NN list: counts
     * how many of the listed nearest neighbors are within `r` (capped at `k`).

@@ -26,25 +26,16 @@ final class VPTree private[core] (
     val nodeCount: Int,
 ) extends Serializable {
 
-  /** Number of objects within distance `r` of object `q` (excluding `q`),
-    * counting stops once it reaches `cap`.
-    */
-  def rangeCount(space: MetricSpace, q: Int, r: Double, cap: Int): Int =
-    search(space, q, r, cap, null)
-
-  /** [[rangeCount]], reading the verdicts of `walk`, Greedy-Counting's
-    * latest walk from `q` with radius `r` on `space`: a leaf object the walk
-    * tested is counted from its verdict, and the verdicts read add to
-    * `walk.reused`. Vantage points other than `q` are still evaluated,
-    * because pruning needs their distance. Same traversal, same count.
+  /** Number of objects within distance `r` of object `q` (excluding `q`);
+    * counting stops once it reaches `cap`. `walk` is null, or
+    * Greedy-Counting's latest walk from `q` with radius `r` on `space`: a
+    * leaf object the walk tested is counted from its verdict, and the
+    * verdicts read add to `walk.reused`. Vantage points other than `q` are
+    * still evaluated, because pruning needs their distance. Same traversal,
+    * same count.
     */
   def rangeCount(space: MetricSpace, q: Int, r: Double, cap: Int, walk: GreedyCounting.Walk): Int = {
-    require(walk.isFrom(space, q, r), s"a walk from $q with radius $r on this space is needed")
-    search(space, q, r, cap, walk)
-  }
-
-  /** The range count; `walk` is null when no walk's verdicts are read. */
-  private def search(space: MetricSpace, q: Int, r: Double, cap: Int, walk: GreedyCounting.Walk): Int = {
+    require(walk == null || walk.isFrom(space, q, r), s"a walk from $q with radius $r on this space is needed")
     var count = 0
     var reused = 0L
     def visit(node: VPTree.Node): Unit = {

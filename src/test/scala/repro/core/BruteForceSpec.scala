@@ -41,7 +41,7 @@ class BruteForceSpec extends AnyFunSuite {
     for (p <- 0 until 20) {
       val naive = (0 until space.n).count(i => i != p && space.dist(p, i) <= 12.0)
       assert(BruteForce.countNeighbors(liar, p, 12.0, Int.MaxValue) == naive)
-      assert(LinearScanCounter().count(liar, p, 12.0, Int.MaxValue) == space.n - 1 - naive)
+      assert(LinearScanCounter().count(liar, p, 12.0, Int.MaxValue, null) == space.n - 1 - naive)
     }
   }
 

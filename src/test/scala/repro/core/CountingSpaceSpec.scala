@@ -123,6 +123,10 @@ class CountingSpaceSpec extends SparkSpec {
         assert(copied.outliers.toSeq == local.outliers.toSeq, counter)
         assert(copied.outliers.toSeq == BruteForce.outliers(base, r, k).toSeq, counter)
         assert(copied.candidates == local.candidates, counter)
+        assert(copied.falsePositives == local.falsePositives, counter)
+        assert(copied.directOutliers == local.directOutliers, counter)
+        assert(copied.reusedVerdicts == local.reusedVerdicts, counter)
+        assert(copied.cutWalks == local.cutWalks, counter)
         assert(copiedDists == localDists, counter)
         assert(copied.evaluations == copiedDists && local.evaluations == localDists, counter)
       }

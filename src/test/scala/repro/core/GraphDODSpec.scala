@@ -286,9 +286,10 @@ class GraphDODSpec extends SparkSpec {
 
   test("filterVerdict's flagged overload forwards (true, true) and rejects every other pair") {
     val (s, g) = smallCase
+    val walk = new GreedyCounting.Walk
     for (p <- 0 until s.space.n)
       assert(GraphDOD.filterVerdict(s.space, g, p, s.r, s.k, usePivotHop = true, useExactShortcut = true) ==
-        GraphDOD.filterVerdict(s.space, g, p, s.r, s.k))
+        GraphDOD.filterVerdict(s.space, g, p, s.r, s.k, walk))
     for ((hop, direct) <- Seq((false, true), (true, false), (false, false)))
       assertThrows[IllegalArgumentException](
         GraphDOD.filterVerdict(s.space, g, 0, s.r, s.k, usePivotHop = hop, useExactShortcut = direct))

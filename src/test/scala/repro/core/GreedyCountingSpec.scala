@@ -10,6 +10,9 @@ import scala.util.Random
   */
 class GreedyCountingSpec extends AnyFunSuite {
 
+  /** The walk every count here runs on, over spaces of any n. */
+  private val walk = new GreedyCounting.Walk
+
   private def randomGraph(n: Int, degree: Int, seed: Long): ProximityGraph = {
     val rng = new Random(seed)
     ProximityGraph.plain(Array.tabulate(n) { v =>
@@ -33,7 +36,7 @@ class GreedyCountingSpec extends AnyFunSuite {
       val rng = new Random(78)
       for (_ <- 0 until 100) {
         val p = rng.nextInt(s.space.n)
-        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k)
+        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k, walk)
         val truth = BruteForce.countNeighbors(s.space, p, s.r, s.k)
         assert(greedy <= truth, s"object $p")
       }
@@ -44,7 +47,7 @@ class GreedyCountingSpec extends AnyFunSuite {
       val rng = new Random(75)
       for (_ <- 0 until 100) {
         val p = rng.nextInt(s.space.n)
-        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k)
+        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k, walk)
         assert(greedy <= BruteForce.countNeighbors(s.space, p, s.r, s.k), s"object $p")
         // the bound only leaves pivots unexpanded, so it never counts more
         // than Algorithm 2 as the paper writes it
@@ -57,7 +60,7 @@ class GreedyCountingSpec extends AnyFunSuite {
       val rng = new Random(79)
       for (_ <- 0 until 50) {
         val p = rng.nextInt(s.space.n)
-        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k)
+        val greedy = GreedyCounting.count(s.space, g, p, s.r, s.k, walk)
         val truth = BruteForce.countNeighbors(s.space, p, s.r, s.k)
         assert(greedy == truth, s"object $p")
       }
@@ -69,7 +72,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     val g = completeGraph(space.n)
     for (k <- Seq(1, 3, 10)) {
       for (p <- 0 until 50) {
-        assert(GreedyCounting.count(space, g, p, 1000.0, k) == math.min(k, space.n - 1))
+        assert(GreedyCounting.count(space, g, p, 1000.0, k, walk) == math.min(k, space.n - 1))
       }
     }
   }
@@ -78,7 +81,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     val space = TestSpaces.clustered(100, 4, VectorMetric.L2, seed = 81)
     val adj = Array.tabulate(100)(v => if (v == 0) Array.empty[Int] else Array((v + 1) % 100).filter(_ != 0))
     val g = ProximityGraph.plain(adj)
-    assert(GreedyCounting.count(space, g, 0, 1000.0, 10) == 0)
+    assert(GreedyCounting.count(space, g, 0, 1000.0, 10, walk) == 0)
   }
 
   test("pivot hop reaches neighbors across a far bridge vertex") {
@@ -93,8 +96,8 @@ class GreedyCountingSpec extends AnyFunSuite {
     val adj = Array(Array(1), Array(0, 2), Array(1))
     val withoutPivot = new ProximityGraph(adj, Array(false, false, false), null, 0)
     val withPivot = new ProximityGraph(adj, Array(false, true, false), null, 0)
-    assert(GreedyCounting.count(space, withoutPivot, 0, 2.0, 5) == 0)
-    assert(GreedyCounting.count(space, withPivot, 0, 2.0, 5) == 1)
+    assert(GreedyCounting.count(space, withoutPivot, 0, 2.0, 5, walk) == 0)
+    assert(GreedyCounting.count(space, withPivot, 0, 2.0, 5, walk) == 1)
   }
 
   test("non-pivot far vertex is not expanded even with pivot hops on") {
@@ -102,7 +105,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     val space = new VectorSpace(pts, VectorMetric.L2)
     val adj = Array(Array(1), Array(0, 2), Array(1))
     val g = new ProximityGraph(adj, Array(false, false, false), null, 0)
-    assert(GreedyCounting.count(space, g, 0, 2.0, 5) == 0)
+    assert(GreedyCounting.count(space, g, 0, 2.0, 5, walk) == 0)
   }
 
   test("each vertex's distance is computed at most once (visited marking)") {
@@ -115,7 +118,7 @@ class GreedyCountingSpec extends AnyFunSuite {
       def roundingSlack = base.roundingSlack
     }
     val g = randomGraph(200, 6, seed = 83)
-    GreedyCounting.count(space, g, 5, 8.0, 1000)
+    GreedyCounting.count(space, g, 5, 8.0, 1000, walk)
     assert(calls.map(_._2).distinct.length == calls.length, "a vertex was evaluated twice")
   }
 
@@ -173,9 +176,9 @@ class GreedyCountingSpec extends AnyFunSuite {
         assert(!g.isPivot.contains(true), name)
         val p = rng.nextInt(s.space.n)
         val k = 1 + rng.nextInt(3 * s.k)
-        assert(GreedyCounting.count(s.space, g, p, s.r, k) == plainBfsCount(s.space, g, p, s.r, k),
+        assert(GreedyCounting.count(s.space, g, p, s.r, k, walk) == plainBfsCount(s.space, g, p, s.r, k),
           s"${s.name} $name p=$p k=$k")
-        assert(!GreedyCounting.walkFrom(s.space, p, s.r).cut, s"${s.name} $name p=$p")
+        assert(!walk.cut, s"${s.name} $name p=$p")
       }
     }
   }
@@ -212,8 +215,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     for (chain <- 1 to 8) {
       val (space, g, target) = chainCase(near = 3, chain = chain)
       assert(g.adj(0).length == 4)
-      val got = GreedyCounting.count(space, g, 0, 1.0, 100)
-      val walk = GreedyCounting.walkFrom(space, 0, 1.0)
+      val got = GreedyCounting.count(space, g, 0, 1.0, 100, walk)
       // the j-th far pivot on the chain follows j - 1 misses in a row:
       // expanded while j - 1 < 4, so the target is reached iff chain <= 4
       if (chain <= 4) {
@@ -232,19 +234,17 @@ class GreedyCountingSpec extends AnyFunSuite {
   test("a hit resets the run of misses") {
     // a path of nine far pivots is cut at the fifth (row length 4) ...
     val (space, g, target) = chainCase(near = 3, chain = 9)
-    assert(GreedyCounting.count(space, g, 0, 1.0, 100) == 3)
-    assert(!GreedyCounting.walkFrom(space, 0, 1.0).decided(target))
+    assert(GreedyCounting.count(space, g, 0, 1.0, 100, walk) == 3)
+    assert(!walk.decided(target))
     // ... but with the fifth vertex on the path within r, the walk passes
     // four far pivots, hits, and passes four more to the target
     val (space2, g2, target2) = chainCase(near = 3, chain = 9, hits = Set(4))
-    assert(GreedyCounting.count(space2, g2, 0, 1.0, 100) == 5)
-    val walk = GreedyCounting.walkFrom(space2, 0, 1.0)
+    assert(GreedyCounting.count(space2, g2, 0, 1.0, 100, walk) == 5)
     assert(walk.decided(target2) && walk.inRange(target2) && !walk.cut)
     // a hit second on the path leaves five far pivots after it: cut again
     val (space3, g3, target3) = chainCase(near = 3, chain = 7, hits = Set(1))
-    assert(GreedyCounting.count(space3, g3, 0, 1.0, 100) == 4)
-    val walk3 = GreedyCounting.walkFrom(space3, 0, 1.0)
-    assert(!walk3.decided(target3) && walk3.cut)
+    assert(GreedyCounting.count(space3, g3, 0, 1.0, 100, walk) == 4)
+    assert(!walk.decided(target3) && walk.cut)
   }
 
   test("counts on spaces of different n, interleaved on one thread, equal a plain BFS") {
@@ -262,9 +262,9 @@ class GreedyCountingSpec extends AnyFunSuite {
     for (round <- 0 until 30; (space, plain, pivoted, r) <- cases) {
       val p = rng.nextInt(space.n)
       val k = 1 + rng.nextInt(40)
-      assert(GreedyCounting.count(space, plain, p, r, k) == plainBfsCount(space, plain, p, r, k),
+      assert(GreedyCounting.count(space, plain, p, r, k, walk) == plainBfsCount(space, plain, p, r, k),
         s"round $round n=${space.n} p=$p k=$k plain")
-      assert(GreedyCounting.count(space, pivoted, p, r, k) == referenceCount(space, pivoted, p, r, k),
+      assert(GreedyCounting.count(space, pivoted, p, r, k, walk) == referenceCount(space, pivoted, p, r, k),
         s"round $round n=${space.n} p=$p k=$k pivoted")
     }
   }

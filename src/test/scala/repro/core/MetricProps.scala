@@ -81,7 +81,7 @@ object MetricProps extends Properties("Metric") {
         Seq(1, 2, n / 2, n).forall { k =>
           val truth = BruteForce.outliers(space, r, k)
           counters.forall { c =>
-            (0 until n).forall(p => c.count(space, p, r, k) == BruteForce.countNeighbors(space, p, r, k)) &&
+            (0 until n).forall(p => c.count(space, p, r, k, null) == BruteForce.countNeighbors(space, p, r, k)) &&
               ScanDOD.run(runner, space, r, k, c).outliers.sameElements(truth)
           } && SNIF.run(runner, space, r, k, seed).outliers.sameElements(truth)
         }

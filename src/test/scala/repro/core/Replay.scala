@@ -2,7 +2,7 @@ package repro.core
 
 import repro.graph.ProximityGraph
 
-/** Algorithm 1 replayed object by object on the calling thread: each
+/** Algorithm 1 replayed object by object on one walk: each
   * object's [[GraphDOD.filterVerdict]], then a candidate's exact count,
   * with or without reading the verdicts its walk left.
   */
@@ -19,21 +19,16 @@ private[core] object Replay {
     val cs = new CountingSpace(space)
     val outliers = Seq.newBuilder[Int]
     val counts = Map.newBuilder[Int, Int]
+    val walk = new GreedyCounting.Walk
     var reused = 0L
     var cut = 0
     for (p <- 0 until space.n) {
-      val verdict = GraphDOD.filterVerdict(cs, g, p, r, k)
+      val verdict = GraphDOD.filterVerdict(cs, g, p, r, k, walk)
       if (verdict == GraphDOD.DirectOutlier) outliers += p
-      if ((verdict == GraphDOD.Candidate || verdict == GraphDOD.Inlier) && GreedyCounting.walkFrom(cs, p, r).cut) cut += 1
+      if ((verdict == GraphDOD.Candidate || verdict == GraphDOD.Inlier) && walk.cut) cut += 1
       if (verdict == GraphDOD.Candidate) {
-        val c =
-          if (reuse) {
-            val walk = GreedyCounting.walkFrom(cs, p, r)
-            val before = walk.reused
-            val c = counter.count(cs, p, r, k, walk)
-            reused += walk.reused - before
-            c
-          } else counter.count(cs, p, r, k)
+        val c = counter.count(cs, p, r, k, if (reuse) walk else null)
+        reused += walk.reused
         counts += p -> c
         if (c < k) outliers += p
       }

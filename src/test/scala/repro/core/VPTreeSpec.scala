@@ -32,7 +32,7 @@ class VPTreeSpec extends AnyFunSuite {
       for (r <- radiiFor(space); _ <- 0 until 30) {
         val q = rng.nextInt(space.n)
         assert(
-          tree.rangeCount(space, q, r, Int.MaxValue) == BruteForce.countNeighbors(space, q, r, Int.MaxValue),
+          tree.rangeCount(space, q, r, Int.MaxValue, null) == BruteForce.countNeighbors(space, q, r, Int.MaxValue),
           s"query $q radius $r")
       }
     }
@@ -43,7 +43,7 @@ class VPTreeSpec extends AnyFunSuite {
       for (r <- radiiFor(space); _ <- 0 until 20) {
         val q = rng.nextInt(space.n)
         val cap = 1 + rng.nextInt(10)
-        val got = tree.rangeCount(space, q, r, cap)
+        val got = tree.rangeCount(space, q, r, cap, null)
         val full = BruteForce.countNeighbors(space, q, r, Int.MaxValue)
         assert(got == math.min(cap, full), s"query $q radius $r cap $cap")
       }
@@ -72,7 +72,7 @@ class VPTreeSpec extends AnyFunSuite {
     )
     for ((bound, t, q, neighbour) <- cases) {
       assert(space.within(q, neighbour, dmb), bound)
-      assert(t.rangeCount(space, q, dmb, Int.MaxValue) == BruteForce.countNeighbors(space, q, dmb, Int.MaxValue), bound)
+      assert(t.rangeCount(space, q, dmb, Int.MaxValue, null) == BruteForce.countNeighbors(space, q, dmb, Int.MaxValue), bound)
     }
   }
 
@@ -147,7 +147,7 @@ class VPTreeSpec extends AnyFunSuite {
     val rng = new Random(48)
     for (_ <- 0 until 50) {
       val q = rng.nextInt(space.n)
-      assert(a.rangeCount(space, q, 10.0, 50) == b.rangeCount(space, q, 10.0, 50))
+      assert(a.rangeCount(space, q, 10.0, 50, null) == b.rangeCount(space, q, 10.0, 50, null))
     }
   }
 
@@ -172,10 +172,10 @@ class VPTreeSpec extends AnyFunSuite {
       for (q <- vps.take(12); r <- radiiFor(space)) {
         val own = new CountingSpace(space)
         val copy = new CountingSpace(withCopyOf(q))
-        val got = tree.rangeCount(own, q, r, Int.MaxValue)
+        val got = tree.rangeCount(own, q, r, Int.MaxValue, null)
         assert(got == BruteForce.countNeighbors(space, q, r, Int.MaxValue), s"$name q=$q r=$r")
         // the copy also counts q itself, at distance 0
-        assert(tree.rangeCount(copy, space.n, r, Int.MaxValue) == got + 1, s"$name q=$q r=$r")
+        assert(tree.rangeCount(copy, space.n, r, Int.MaxValue, null) == got + 1, s"$name q=$q r=$r")
         assert(own.evaluations == copy.evaluations - 1, s"$name q=$q r=$r")
       }
     }
@@ -184,7 +184,7 @@ class VPTreeSpec extends AnyFunSuite {
   test("degenerate data (all-identical points) builds a leaf and counts right") {
     val space = new VectorSpace(Array.fill(50, 3)(1.0), VectorMetric.L2)
     val tree = VPTree.build(space, capacity = 8, seed = 12)
-    assert(tree.rangeCount(space, 0, 0.1, Int.MaxValue) == 49)
+    assert(tree.rangeCount(space, 0, 0.1, Int.MaxValue, null) == 49)
   }
 
   // ---- k-NN search -------------------------------------------------------

@@ -7,7 +7,8 @@ import repro.graph.{MRPG, ProximityGraph}
 /** Verification reads the verdicts of the candidate's Greedy-Counting walk:
   * the same counts and outliers as a verifier that evaluates every pair
   * again, exactly `reusedVerdicts` fewer evaluations, no verdict read from
-  * another walk, and none left over from before the walk stamp's wrap.
+  * another walk, a walk's verdicts kept while another walk is filled, and
+  * none left over from before the walk stamp's wrap.
   */
 class VerdictReuseSpec extends SparkSpec {
 
@@ -53,29 +54,50 @@ class VerdictReuseSpec extends SparkSpec {
     val s = scenario
     val g = completeGraph(s.space.n)
     val tree = VPTree.build(s.space, 16, seed = 3)
-    GreedyCounting.count(s.space, g, 0, s.r, s.k)
-    val walk = GreedyCounting.walkFrom(s.space, 0, s.r)
-    assertThrows[IllegalArgumentException](GreedyCounting.walkFrom(s.space, 1, s.r))
-    assertThrows[IllegalArgumentException](GreedyCounting.walkFrom(s.space, 0, s.r * 2))
-    assertThrows[IllegalArgumentException](GreedyCounting.walkFrom(new CountingSpace(s.space), 0, s.r))
+    val walk = new GreedyCounting.Walk
+    GreedyCounting.count(s.space, g, 0, s.r, s.k, walk)
     for (counter <- Seq(LinearScanCounter(), VPTreeCounter(tree))) {
-      assert(counter.count(s.space, 0, s.r, s.k, walk) == counter.count(s.space, 0, s.r, s.k), counter)
+      assert(counter.count(s.space, 0, s.r, s.k, walk) == counter.count(s.space, 0, s.r, s.k, null), counter)
       assertThrows[IllegalArgumentException](counter.count(s.space, 1, s.r, s.k, walk))
       assertThrows[IllegalArgumentException](counter.count(s.space, 0, s.r / 2, s.k, walk))
+      assertThrows[IllegalArgumentException](counter.count(s.space, 0, s.r * 2, s.k, walk))
+      assertThrows[IllegalArgumentException](counter.count(new CountingSpace(s.space), 0, s.r, s.k, walk))
     }
-    // a later walk on the thread makes the earlier one stale
-    GreedyCounting.count(s.space, g, 1, s.r, s.k)
+    // a later count into the same walk makes its earlier verdicts stale
+    GreedyCounting.count(s.space, g, 1, s.r, s.k, walk)
     for (counter <- Seq(LinearScanCounter(), VPTreeCounter(tree)))
       assertThrows[IllegalArgumentException](counter.count(s.space, 0, s.r, s.k, walk))
   }
 
-  /** Runs `body` on a new thread, whose walk state starts empty. */
-  private def onFreshThread(body: => Unit): Unit = {
-    var failure: Throwable = null
-    val t = new Thread(() => try body catch { case e: Throwable => failure = e })
-    t.start()
-    t.join()
-    if (failure != null) throw failure
+  test("two walks held at once: verifying p after q's walk counts and reads as back to back") {
+    for (s <- TestSpaces.scenarios().take(3)) {
+      val cs = new CountingSpace(s.space)
+      val (mrpg, _) = MRPG.build(s.space, 8, local, seed = 5, maxIters = 4)
+      val g = new ProximityGraph(mrpg.adj, mrpg.isPivot, mrpg.exactLists, 0) // every object walks
+      val counters = Seq(LinearScanCounter(), VPTreeCounter(VPTree.build(s.space, 16, seed = 3)))
+      val walkA = new GreedyCounting.Walk
+      val walkB = new GreedyCounting.Walk
+      val candidates = (0 until s.space.n).filter(p => GraphDOD.filterVerdict(cs, g, p, s.r, s.k, walkA) == GraphDOD.Candidate)
+      assert(candidates.size >= 2, s.name)
+      /** The exact count of `p` from `walk`, its evaluations and the verdicts it read. */
+      def verify(counter: ExactCounter, p: Int, walk: GreedyCounting.Walk): (Int, Long, Long) = {
+        val e0 = cs.evaluations
+        val c = counter.count(cs, p, s.r, s.k, walk)
+        (c, cs.evaluations - e0, walk.reused)
+      }
+      for (counter <- counters; (p, q) <- candidates.zip(candidates.tail :+ candidates.head)) {
+        val at = s"${s.name} $counter p=$p q=$q"
+        GraphDOD.filterVerdict(cs, g, p, s.r, s.k, walkA)
+        val backToBack = verify(counter, p, walkA)
+        assert(backToBack._1 == BruteForce.countNeighbors(s.space, p, s.r, s.k), at)
+        GraphDOD.filterVerdict(cs, g, p, s.r, s.k, walkA)
+        assert(walkA.reused == 0, s"$at: a new count resets the verdicts read")
+        GraphDOD.filterVerdict(cs, g, q, s.r, s.k, walkB)
+        assert(verify(counter, p, walkA) == backToBack, at)
+        GraphDOD.filterVerdict(cs, g, q, s.r, s.k, walkA)
+        assert(verify(counter, q, walkB) == verify(counter, q, walkA), at)
+      }
+    }
   }
 
   test("the walk stamp's wrap leaves no stale in-range verdict") {
@@ -84,8 +106,9 @@ class VerdictReuseSpec extends SparkSpec {
     val g = completeGraph(n)
     val tree = VPTree.build(s.space, 16, seed = 3)
     val q = 0
+    val walk = new GreedyCounting.Walk
     def assertVerdictsExact(r: Double, label: String): Unit = {
-      val walk = GreedyCounting.walkFrom(s.space, q, r)
+      assert(walk.isFrom(s.space, q, r), label)
       for (v <- 0 until n if v != q) {
         assert(walk.decided(v), s"$label: vertex $v")
         assert(walk.inRange(v) == s.space.within(q, v, r), s"$label: vertex $v")
@@ -94,20 +117,18 @@ class VerdictReuseSpec extends SparkSpec {
       for (counter <- Seq(LinearScanCounter(), VPTreeCounter(tree)))
         assert(counter.count(s.space, q, r, n, walk) == truth, s"$label: $counter")
     }
-    onFreshThread {
-      // stamp 1: every vertex is within the huge radius
-      GreedyCounting.count(s.space, g, q, 1e9, n)
-      assertVerdictsExact(1e9, "stamp 1")
-      // the last stamp before the wrap, at a radius that leaves stamp 1's
-      // in-range marks on the vertices outside it
-      GreedyCounting.setStamp(Int.MaxValue - 1)
-      val inRange = GreedyCounting.count(s.space, g, q, s.r, n)
-      assert(inRange == BruteForce.countNeighbors(s.space, q, s.r, n))
-      assert(inRange < n - 1, "the radius must leave some vertex out")
-      assertVerdictsExact(s.r, "stamp Int.MaxValue")
-      // the wrap back to stamp 1
-      assert(GreedyCounting.count(s.space, g, q, s.r, n) == inRange)
-      assertVerdictsExact(s.r, "after the wrap")
-    }
+    // stamp 1 on the fresh walk: every vertex is within the huge radius
+    GreedyCounting.count(s.space, g, q, 1e9, n, walk)
+    assertVerdictsExact(1e9, "stamp 1")
+    // the last stamp before the wrap, at a radius that leaves stamp 1's
+    // in-range marks on the vertices outside it
+    walk.stamp = Int.MaxValue - 1
+    val inRange = GreedyCounting.count(s.space, g, q, s.r, n, walk)
+    assert(inRange == BruteForce.countNeighbors(s.space, q, s.r, n))
+    assert(inRange < n - 1, "the radius must leave some vertex out")
+    assertVerdictsExact(s.r, "stamp Int.MaxValue")
+    // the wrap back to stamp 1
+    assert(GreedyCounting.count(s.space, g, q, s.r, n, walk) == inRange)
+    assertVerdictsExact(s.r, "after the wrap")
   }
 }

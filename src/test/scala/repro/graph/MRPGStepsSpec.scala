@@ -125,7 +125,7 @@ class MRPGStepsSpec extends AnyFunSuite {
       RemoveDetours.run(space, store, Array(true, true, true), new Array[Boolean](3), 2, runner, seed = sd)
     val g = new ProximityGraph(store.toRows, new Array[Boolean](3), null, 0)
     // vertex 2 (dist 1 <= r=2) must now be reachable monotonically from 0
-    assert(GreedyCounting.count(space, g, 0, 2.0, 5) == 1)
+    assert(GreedyCounting.count(space, g, 0, 2.0, 5, new GreedyCounting.Walk) == 1)
   }
 
   test("RemoveDetours chains are monotonic by construction") {

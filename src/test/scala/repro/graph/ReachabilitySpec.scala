@@ -23,6 +23,7 @@ class ReachabilitySpec extends AnyFunSuite {
   }
   private val r = 11.0
   private val k = 1000 // no early stop: measure full reachability
+  private val walk = new GreedyCounting.Walk
 
   /** Mean fraction of true r-neighbors that Greedy-Counting reaches. */
   private def coverage(g: ProximityGraph): Double = {
@@ -31,7 +32,7 @@ class ReachabilitySpec extends AnyFunSuite {
     val fracs = samples.flatMap { p =>
       val truth = BruteForce.countNeighbors(space, p, r, Int.MaxValue)
       if (truth == 0) None
-      else Some(GreedyCounting.count(space, g, p, r, k).toDouble / truth)
+      else Some(GreedyCounting.count(space, g, p, r, k, walk).toDouble / truth)
     }
     fracs.sum / fracs.size
   }
@@ -44,8 +45,8 @@ class ReachabilitySpec extends AnyFunSuite {
     for (_ <- 0 until 60) {
       val p = rng.nextInt(space.n)
       val truth = BruteForce.countNeighbors(space, p, r, Int.MaxValue)
-      assert(GreedyCounting.count(space, kgraph, p, r, k) <= truth)
-      assert(GreedyCounting.count(space, mrpg, p, r, k) <= truth)
+      assert(GreedyCounting.count(space, kgraph, p, r, k, walk) <= truth)
+      assert(GreedyCounting.count(space, mrpg, p, r, k, walk) <= truth)
     }
   }
 

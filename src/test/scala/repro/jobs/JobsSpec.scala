@@ -56,7 +56,7 @@ class JobsSpec extends SparkSpec {
     Console.withOut(out)(BuildProfileJob.main(Array("words", "0.02", "local")))
     val detect = out.toString.linesIterator.filter(_.startsWith("detect")).toSeq
     assert(detect.size == 1, out.toString)
-    assert(raw"MRPG r=\S+ k=\d+ .*candidates=\d+ falsePos=\d+ .*cutWalks=\d+".r.findFirstIn(detect.head).nonEmpty, detect.head)
+    assert(raw"MRPG r=\S+ k=\d+ .*candidates=\d+ falsePos=\d+ .*reused=\d+ cutWalks=\d+".r.findFirstIn(detect.head).nonEmpty, detect.head)
   }
 
   test("job mains run in the suite's session and leave it running") {
