@@ -137,7 +137,8 @@ object GraphDOD {
     */
   def filterVerdict(space: MetricSpace, g: ProximityGraph, p: Int, r: Double, k: Int, walk: Walk): Byte = {
     if (g.hasExactList(p) && k <= g.exactK) {
-      val c = GreedyCounting.countExactList(space, g.exactLists(p), p, r, k)
+      val from = g.offsets(p)
+      val c = GreedyCounting.countExactList(space, g.links, from, from + g.exactLen, p, r, k)
       if (c < k) DirectOutlier else DirectInlier
     } else {
       val c = GreedyCounting.count(space, g, p, r, k, walk)

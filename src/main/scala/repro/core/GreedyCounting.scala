@@ -20,7 +20,7 @@ object GreedyCounting {
 
   /** Returns the greedy count, capped at `k`, expanding every vertex
     * within `r`, and every pivot of `g` (`g.isPivot`) outside it while
-    * fewer than `g.adj(p).length` vertices tested before it since the
+    * fewer than `g.degree(p)` vertices tested before it since the
     * latest hit were outside `r`. A pivot the bound leaves unexpanded
     * marks the walk [[Walk.cut]]. The BFS runs on the caller's `walk`,
     * which keeps the verdict of every vertex it tested until its next
@@ -31,7 +31,10 @@ object GreedyCounting {
     val seen = walk.seen
     val hit = walk.hit
     val queue = walk.queue // each vertex enters at most once, so n slots suffice
-    val bound = g.adj(p).length
+    val offsets = g.offsets
+    val links = g.links
+    val isPivot = g.isPivot
+    val bound = offsets(p + 1) - offsets(p)
     seen(p) = stamp
     queue(0) = p
     var head = 0
@@ -41,10 +44,10 @@ object GreedyCounting {
     while (head < tail) {
       val v = queue(head)
       head += 1
-      val edges = g.adj(v)
-      var i = 0
-      while (i < edges.length) {
-        val w = edges(i)
+      var i = offsets(v)
+      val e = offsets(v + 1)
+      while (i < e) {
+        val w = links(i)
         if (seen(w) != stamp) {
           seen(w) = stamp
           if (space.within(p, w, r)) {
@@ -54,7 +57,7 @@ object GreedyCounting {
             miss = 0
             queue(tail) = w; tail += 1
           } else {
-            if (g.isPivot(w)) {
+            if (isPivot(w)) {
               if (miss < bound) { queue(tail) = w; tail += 1 }
               else walk.cutShort = true
             }
@@ -126,16 +129,17 @@ object GreedyCounting {
     }
   }
 
-  /** §5.5 direct decision for an object carrying an exact K'-NN list: counts
-    * how many of the listed nearest neighbors are within `r` (capped at `k`).
-    * Exact in both directions when `k <= K'`: if fewer than `k` of the true
-    * `K'` nearest are within `r`, the k-th NN is beyond `r`.
+  /** §5.5 direct decision for an object carrying an exact K'-NN list,
+    * `ids(from until until)`: counts how many of the listed nearest
+    * neighbors are within `r` (capped at `k`). Exact in both directions when
+    * `k <= K'`: if fewer than `k` of the true `K'` nearest are within `r`,
+    * the k-th NN is beyond `r`.
     */
-  def countExactList(space: MetricSpace, list: Array[Int], p: Int, r: Double, k: Int): Int = {
+  def countExactList(space: MetricSpace, ids: Array[Int], from: Int, until: Int, p: Int, r: Double, k: Int): Int = {
     var count = 0
-    var i = 0
-    while (i < list.length && count < k) {
-      if (space.within(p, list(i), r)) count += 1
+    var i = from
+    while (i < until && count < k) {
+      if (space.within(p, ids(i), r)) count += 1
       else return count // list is sorted by distance: nothing closer follows
       i += 1
     }

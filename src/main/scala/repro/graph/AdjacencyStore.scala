@@ -14,8 +14,8 @@ import scala.collection.mutable
   * grow by doubling. [[contains]] scans the row; rows hold O(K) ids, hubs a
   * few hundred.
   *
-  * The store is driver-side scratch: [[toRows]] copies it into a graph's
-  * `adj`.
+  * The store is driver-side scratch: [[toCsr]] copies it into a graph's
+  * `offsets` and `links`.
   */
 final class AdjacencyStore(val n: Int) {
   private val rows = Array.fill(n)(AdjacencyStore.NoIds)
@@ -61,8 +61,18 @@ final class AdjacencyStore(val n: Int) {
   /** Row `v`'s ids, in order. */
   def row(v: Int): Array[Int] = java.util.Arrays.copyOf(rows(v), sizes(v))
 
-  /** Every row as its own array: a graph's `adj`. */
-  def toRows: Array[Array[Int]] = Array.tabulate(n)(row)
+  /** Every row in compressed sparse row form: `n + 1` row starts, and the
+    * rows' ids one row after another, each row in order.
+    */
+  def toCsr: (Array[Int], Array[Int]) = {
+    val offsets = new Array[Int](n + 1)
+    var v = 0
+    while (v < n) { offsets(v + 1) = offsets(v) + sizes(v); v += 1 }
+    val links = new Array[Int](offsets(n))
+    v = 0
+    while (v < n) { System.arraycopy(rows(v), 0, links, offsets(v), sizes(v)); v += 1 }
+    (offsets, links)
+  }
 }
 
 object AdjacencyStore {

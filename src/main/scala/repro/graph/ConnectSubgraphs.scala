@@ -17,8 +17,8 @@ import scala.util.Random
   * The exact-list guard holds in phase 1 only: phase 2 links its pair both
   * ways, so an unreached exact-list target can gain one link beyond its K'
   * nearest (one such vertex in the Deep (0.5) MRPG, none at that scale on
-  * the other six datasets). Detection is unaffected: the §5.5 direct
-  * decision reads `exactLists`, not `adj`.
+  * the other six datasets). It is appended, so the exact list stays the
+  * prefix of the row, which is where the §5.5 direct decision reads it.
   */
 object ConnectSubgraphs {
 
@@ -45,12 +45,12 @@ object ConnectSubgraphs {
 
     // ---- reverse AKNN phase --------------------------------------------
     // over a snapshot of the links each row had when the phase began
-    val aknn = adj.toRows
+    val (aknnOffsets, aknnLinks) = adj.toCsr
     var v = 0
     while (v < n) {
-      var i = 0
-      while (i < aknn(v).length) {
-        val u = aknn(v)(i)
+      var i = aknnOffsets(v)
+      while (i < aknnOffsets(v + 1)) {
+        val u = aknnLinks(i)
         if (!isExact(u) && adj.add(u, v)) added += 1
         i += 1
       }
@@ -83,23 +83,39 @@ object ConnectSubgraphs {
       }
     }
 
+    // ascending ids read off `visited`: `pivots` holds the pivots of one
+    // side, `all` every id of that side when it has no pivot
+    val pivots = new Array[Int](n)
+    val all = new Array[Int](n)
+    // the ids on the `reachedSide` of `visited` into `into`, pivots only if
+    // `onlyPivots`; returns how many
+    def collect(reachedSide: Boolean, onlyPivots: Boolean, into: Array[Int]): Int = {
+      var m = 0
+      var v = if (reachedSide) visited.nextSetBit(0) else visited.nextClearBit(0)
+      while (v >= 0 && v < n) {
+        if (!onlyPivots || isPivot(v)) { into(m) = v; m += 1 }
+        v = if (reachedSide) visited.nextSetBit(v + 1) else visited.nextClearBit(v + 1)
+      }
+      m
+    }
+
     bfsFrom(rng.nextInt(n))
     var guard = 0
     while (reached < n && guard < n) {
       guard += 1
       // a random unreached object, preferring pivots (v'_piv)
-      val unreached = (0 until n).filter(!visited.get(_))
-      val unreachedPivots = unreached.filter(isPivot(_))
+      val nUnreachedPivots = collect(reachedSide = false, onlyPivots = true, pivots)
       val target =
-        if (unreachedPivots.nonEmpty) unreachedPivots(rng.nextInt(unreachedPivots.length))
-        else unreached(rng.nextInt(unreached.length))
+        if (nUnreachedPivots > 0) pivots(rng.nextInt(nUnreachedPivots))
+        else all(rng.nextInt(collect(reachedSide = false, onlyPivots = false, all)))
 
-      val reachedIds = (0 until n).filter(visited.get)
-      val reachedPivots = reachedIds.filter(isPivot(_))
+      val nReachedPivots = collect(reachedSide = true, onlyPivots = true, pivots)
       val starts =
-        (if (reachedPivots.nonEmpty)
-           Seq.fill(StartPivots)(reachedPivots(rng.nextInt(reachedPivots.length)))
-         else Seq.fill(StartPivots)(reachedIds(rng.nextInt(reachedIds.length)))).distinct
+        (if (nReachedPivots > 0) Seq.fill(StartPivots)(pivots(rng.nextInt(nReachedPivots)))
+         else {
+           val nReached = collect(reachedSide = true, onlyPivots = false, all)
+           Seq.fill(StartPivots)(all(rng.nextInt(nReached)))
+         }).distinct
 
       // the walks only read `adj` and share one memo of distances to the
       // target; the pair is linked once every start has walked

@@ -84,7 +84,10 @@ object MRPG {
     val removed = RemoveLinks.run(adj, aknn.isPivot, isExact)
     val t4 = System.nanoTime()
 
-    val graph = new ProximityGraph(adj.toRows, aknn.isPivot, aknn.exactLists, if (basic) 0 else math.min(kPrime, n - 1))
+    // every exact list stays the prefix of its row: the steps only append there
+    val (offsets, links) = adj.toCsr
+    val exactLen = ProximityGraph.exactLength(offsets, links, aknn.exactLists)
+    val graph = new ProximityGraph(offsets, links, aknn.isPivot, isExact, exactLen, if (basic) 0 else math.min(kPrime, n - 1))
     val stats = BuildStats(
       nnDescentMs = (t1 - t0) / 1000000L,
       connectMs = (t2 - t1) / 1000000L,

@@ -36,7 +36,8 @@ object NSW {
       }
       t += 1
     }
-    ProximityGraph.plain(adj.toRows)
+    val (offsets, links) = adj.toCsr
+    ProximityGraph.plain(offsets, links)
   }
 
   /** `f` greedy descents toward `q`, which no row holds yet; returns the `f`

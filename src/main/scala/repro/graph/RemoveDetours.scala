@@ -14,9 +14,9 @@ import scala.util.Random
   * which makes the path from `p` through them monotonic (Definition 3).
   *
   * The per-target BFS is read-only, so targets are dealt out through
-  * [[ParRunner.mapIds]] over a copy of the adjacency's rows (each chunk's
-  * generation-stamped scratch arrays keep its BFSes allocation-free); the
-  * chains are linked on the driver, in target order.
+  * [[ParRunner.mapIds]] over a copy of the adjacency in CSR form, two
+  * arrays (each chunk's generation-stamped scratch arrays keep its BFSes
+  * allocation-free); the chains are linked on the driver, in target order.
   */
 object RemoveDetours {
 
@@ -61,14 +61,14 @@ object RemoveDetours {
     def seen(v: Int): Boolean = visitGen(v) == bfs
     def enqueue(v: Int): Unit = { visitGen(v) = bfs; queue(tail) = v; tail += 1 }
 
-    /** Starts target `p`'s empty `A`, which `p` and its `direct` links
-      * never enter.
+    /** Starts target `p`'s empty `A`, which `p` and its direct links,
+      * `links(from until until)`, never enter.
       */
-    def beginTarget(p: Int, direct: Array[Int]): Unit = {
+    def beginTarget(p: Int, links: Array[Int], from: Int, until: Int): Unit = {
       target += 1; aSize = 0
       aGen(p) = target
-      var i = 0
-      while (i < direct.length) { aGen(direct(i)) = target; i += 1 }
+      var i = from
+      while (i < until) { aGen(links(i)) = target; i += 1 }
     }
     def addToA(v: Int): Unit = if (aGen(v) != target) { aGen(v) = target; a(aSize) = v; aSize += 1 }
 
@@ -121,10 +121,11 @@ object RemoveDetours {
     val maxA = k * k
     val pivotSample = math.min(k, 10)
 
-    val chains = runner.mapIds(targets.take(nPicked), space, (adj.toRows, isPivot, isExact, maxA, pivotSample)) {
-      case (sp, (g, piv, exact, cap, nPiv)) =>
-        val sc = new Scratch(g.length)
-        p => chainFor(sp, g, piv, exact, p, cap, nPiv, sc)
+    val (offsets, links) = adj.toCsr
+    val chains = runner.mapIds(targets.take(nPicked), space, (offsets, links, isPivot, isExact, maxA, pivotSample)) {
+      case (sp, (off, lnk, piv, exact, cap, nPiv)) =>
+        val sc = new Scratch(off.length - 1)
+        p => chainFor(sp, off, lnk, piv, exact, p, cap, nPiv, sc)
     }
 
     // ---- chain-link on the driver --------------------------------------
@@ -164,7 +165,8 @@ object RemoveDetours {
     */
   private def chainFor(
       space: MetricSpace,
-      adj: Array[Array[Int]],
+      offsets: Array[Int],
+      links: Array[Int],
       isPivot: Array[Boolean],
       isExact: Array[Boolean],
       p: Int,
@@ -172,9 +174,9 @@ object RemoveDetours {
       pivotSample: Int,
       sc: Scratch,
   ): Chain = {
-    sc.beginTarget(p, adj(p))
+    sc.beginTarget(p, links, offsets(p), offsets(p + 1))
 
-    var capHits = getNonMonotonic(space, adj, p, p, 3, sc)
+    var capHits = getNonMonotonic(space, offsets, links, p, p, 3, sc)
     // pivots "with small distances to p": found at hop >= 2 of the BFS,
     // excluding exact-list objects (Alg. 5 line 5 conditions); read off the
     // queue, in a stable sort, before the 2-hop BFSes reuse it
@@ -188,7 +190,7 @@ object RemoveDetours {
     sortByDist(sc.pivs, nPivs, sc.dp, sc.tmp)
     i = 0
     while (i < math.min(nPivs, pivotSample)) {
-      capHits += getNonMonotonic(space, adj, p, sc.pivs(i), 2, sc)
+      capHits += getNonMonotonic(space, offsets, links, p, sc.pivs(i), 2, sc)
       i += 1
     }
 
@@ -239,7 +241,8 @@ object RemoveDetours {
     */
   private def getNonMonotonic(
       space: MetricSpace,
-      adj: Array[Array[Int]],
+      offsets: Array[Int],
+      links: Array[Int],
       p: Int,
       start: Int,
       maxHops: Int,
@@ -259,10 +262,10 @@ object RemoveDetours {
       if (hu < maxHops) {
         val du = sc.dp(u)
         val mu = sc.mono(u)
-        val row = adj(u)
-        var i = 0
-        while (i < row.length) {
-          val w = row(i)
+        var i = offsets(u)
+        val e = offsets(u + 1)
+        while (i < e) {
+          val w = links(i)
           if (!sc.seen(w)) {
             sc.enqueue(w)
             val dw = sc.distTo(space, p, w)

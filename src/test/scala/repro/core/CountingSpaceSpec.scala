@@ -93,13 +93,10 @@ class CountingSpaceSpec extends SparkSpec {
       (run(runner, cs), cs.evaluations)
     }
 
-  private def sameGraph(a: ProximityGraph, b: ProximityGraph): Boolean = {
-    def sameRows(x: Array[Array[Int]], y: Array[Array[Int]]): Boolean =
-      (x == null && y == null) || (x != null && y != null && x.length == y.length &&
-        x.indices.forall(i => java.util.Arrays.equals(x(i), y(i))))
+  private def sameGraph(a: ProximityGraph, b: ProximityGraph): Boolean =
     a.exactK == b.exactK && java.util.Arrays.equals(a.isPivot, b.isPivot) &&
-      sameRows(a.adj, b.adj) && sameRows(a.exactLists, b.exactLists)
-  }
+      java.util.Arrays.equals(a.offsets, b.offsets) && java.util.Arrays.equals(a.links, b.links) &&
+      java.util.Arrays.equals(a.isExact, b.isExact) && a.exactLen == b.exactLen
 
   test("copied chunks: MRPG and KGraph builds count and build as under LocalRunner") {
     for (base <- Seq(vectors, words)) {

@@ -265,7 +265,7 @@ class GraphDODSpec extends SparkSpec {
       for (
         counter <- Seq(LinearScanCounter(), VPTreeCounter(VPTree.build(base, 16, seed = 3)));
         // MRPG's graph, and the same graph with no direct decision
-        g <- Seq(mrpg, new ProximityGraph(mrpg.adj, mrpg.isPivot, mrpg.exactLists, 0));
+        g <- Seq(mrpg, new ProximityGraph(mrpg.offsets, mrpg.links, mrpg.isPivot, mrpg.isExact, mrpg.exactLen, 0));
         fanOut <- Seq(new LocalRunner(4), new SparkRunner(spark, 4))
       ) {
         val label = s"$name $counter exactK=${g.exactK} ${fanOut.getClass.getSimpleName}"

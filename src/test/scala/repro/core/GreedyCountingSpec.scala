@@ -23,8 +23,12 @@ class GreedyCountingSpec extends AnyFunSuite {
   /** `randomGraph` with about one vertex in eight a pivot. */
   private def pivotedGraph(n: Int, degree: Int, seed: Long): ProximityGraph = {
     val rng = new Random(seed + 1)
-    new ProximityGraph(randomGraph(n, degree, seed).adj, Array.fill(n)(rng.nextInt(8) == 0), null, 0)
+    withPivots(randomGraph(n, degree, seed), Array.fill(n)(rng.nextInt(8) == 0))
   }
+
+  /** `g`'s links with `isPivot` for pivots. */
+  private def withPivots(g: ProximityGraph, isPivot: Array[Boolean]): ProximityGraph =
+    new ProximityGraph(g.offsets, g.links, isPivot, null, 0, 0)
 
   private def completeGraph(n: Int): ProximityGraph =
     ProximityGraph.plain(Array.tabulate(n)(v => Array.range(0, n).filter(_ != v)))
@@ -94,8 +98,8 @@ class GreedyCountingSpec extends AnyFunSuite {
     )
     val space = new VectorSpace(pts, VectorMetric.L2)
     val adj = Array(Array(1), Array(0, 2), Array(1))
-    val withoutPivot = new ProximityGraph(adj, Array(false, false, false), null, 0)
-    val withPivot = new ProximityGraph(adj, Array(false, true, false), null, 0)
+    val withoutPivot = ProximityGraph.plain(adj)
+    val withPivot = withPivots(withoutPivot, Array(false, true, false))
     assert(GreedyCounting.count(space, withoutPivot, 0, 2.0, 5, walk) == 0)
     assert(GreedyCounting.count(space, withPivot, 0, 2.0, 5, walk) == 1)
   }
@@ -104,7 +108,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     val pts = Array(Array(0.0, 0.0), Array(50.0, 0.0), Array(1.0, 0.0))
     val space = new VectorSpace(pts, VectorMetric.L2)
     val adj = Array(Array(1), Array(0, 2), Array(1))
-    val g = new ProximityGraph(adj, Array(false, false, false), null, 0)
+    val g = ProximityGraph.plain(adj)
     assert(GreedyCounting.count(space, g, 0, 2.0, 5, walk) == 0)
   }
 
@@ -136,11 +140,11 @@ class GreedyCountingSpec extends AnyFunSuite {
     var miss = 0
     while (queue.nonEmpty && count < k) {
       val v = queue.dequeue()
-      for (w <- g.adj(v) if count < k && !visited.get(w)) {
+      for (w <- g.row(v) if count < k && !visited.get(w)) {
         visited.set(w)
         if (space.dist(p, w) <= r) { count += 1; miss = 0; queue.enqueue(w) }
         else {
-          if (g.isPivot(w) && (!bounded || miss < g.adj(p).length)) queue.enqueue(w)
+          if (g.isPivot(w) && (!bounded || miss < g.degree(p))) queue.enqueue(w)
           miss += 1
         }
       }
@@ -155,7 +159,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     visited.set(p)
     var count = 0
     while (queue.nonEmpty && count < k) {
-      for (w <- g.adj(queue.dequeue()) if count < k && !visited.get(w)) {
+      for (w <- g.row(queue.dequeue()) if count < k && !visited.get(w)) {
         visited.set(w)
         if (space.dist(p, w) <= r) { count += 1; queue.enqueue(w) }
       }
@@ -207,14 +211,14 @@ class GreedyCountingSpec extends AnyFunSuite {
       }
     }
     val isPivot = Array.tabulate(target + 1)(v => v > near && v < target)
-    (new VectorSpace(pts, VectorMetric.L2), new ProximityGraph(adj, isPivot, null, 0), target)
+    (new VectorSpace(pts, VectorMetric.L2), withPivots(ProximityGraph.plain(adj), isPivot), target)
   }
 
   test("a chain of far pivots longer than the source's row stops being expanded") {
     // the source's row holds 3 near vertices and the chain's head: 4 links
     for (chain <- 1 to 8) {
       val (space, g, target) = chainCase(near = 3, chain = chain)
-      assert(g.adj(0).length == 4)
+      assert(g.degree(0) == 4)
       val got = GreedyCounting.count(space, g, 0, 1.0, 100, walk)
       // the j-th far pivot on the chain follows j - 1 misses in a row:
       // expanded while j - 1 < 4, so the target is reached iff chain <= 4
@@ -223,7 +227,7 @@ class GreedyCountingSpec extends AnyFunSuite {
       } else {
         assert(got == 3 && !walk.decided(target) && walk.cut, s"chain $chain")
         // the fifth is tested, and the sixth is not
-        assert(walk.decided(g.adj(0).last + 4) && !walk.decided(g.adj(0).last + 5), s"chain $chain")
+        assert(walk.decided(g.row(0).last + 4) && !walk.decided(g.row(0).last + 5), s"chain $chain")
       }
       assert(got == referenceCount(space, g, 0, 1.0, 100), s"chain $chain")
       // Algorithm 2 as the paper writes it reaches the target on any chain
@@ -257,7 +261,7 @@ class GreedyCountingSpec extends AnyFunSuite {
     ).zipWithIndex.map { case ((space, r), i) =>
       val plain = randomGraph(space.n, 5, seed = 92 + i)
       val isPivot = Array.fill(space.n)(rng.nextInt(8) == 0)
-      (space, plain, new ProximityGraph(plain.adj, isPivot, null, 0), r)
+      (space, plain, withPivots(plain, isPivot), r)
     }
     for (round <- 0 until 30; (space, plain, pivoted, r) <- cases) {
       val p = rng.nextInt(space.n)
@@ -278,7 +282,7 @@ class GreedyCountingSpec extends AnyFunSuite {
       val kPrime = 40
       val list = BruteForce.knn(space, p, kPrime)
       for (k <- Seq(3, 10, 25); r <- Seq(4.0, 9.0, 15.0)) {
-        val got = GreedyCounting.countExactList(space, list, p, r, k)
+        val got = GreedyCounting.countExactList(space, list, 0, list.length, p, r, k)
         val truth = BruteForce.countNeighbors(space, p, r, k)
         // exact in both directions while k <= K'
         assert((got < k) == (truth < k), s"p=$p k=$k r=$r got=$got truth=$truth")
@@ -289,6 +293,6 @@ class GreedyCountingSpec extends AnyFunSuite {
 
   test("countExactList on an empty list returns zero") {
     val space = TestSpaces.clustered(50, 4, VectorMetric.L2, seed = 86)
-    assert(GreedyCounting.countExactList(space, Array.empty, 0, 10.0, 5) == 0)
+    assert(GreedyCounting.countExactList(space, Array.empty, 0, 0, 0, 10.0, 5) == 0)
   }
 }

@@ -73,7 +73,8 @@ class VerdictReuseSpec extends SparkSpec {
     for (s <- TestSpaces.scenarios().take(3)) {
       val cs = new CountingSpace(s.space)
       val (mrpg, _) = MRPG.build(s.space, 8, local, seed = 5, maxIters = 4)
-      val g = new ProximityGraph(mrpg.adj, mrpg.isPivot, mrpg.exactLists, 0) // every object walks
+      // every object walks
+      val g = new ProximityGraph(mrpg.offsets, mrpg.links, mrpg.isPivot, mrpg.isExact, mrpg.exactLen, 0)
       val counters = Seq(LinearScanCounter(), VPTreeCounter(VPTree.build(s.space, 16, seed = 3)))
       val walkA = new GreedyCounting.Walk
       val walkB = new GreedyCounting.Walk

@@ -33,10 +33,11 @@ object AdjacencyStoreProps extends Properties("AdjacencyStore") {
       else if (kind == Remove) store.remove(v, u) == sets(v).remove(u)
       else store.contains(v, u) == sets(v).contains(u)
     }
-    val rows = store.toRows
-    sameAnswers && (0 until Rows).forall { v =>
+    val (offsets, links) = store.toCsr
+    sameAnswers && offsets.length == Rows + 1 && offsets(Rows) == links.length && (0 until Rows).forall { v =>
       val expected = sets(v).toSeq
-      store.row(v).toSeq == expected && rows(v).toSeq == expected && store.size(v) == expected.size &&
+      store.row(v).toSeq == expected && links.slice(offsets(v), offsets(v + 1)).toSeq == expected &&
+        store.size(v) == expected.size &&
         store.ids(v).take(store.size(v)).toSeq == expected && // the row the steps read in place
         (0 until Ids).forall(u => store.contains(v, u) == sets(v).contains(u))
     }

@@ -10,9 +10,10 @@ import repro.data.{DatasetSpec, Datasets}
   *
   * For each of the 7 dataset specs at scale 0.05 (n = 200–800), a SHA-256
   * prefix pins the space's raw data, and another pins each build's output:
-  * `adj` in iteration order, `isPivot`, `exactLists` and `exactK`. Next to
-  * the hash stand the build's distance evaluations and, for MRPG and
-  * MRPG-basic, the `BuildStats` link counts (Connect / Detours / removed).
+  * every row in order, `isPivot`, every vertex's exact list (or its
+  * absence, or that of every list) and `exactK`. Next to the hash stand the
+  * build's distance evaluations and, for MRPG and MRPG-basic, the
+  * `BuildStats` link counts (Connect / Detours / removed).
   * MRPG, MRPG-basic and KGraph must match under both `LocalRunner(4)` and
   * `SparkRunner(spark, 4)`; NSW runs on the driver only, so once.
   *
@@ -94,9 +95,9 @@ class GoldenFingerprintSpec extends SparkSpec {
 
   private def graphLine(g: ProximityGraph, evals: Long, links: String): String = {
     val fp = new Fingerprint
-    g.adj.foreach(fp.ints)
+    (0 until g.n).foreach(v => fp.ints(g.row(v)))
     g.isPivot.foreach(b => fp.long(if (b) 1L else 0L))
-    if (g.exactLists == null) fp.long(-2L) else g.exactLists.foreach(fp.ints)
+    if (g.isExact == null) fp.long(-2L) else (0 until g.n).foreach(v => fp.ints(g.exactList(v)))
     fp.long(g.exactK.toLong)
     s"${fp.hex} evals=$evals$links"
   }

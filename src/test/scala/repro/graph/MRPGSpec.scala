@@ -16,7 +16,7 @@ class MRPGSpec extends SparkSpec {
     val rng = new scala.util.Random(52)
     val linkD = (0 until 300).map { _ =>
       val v = rng.nextInt(space.n)
-      val es = graph.adj(v)
+      val es = graph.row(v)
       space.dist(v, es(rng.nextInt(es.length)))
     }
     val randD = (0 until 300).map(_ => space.dist(rng.nextInt(space.n), rng.nextInt(space.n)))
@@ -34,21 +34,21 @@ class MRPGSpec extends SparkSpec {
     val withLists = (0 until space.n).filter(graph.hasExactList)
     assert(withLists.nonEmpty)
     withLists.take(10).foreach { v =>
-      assert(graph.exactLists(v).toSeq == BruteForce.knn(space, v, 32).toSeq)
+      assert(graph.exactList(v).toSeq == BruteForce.knn(space, v, 32).toSeq)
     }
   }
 
   test("MRPG-basic exact lists have length K (not K')") {
     assert(basicGraph.exactK == 0) // they seed links but decide nothing (§6 setup)
     val v = (0 until space.n).find(basicGraph.hasExactList).get
-    assert(basicGraph.exactLists(v).length == 8)
+    assert(basicGraph.exactList(v).length == 8)
   }
 
   test("graph is connected (undirected reachability covers all vertices)") {
     // traversal over the union of out-links and in-links (exact-list
     // vertices keep directed lists; connectivity holds on the undirected view)
     val undirected = Array.fill(space.n)(scala.collection.mutable.HashSet.empty[Int])
-    for (v <- 0 until space.n; u <- graph.adj(v)) { undirected(v) += u; undirected(u) += v }
+    for (v <- 0 until space.n; u <- graph.row(v)) { undirected(v) += u; undirected(u) += v }
     val visited = new java.util.BitSet(space.n)
     val q = new java.util.ArrayDeque[Integer]()
     visited.set(0); q.add(0)
@@ -62,7 +62,7 @@ class MRPGSpec extends SparkSpec {
 
   test("no self loops, duplicates, or out-of-range links") {
     for (v <- 0 until space.n) {
-      val es = graph.adj(v)
+      val es = graph.row(v)
       assert(!es.contains(v))
       assert(es.distinct.length == es.length)
       es.foreach(u => assert(u >= 0 && u < space.n))
@@ -85,7 +85,7 @@ class MRPGSpec extends SparkSpec {
   test("build is deterministic in the seed") {
     val (a, _) = MRPG.build(space, 6, runner, seed = 9, maxIters = 3)
     val (b, _) = MRPG.build(space, 6, runner, seed = 9, maxIters = 3)
-    assert((0 until space.n).forall(v => a.adj(v).sameElements(b.adj(v))))
+    assert((0 until space.n).forall(v => a.row(v).sameElements(b.row(v))))
   }
 
   test("SparkRunner and LocalRunner build identical graphs under tied distances") {
@@ -96,19 +96,16 @@ class MRPGSpec extends SparkSpec {
     val (b, _) = MRPG.build(ss, 8, new LocalRunner(4), seed = 12, maxIters = 4)
     def same(x: Array[Int], y: Array[Int]) = java.util.Arrays.equals(x, y)
     assert(a.isPivot.sameElements(b.isPivot))
-    assert((0 until ss.n).forall(v => same(a.exactLists(v), b.exactLists(v))))
-    assert((0 until ss.n).forall(v => same(a.adj(v), b.adj(v))))
+    assert((0 until ss.n).forall(v => same(a.exactList(v), b.exactList(v))))
+    assert((0 until ss.n).forall(v => same(a.row(v), b.row(v))))
   }
 
   test("graphs do not depend on the chunk count") {
     // each local-join chunk reuses the distances it knows, so the evaluation
     // counts may differ with the chunk count; the graphs may not
-    def same(x: ProximityGraph, y: ProximityGraph): Boolean = {
-      def rows(a: Array[Array[Int]], b: Array[Array[Int]]) =
-        (a == null && b == null) ||
-          (a != null && b != null && a.length == b.length && a.indices.forall(v => java.util.Arrays.equals(a(v), b(v))))
-      rows(x.adj, y.adj) && x.isPivot.sameElements(y.isPivot) && rows(x.exactLists, y.exactLists) && x.exactK == y.exactK
-    }
+    def same(x: ProximityGraph, y: ProximityGraph): Boolean =
+      x.offsets.sameElements(y.offsets) && x.links.sameElements(y.links) && x.isPivot.sameElements(y.isPivot) &&
+        java.util.Arrays.equals(x.isExact, y.isExact) && x.exactLen == y.exactLen && x.exactK == y.exactK
     for ((name, s) <- Seq(
       "L2" -> TestSpaces.clustered(500, 6, VectorMetric.L2, seed = 58),
       "tie-heavy strings" -> TestSpaces.strings(400, seed = 59),
@@ -137,7 +134,7 @@ class MRPGSpec extends SparkSpec {
   test("a build shares the space once, for NNDescent+ and Remove-Detours") {
     val recording = new SharingRecorder(4)
     val (g, _) = MRPG.build(space, 8, recording, seed = 5, maxIters = 5)
-    assert((0 until space.n).forall(v => g.adj(v).sameElements(graph.adj(v))))
+    assert((0 until space.n).forall(v => g.row(v).sameElements(graph.row(v))))
     assert(recording.shared.count(isSpace) == 1)
     assert(!recording.shared.exists(v => !isSpace(v) && holds(v)(isSpace)), "a call's data carries the space again")
     assert(!recording.shared.exists(holds(_)(_.isInstanceOf[Shared[_]])), "a call's data carries a handle")
@@ -156,7 +153,11 @@ class MRPGSpec extends SparkSpec {
     // scaladoc); on this fixture it adds none
     val withLists = (0 until space.n).filter(graph.hasExactList)
     assert(withLists.nonEmpty)
-    for (v <- withLists) assert(graph.adj(v).toSet == graph.exactLists(v).toSet, s"vertex $v")
+    for (v <- withLists) {
+      // the list is the row's prefix, and here the whole row
+      assert(graph.row(v).take(graph.exactLen).sameElements(BruteForce.knn(space, v, 32)), s"vertex $v")
+      assert(graph.row(v).toSet == graph.exactList(v).toSet, s"vertex $v")
+    }
   }
 
   test("MRPG works on string spaces end to end") {
@@ -216,8 +217,8 @@ class MRPGSpec extends SparkSpec {
     val (b, _) = MRPG.build(viaDp, 8, runner, seed = 13, maxIters = 4)
     def same(x: Array[Int], y: Array[Int]) = java.util.Arrays.equals(x, y)
     assert(a.isPivot.sameElements(b.isPivot))
-    assert((0 until words.length).forall(v => same(a.exactLists(v), b.exactLists(v))))
-    assert((0 until words.length).forall(v => same(a.adj(v), b.adj(v))))
+    assert((0 until words.length).forall(v => same(a.exactList(v), b.exactList(v))))
+    assert((0 until words.length).forall(v => same(a.row(v), b.row(v))))
     assert(viaKernel.evaluations == viaDp.evaluations)
   }
 }

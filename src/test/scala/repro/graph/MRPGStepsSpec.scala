@@ -69,7 +69,10 @@ class MRPGStepsSpec extends AnyFunSuite {
 
   // the greedy ANN walk over an NSW graph's links
   private lazy val walkSpace = TestSpaces.clustered(500, 6, VectorMetric.L2, seed = 91)
-  private lazy val nswAdj = AdjacencyStore.of(NSW.build(walkSpace, f = 6, seed = 9).adj)
+  private lazy val nswAdj = {
+    val g = NSW.build(walkSpace, f = 6, seed = 9)
+    AdjacencyStore.of(Array.tabulate(g.n)(g.row))
+  }
 
   test("greedyAnnSearch never returns a vertex farther than the start") {
     val rng = new scala.util.Random(93)
@@ -123,7 +126,8 @@ class MRPGStepsSpec extends AnyFunSuite {
     // endpoints of the detour
     for (sd <- 1 to 6)
       RemoveDetours.run(space, store, Array(true, true, true), new Array[Boolean](3), 2, runner, seed = sd)
-    val g = new ProximityGraph(store.toRows, new Array[Boolean](3), null, 0)
+    val (offsets, links) = store.toCsr
+    val g = ProximityGraph.plain(offsets, links)
     // vertex 2 (dist 1 <= r=2) must now be reachable monotonically from 0
     assert(GreedyCounting.count(space, g, 0, 2.0, 5, new GreedyCounting.Walk) == 1)
   }
@@ -157,13 +161,13 @@ class MRPGStepsSpec extends AnyFunSuite {
         NNDescentConfig(K = 5, vpInit = true, skipUnchanged = true, maxIters = 3, seed = seed), runner)
       val store = AdjacencyStore.of(aknn.nbrId)
       ConnectSubgraphs.run(space, store, aknn.isPivot, new Array[Boolean](n), seed = seed)
-      (space, aknn.isPivot, store.toRows)
+      (space, aknn.isPivot, rowsOf(store))
     }
     def detour(s: (MetricSpace, Array[Boolean], Array[Array[Int]])): (RemoveDetours.Result, Seq[Seq[Int]]) = {
       val (space, isPivot, rows) = s
       val store = AdjacencyStore.of(rows)
       val res = RemoveDetours.run(space, store, isPivot, new Array[Boolean](rows.length), 5, runner, seed = 13)
-      (res, store.toRows.map(_.toSeq).toSeq)
+      (res, rowsOf(store).map(_.toSeq).toSeq)
     }
     def onFreshThread[A](body: => A): A = {
       var out: Option[A] = None
@@ -272,6 +276,8 @@ class MRPGStepsSpec extends AnyFunSuite {
     (space, aknn.isPivot, isExact, rows)
   }
 
+  private def rowsOf(store: AdjacencyStore): Array[Array[Int]] = Array.tabulate(store.n)(store.row)
+
   private def sets(rows: Array[Array[Int]]): Array[mutable.LinkedHashSet[Int]] =
     rows.map(mutable.LinkedHashSet.from(_))
 
@@ -294,7 +300,7 @@ class MRPGStepsSpec extends AnyFunSuite {
     val (space, isPivot, isExact, rows) = glued
     val connected = AdjacencyStore.of(rows)
     ConnectSubgraphs.run(space, connected, isPivot, isExact, seed = 11)
-    val (viaSets, store) = (sets(connected.toRows), AdjacencyStore.of(connected.toRows))
+    val (viaSets, store) = (sets(rowsOf(connected)), AdjacencyStore.of(rowsOf(connected)))
     val added = RemoveDetours.run(space, viaSets, isPivot, isExact, 6, runner, seed = 12)
     val res = RemoveDetours.run(space, store, isPivot, isExact, 6, runner, seed = 12)
     assert(added > 0 && added == res.linksAdded)
@@ -306,7 +312,7 @@ class MRPGStepsSpec extends AnyFunSuite {
     val detoured = AdjacencyStore.of(rows)
     ConnectSubgraphs.run(space, detoured, isPivot, isExact, seed = 11)
     RemoveDetours.run(space, detoured, isPivot, isExact, 6, runner, seed = 12)
-    val (viaSets, store) = (sets(detoured.toRows), AdjacencyStore.of(detoured.toRows))
+    val (viaSets, store) = (sets(rowsOf(detoured)), AdjacencyStore.of(rowsOf(detoured)))
     val removed = RemoveLinks.run(viaSets, isPivot, isExact)
     assert(removed > 0 && removed == RemoveLinks.run(store, isPivot, isExact))
     assertSameRows(viaSets, store)

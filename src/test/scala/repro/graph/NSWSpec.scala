@@ -11,8 +11,8 @@ class NSWSpec extends AnyFunSuite {
   private lazy val g = NSW.build(space, f = 6, seed = 9)
 
   test("graph is undirected") {
-    for (v <- 0 until space.n; u <- g.adj(v)) {
-      assert(g.adj(u).contains(v), s"missing reverse link $u -> $v")
+    for (v <- 0 until space.n; u <- g.row(v)) {
+      assert(g.row(u).contains(v), s"missing reverse link $u -> $v")
     }
   }
 
@@ -23,15 +23,15 @@ class NSWSpec extends AnyFunSuite {
     var count = 0
     while (!q.isEmpty) {
       val v = q.poll().intValue(); count += 1
-      g.adj(v).foreach(u => if (!visited.get(u)) { visited.set(u); q.add(u) })
+      g.row(v).foreach(u => if (!visited.get(u)) { visited.set(u); q.add(u) })
     }
     assert(count == space.n)
   }
 
   test("no self loops or duplicate links") {
     for (v <- 0 until space.n) {
-      assert(!g.adj(v).contains(v))
-      assert(g.adj(v).distinct.length == g.adj(v).length)
+      assert(!g.row(v).contains(v))
+      assert(g.row(v).distinct.length == g.row(v).length)
     }
   }
 
@@ -44,7 +44,7 @@ class NSWSpec extends AnyFunSuite {
     val rng = new scala.util.Random(92)
     val linkD = (0 until 200).map { _ =>
       val v = rng.nextInt(space.n)
-      val us = g.adj(v)
+      val us = g.row(v)
       space.dist(v, us(rng.nextInt(us.length)))
     }
     val randD = (0 until 200).map(_ => space.dist(rng.nextInt(space.n), rng.nextInt(space.n)))
@@ -53,13 +53,13 @@ class NSWSpec extends AnyFunSuite {
 
   test("NSW has no pivots and no exact lists") {
     assert(g.isPivot.forall(!_))
-    assert(g.exactLists == null && g.exactK == 0)
+    assert(g.isExact == null && g.exactLen == 0 && g.exactK == 0)
   }
 
   test("build is deterministic in the seed") {
     val a = NSW.build(space, f = 4, seed = 10)
     val b = NSW.build(space, f = 4, seed = 10)
-    assert((0 until space.n).forall(v => a.adj(v).sameElements(b.adj(v))))
+    assert((0 until space.n).forall(v => a.row(v).sameElements(b.row(v))))
   }
 
   test("tiny inputs build without error") {

@@ -66,7 +66,8 @@ class ReachabilitySpec extends AnyFunSuite {
     val undirected = {
       val adj = new AdjacencyStore(space.n)
       for (v <- 0 until space.n; u <- aknn.nbrId(v) if u != v) { adj.add(v, u); adj.add(u, v) }
-      new ProximityGraph(adj.toRows, aknn.isPivot, null, 0)
+      val (offsets, links) = adj.toCsr
+      new ProximityGraph(offsets, links, aknn.isPivot, null, 0, 0)
     }
     val cUndirected = coverage(undirected)
     val cFull = coverage(mrpg)
@@ -75,7 +76,8 @@ class ReachabilitySpec extends AnyFunSuite {
   }
 
   test("pivot hops strictly help on the MRPG graph") {
-    val without = coverage(new ProximityGraph(mrpg.adj, new Array[Boolean](space.n), mrpg.exactLists, mrpg.exactK))
+    val without = coverage(
+      new ProximityGraph(mrpg.offsets, mrpg.links, new Array[Boolean](space.n), mrpg.isExact, mrpg.exactLen, mrpg.exactK))
     val withHops = coverage(mrpg)
     info(f"coverage: no-hops $without%.3f vs pivot-hops $withHops%.3f")
     assert(withHops >= without)

@@ -51,6 +51,15 @@ class JobsSpec extends SparkSpec {
     assert(raw"capHits=\d+ unreached=\d+".r.findFirstIn(mrpg.head).nonEmpty, mrpg.head)
   }
 
+  test("BuildProfileJob's graph line reports the MRPG's shape and the bounded loops") {
+    val out = new java.io.ByteArrayOutputStream()
+    Console.withOut(out)(BuildProfileJob.main(Array("words", "0.02", "local")))
+    val graph = out.toString.linesIterator.filter(_.startsWith("graph")).toSeq
+    assert(graph.size == 1, out.toString)
+    assert(raw"links=\d+ degree min=\d+ mean=[\d.]+ p99=\d+ max=\d+ pivots=\d+ exactLists=\d+ sizeBytes=\d+ detourCapHits=\d+ connectUnreached=\d+"
+      .r.findFirstIn(graph.head).nonEmpty, graph.head)
+  }
+
   test("BuildProfileJob's detect line reports MRPG's candidates and cut walks") {
     val out = new java.io.ByteArrayOutputStream()
     Console.withOut(out)(BuildProfileJob.main(Array("words", "0.02", "local")))
